@@ -397,6 +397,7 @@ void WindowManager::UnmanageWindow(xproto::WindowId window, bool reparent_back) 
   bool was_internal = client->is_internal;
   client->frame.reset();  // Destroys the decoration tree windows.
   clients_.erase(it);
+  events_dispatched_by_client_.erase(window);
   ledger_.Forget(window);
   quarantine_pending_configure_.erase(window);
   if (Panner* p = panner(screen)) {

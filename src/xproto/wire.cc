@@ -1,8 +1,12 @@
 #include "src/xproto/wire.h"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
+#include <concepts>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 namespace xproto {
 
@@ -11,34 +15,15 @@ namespace {
 // Padded-to-4 size of `n` bytes.
 constexpr size_t Pad4(size_t n) { return (n + 3u) & ~size_t{3}; }
 
-ParseError MakeError(ParseErrorCode code, size_t offset, uint8_t opcode,
-                     std::string detail) {
-  ParseError error;
-  error.code = code;
-  error.offset = offset;
-  error.opcode = opcode;
-  error.detail = std::move(detail);
-  return error;
-}
-
 }  // namespace
 
 // ---- Parse-error text -------------------------------------------------------
 
 std::string ParseErrorCodeName(ParseErrorCode code) {
-  switch (code) {
-    case ParseErrorCode::kTruncated:
-      return "Truncated";
-    case ParseErrorCode::kBadOpcode:
-      return "BadOpcode";
-    case ParseErrorCode::kBadLength:
-      return "BadLength";
-    case ParseErrorCode::kOversized:
-      return "Oversized";
-    case ParseErrorCode::kBadValue:
-      return "BadValue";
-  }
-  return "Truncated";
+  static constexpr const char* kNames[] = {"Truncated", "BadOpcode", "BadLength", "Oversized",
+                                           "BadValue"};
+  size_t index = static_cast<size_t>(code);
+  return index < std::size(kNames) ? kNames[index] : "Truncated";
 }
 
 std::string ParseErrorText(const ParseError& error) {
@@ -181,342 +166,841 @@ void WireWriter::CloseRequest() {
   frame_start_ = SIZE_MAX;
 }
 
-// ---- Request metadata -------------------------------------------------------
+// ---- Message layouts --------------------------------------------------------
+//
+// Each message's wire layout is written once, as a `Body` run in both
+// directions: a Writer appends the fields of a const message, a Reader fills
+// a fresh one from a bounds-checked payload.  The field calls carry all the
+// two directions must agree on (width, signedness, padding, value checks,
+// list caps).  The frame functions at the end of the file add each frame
+// kind's header and framing rules.  The field vocabulary:
+//   U8/U16/U32(field[, check]), U64/I16/I32(field)   an integer slot; decode
+//       holds the raw value to `check` before storing it
+//   Pad(n)  zero bytes, skipped on decode
+//   Detail(field[, check]), DetailNot(flag), DetailFlags(low, high)  the
+//       header's detail byte: a value, an inverted flag, two flag bits
+//   Pick(flag)  chooses between a message's two header codes
+//   Count16/Count32(list, cap, what), Area(cells, w, h, cap, what)  a count
+//   List(count, list[, count2, list2])  the items.  Decode holds each count to
+//       its cap (kOversized), then all of them to the bytes left (kBadLength),
+//       before it allocates; encoding a reply clamps each list to its cap.
+//   Embedded(event)  a nested 32-byte event frame
+// Decode checks values only while no read has overrun (a short payload is a
+// length error whatever its bytes say), and keeps the first failure.
 
 namespace {
 
-struct OpcodeInfo {
-  WireOpcode opcode;
-  RequestCode request_code;
-  const char* name;
+constexpr uint64_t kUncapped = std::numeric_limits<uint64_t>::max();
+
+// Checks on a raw wire value, each with its rejection text.
+struct Range {
+  uint64_t lo;
+  uint64_t hi;
+  const char* why;
+  constexpr bool Valid(uint64_t v) const { return v >= lo && v <= hi; }
 };
 
-template <typename T>
-OpcodeInfo InfoFor();
+struct Format {
+  static constexpr const char* why = "format not 8/16/32";
+  constexpr bool Valid(uint64_t v) const { return v == 8 || v == 16 || v == 32; }
+};
 
-#define WIRE_INFO(TYPE, OPCODE, REQCODE)                                     \
-  template <>                                                                \
-  OpcodeInfo InfoFor<TYPE>() {                                               \
-    return {WireOpcode::OPCODE, RequestCode::REQCODE, #TYPE};                \
+constexpr Range kAnyValue{0, kUncapped, ""};
+constexpr Range Flag(const char* why) { return {0, 1, why}; }
+constexpr Range kStackMode{0, static_cast<uint8_t>(StackMode::kOpposite),
+                           "stack mode out of range"};
+constexpr Range kConfigureMask{0, 0x7F, "unknown configure mask bits"};
+
+// A list's element count as the wire carries it, and the cap decode holds it to.
+struct Count {
+  uint64_t n = 0;
+  uint64_t cap = kUncapped;
+  const char* what = "";
+};
+
+// The integer slots, shared by every Io; each Io implements Int<WireType>.
+template <class Io>
+class Fields {
+ public:
+  template <class T, class C = Range>
+  void U8(T& v, C check = kAnyValue) {
+    self().template Int<uint8_t>(v, check);
+  }
+  template <class T, class C = Range>
+  void U16(T& v, C check = kAnyValue) {
+    self().template Int<uint16_t>(v, check);
+  }
+  template <class T, class C = Range>
+  void U32(T& v, C check = kAnyValue) {
+    self().template Int<uint32_t>(v, check);
+  }
+  template <class T>
+  void U64(T& v) {
+    self().template Int<uint64_t>(v, kAnyValue);
+  }
+  template <class T>
+  void I16(T& v) {
+    self().template Int<int16_t>(v, kAnyValue);
+  }
+  template <class T>
+  void I32(T& v) {
+    self().template Int<int32_t>(v, kAnyValue);
   }
 
-WIRE_INFO(CreateWindowRequest, kCreateWindow, kCreateWindow)
-WIRE_INFO(DestroyWindowRequest, kDestroyWindow, kDestroyWindow)
-WIRE_INFO(MapWindowRequest, kMapWindow, kMapWindow)
-WIRE_INFO(UnmapWindowRequest, kUnmapWindow, kUnmapWindow)
-WIRE_INFO(ReparentWindowRequest, kReparentWindow, kReparentWindow)
-WIRE_INFO(ConfigureWindowRequest, kConfigureWindow, kConfigureWindow)
-WIRE_INFO(SelectInputRequest, kSelectInput, kSelectInput)
-WIRE_INFO(ChangeSaveSetRequest, kChangeSaveSet, kChangeSaveSet)
-WIRE_INFO(ChangePropertyRequest, kChangeProperty, kChangeProperty)
-WIRE_INFO(DeletePropertyRequest, kDeleteProperty, kDeleteProperty)
-WIRE_INFO(SendEventRequest, kSendEvent, kSendEvent)
-WIRE_INFO(SetInputFocusRequest, kSetInputFocus, kSetInputFocus)
-WIRE_INFO(GrabButtonRequest, kGrabButton, kGrabButton)
-WIRE_INFO(UngrabButtonRequest, kUngrabButton, kUngrabButton)
-WIRE_INFO(ClearWindowRequest, kClearWindow, kClearWindow)
-WIRE_INFO(SetWindowBackgroundRequest, kSetWindowBackground, kSetWindowBackground)
-WIRE_INFO(SetCursorRequest, kSetCursor, kSetCursor)
-WIRE_INFO(DrawRequest, kDraw, kDraw)
-WIRE_INFO(ShapeRegionRequest, kShapeRegion, kShapeOp)
-WIRE_INFO(ShapeClearRequest, kShapeClear, kShapeOp)
-WIRE_INFO(ShapeSelectRequest, kShapeSelect, kShapeOp)
-WIRE_INFO(GetWindowAttributesRequest, kGetWindowAttributes, kGetWindowAttributes)
-WIRE_INFO(GetGeometryRequest, kGetGeometry, kGetGeometry)
-WIRE_INFO(QueryTreeRequest, kQueryTree, kQueryTree)
-WIRE_INFO(InternAtomRequest, kInternAtom, kInternAtom)
-WIRE_INFO(GetAtomNameRequest, kGetAtomName, kGetAtomName)
-WIRE_INFO(GetPropertyRequest, kGetProperty, kGetProperty)
-WIRE_INFO(TranslateCoordinatesRequest, kTranslateCoordinates, kTranslateCoordinates)
-WIRE_INFO(QueryScreensRequest, kQueryScreens, kQueryScreens)
-WIRE_INFO(QueryClientWindowsRequest, kQueryClientWindows, kQueryClientWindows)
+ private:
+  Io& self() { return static_cast<Io&>(*this); }
+};
 
-#undef WIRE_INFO
+// Sums the bytes a fixed-size layout occupies (a list element's size).
+struct Sizer : Fields<Sizer> {
+  size_t bytes = 0;
+  template <class W, class T, class C>
+  void Int(const T&, const C&) {
+    bytes += sizeof(W);
+  }
+  void Pad(size_t n) { bytes += n; }
+};
 
-}  // namespace
-
-WireOpcode RequestOpcode(const Request& request) {
-  return std::visit(
-      [](const auto& r) { return InfoFor<std::decay_t<decltype(r)>>().opcode; }, request);
+template <class Items>
+uint64_t ElementBytes() {
+  using T = typename Items::value_type;
+  if constexpr (sizeof(T) == 1) {
+    return 1;  // Byte strings travel as raw bytes.
+  } else {
+    Sizer sizer;
+    T item{};
+    Body(sizer, item);
+    return sizer.bytes;
+  }
 }
 
-std::string WireRequestName(const Request& request) {
-  return std::visit(
-      [](const auto& r) { return std::string(InfoFor<std::decay_t<decltype(r)>>().name); },
-      request);
-}
+// Appends a message.  The frame function writes the header; Detail and Pick
+// patch its code and detail bytes.
+class Writer : public Fields<Writer> {
+ public:
+  Writer(WireWriter* w, const uint8_t* codes, bool clamp = false)
+      : w_(w), start_(w->bytes().size()), codes_(codes), head_{codes[0], 0}, clamp_(clamp) {}
 
-RequestCode RequestCodeOf(const Request& request) {
-  return std::visit(
-      [](const auto& r) { return InfoFor<std::decay_t<decltype(r)>>().request_code; },
-      request);
-}
-
-RequestCode RequestCodeForOpcode(uint8_t opcode) {
-  switch (static_cast<WireOpcode>(opcode)) {
-    case WireOpcode::kCreateWindow:
-      return RequestCode::kCreateWindow;
-    case WireOpcode::kDestroyWindow:
-      return RequestCode::kDestroyWindow;
-    case WireOpcode::kChangeSaveSet:
-      return RequestCode::kChangeSaveSet;
-    case WireOpcode::kReparentWindow:
-      return RequestCode::kReparentWindow;
-    case WireOpcode::kMapWindow:
-      return RequestCode::kMapWindow;
-    case WireOpcode::kUnmapWindow:
-      return RequestCode::kUnmapWindow;
-    case WireOpcode::kConfigureWindow:
-      return RequestCode::kConfigureWindow;
-    case WireOpcode::kSelectInput:
-      return RequestCode::kSelectInput;
-    case WireOpcode::kChangeProperty:
-      return RequestCode::kChangeProperty;
-    case WireOpcode::kDeleteProperty:
-      return RequestCode::kDeleteProperty;
-    case WireOpcode::kSendEvent:
-      return RequestCode::kSendEvent;
-    case WireOpcode::kGrabButton:
-      return RequestCode::kGrabButton;
-    case WireOpcode::kUngrabButton:
-      return RequestCode::kUngrabButton;
-    case WireOpcode::kSetInputFocus:
-      return RequestCode::kSetInputFocus;
-    case WireOpcode::kClearWindow:
-      return RequestCode::kClearWindow;
-    case WireOpcode::kSetWindowBackground:
-      return RequestCode::kSetWindowBackground;
-    case WireOpcode::kSetCursor:
-      return RequestCode::kSetCursor;
-    case WireOpcode::kDraw:
-      return RequestCode::kDraw;
-    case WireOpcode::kShapeRegion:
-    case WireOpcode::kShapeClear:
-    case WireOpcode::kShapeSelect:
-      return RequestCode::kShapeOp;
-    case WireOpcode::kGetWindowAttributes:
-      return RequestCode::kGetWindowAttributes;
-    case WireOpcode::kGetGeometry:
-      return RequestCode::kGetGeometry;
-    case WireOpcode::kQueryTree:
-      return RequestCode::kQueryTree;
-    case WireOpcode::kInternAtom:
-      return RequestCode::kInternAtom;
-    case WireOpcode::kGetAtomName:
-      return RequestCode::kGetAtomName;
-    case WireOpcode::kGetProperty:
-      return RequestCode::kGetProperty;
-    case WireOpcode::kTranslateCoordinates:
-      return RequestCode::kTranslateCoordinates;
-    case WireOpcode::kQueryScreens:
-      return RequestCode::kQueryScreens;
-    case WireOpcode::kQueryClientWindows:
-      return RequestCode::kQueryClientWindows;
-  }
-  return RequestCode::kNone;
-}
-
-// ---- Request encoding -------------------------------------------------------
-
-namespace {
-
-void PutRect(const xbase::Rect& r, WireWriter* w) {
-  w->I16(static_cast<int16_t>(r.x));
-  w->I16(static_cast<int16_t>(r.y));
-  w->U16(static_cast<uint16_t>(r.width));
-  w->U16(static_cast<uint16_t>(r.height));
-}
-
-xbase::Rect GetRect(WireReader* r) {
-  xbase::Rect rect;
-  rect.x = r->I16();
-  rect.y = r->I16();
-  rect.width = r->U16();
-  rect.height = r->U16();
-  return rect;
-}
-
-struct Encoder {
-  WireWriter* w;
-
-  void Frame(WireOpcode opcode, uint8_t detail) {
-    w->BeginRequest(static_cast<uint8_t>(opcode), detail);
-  }
-
-  void operator()(const CreateWindowRequest& r) {
-    Frame(WireOpcode::kCreateWindow, static_cast<uint8_t>(r.window_class));
-    w->U32(r.parent);
-    PutRect(r.geometry, w);
-    w->U16(static_cast<uint16_t>(r.border_width));
-    w->U8(r.override_redirect ? 1 : 0);
-  }
-  void operator()(const DestroyWindowRequest& r) {
-    Frame(WireOpcode::kDestroyWindow, 0);
-    w->U32(r.window);
-  }
-  void operator()(const MapWindowRequest& r) {
-    Frame(WireOpcode::kMapWindow, 0);
-    w->U32(r.window);
-  }
-  void operator()(const UnmapWindowRequest& r) {
-    Frame(WireOpcode::kUnmapWindow, 0);
-    w->U32(r.window);
-  }
-  void operator()(const ReparentWindowRequest& r) {
-    Frame(WireOpcode::kReparentWindow, 0);
-    w->U32(r.window);
-    w->U32(r.parent);
-    w->I16(static_cast<int16_t>(r.position.x));
-    w->I16(static_cast<int16_t>(r.position.y));
-  }
-  void operator()(const ConfigureWindowRequest& r) {
-    Frame(WireOpcode::kConfigureWindow, 0);
-    w->U32(r.window);
-    w->U16(r.value_mask);
-    w->U16(0);
-    // LISTofVALUE: one 4-byte slot per set mask bit, canonical order.
-    if (r.value_mask & kConfigX) w->I32(r.geometry.x);
-    if (r.value_mask & kConfigY) w->I32(r.geometry.y);
-    if (r.value_mask & kConfigWidth) w->U32(static_cast<uint32_t>(r.geometry.width));
-    if (r.value_mask & kConfigHeight) w->U32(static_cast<uint32_t>(r.geometry.height));
-    if (r.value_mask & kConfigBorderWidth) w->U32(static_cast<uint32_t>(r.border_width));
-    if (r.value_mask & kConfigSibling) w->U32(r.sibling);
-    if (r.value_mask & kConfigStackMode) w->U32(static_cast<uint32_t>(r.stack_mode));
-  }
-  void operator()(const SelectInputRequest& r) {
-    Frame(WireOpcode::kSelectInput, 0);
-    w->U32(r.window);
-    w->U32(r.event_mask);
-  }
-  void operator()(const ChangeSaveSetRequest& r) {
-    Frame(WireOpcode::kChangeSaveSet, r.add ? 0 : 1);
-    w->U32(r.window);
-  }
-  void operator()(const ChangePropertyRequest& r) {
-    Frame(WireOpcode::kChangeProperty, r.mode);
-    w->U32(r.window);
-    w->U32(r.property);
-    w->U32(r.type);
-    w->U8(static_cast<uint8_t>(r.format));
-    w->U8(0);
-    w->U16(0);
-    w->U32(static_cast<uint32_t>(r.data.size()));
-    w->Bytes(r.data);
-  }
-  void operator()(const DeletePropertyRequest& r) {
-    Frame(WireOpcode::kDeleteProperty, 0);
-    w->U32(r.window);
-    w->U32(r.property);
-  }
-  void operator()(const SendEventRequest& r) {
-    Frame(WireOpcode::kSendEvent, 0);
-    w->U32(r.destination);
-    w->U32(r.event_mask);
-    EncodeEvent(r.event, 0, w);
-  }
-  void operator()(const SetInputFocusRequest& r) {
-    Frame(WireOpcode::kSetInputFocus, 0);
-    w->U32(r.window);
-  }
-  void operator()(const GrabButtonRequest& r) {
-    Frame(WireOpcode::kGrabButton, static_cast<uint8_t>(r.button));
-    w->U32(r.window);
-    w->U32(r.modifiers);
-    w->U32(r.event_mask);
-  }
-  void operator()(const UngrabButtonRequest& r) {
-    Frame(WireOpcode::kUngrabButton, static_cast<uint8_t>(r.button));
-    w->U32(r.window);
-    w->U32(r.modifiers);
-  }
-  void operator()(const ClearWindowRequest& r) {
-    Frame(WireOpcode::kClearWindow, 0);
-    w->U32(r.window);
-  }
-  void operator()(const SetWindowBackgroundRequest& r) {
-    Frame(WireOpcode::kSetWindowBackground, 0);
-    w->U32(r.window);
-    w->U8(static_cast<uint8_t>(r.background));
-  }
-  void operator()(const SetCursorRequest& r) {
-    Frame(WireOpcode::kSetCursor, 0);
-    w->U32(r.window);
-    w->U16(static_cast<uint16_t>(r.name.size()));
-    w->String(r.name);
-  }
-  void operator()(const DrawRequest& r) {
-    Frame(WireOpcode::kDraw, r.kind);
-    w->U32(r.window);
-    PutRect(r.rect, w);
-    w->U8(static_cast<uint8_t>(r.fill));
-    w->U8(0);
-    w->U16(static_cast<uint16_t>(r.text.size()));
-    w->U16(static_cast<uint16_t>(r.bitmap_width));
-    w->U16(static_cast<uint16_t>(r.bitmap_height));
-    w->String(r.text);
-    w->Bytes(r.bitmap_cells);
-  }
-  void operator()(const ShapeRegionRequest& r) {
-    Frame(WireOpcode::kShapeRegion, 0);
-    w->U32(r.window);
-    w->U16(static_cast<uint16_t>(r.rects.size()));
-    w->U16(0);
-    for (const xbase::Rect& rect : r.rects) {
-      PutRect(rect, w);
+  template <class W, class T, class C>
+  void Int(const T& v, const C&) {
+    auto u = static_cast<std::make_unsigned_t<W>>(v);
+    for (size_t i = 0; i < sizeof(W); ++i) {
+      w_->U8(static_cast<uint8_t>(u >> (8 * i)));
     }
   }
-  void operator()(const ShapeClearRequest& r) {
-    Frame(WireOpcode::kShapeClear, 0);
-    w->U32(r.window);
+  void Pad(size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      w_->U8(0);
+    }
   }
-  void operator()(const ShapeSelectRequest& r) {
-    Frame(WireOpcode::kShapeSelect, r.enable ? 1 : 0);
-    w->U32(r.window);
+  template <class T, class C = Range>
+  void Detail(const T& v, C = kAnyValue) {
+    SetHead(1, static_cast<uint8_t>(v));
   }
-  void operator()(const GetWindowAttributesRequest& r) {
-    Frame(WireOpcode::kGetWindowAttributes, 0);
-    w->U32(r.window);
+  void DetailNot(const bool& v, const char*) { SetHead(1, v ? 0 : 1); }
+  void DetailFlags(const bool& low, const bool& high, const char*) {
+    SetHead(1, static_cast<uint8_t>((low ? 1 : 0) | (high ? 2 : 0)));
   }
-  void operator()(const GetGeometryRequest& r) {
-    Frame(WireOpcode::kGetGeometry, 0);
-    w->U32(r.window);
+  void Pick(const bool& first) { SetHead(0, codes_[first ? 0 : 1]); }
+
+  template <class Items>
+  Count Count16(const Items& items, uint64_t cap, const char* what) {
+    Count n = Clamped(items, cap, what);
+    w_->U16(static_cast<uint16_t>(n.n));
+    return n;
   }
-  void operator()(const QueryTreeRequest& r) {
-    Frame(WireOpcode::kQueryTree, 0);
-    w->U32(r.window);
+  template <class Items>
+  Count Count32(const Items& items, uint64_t cap, const char* what) {
+    Count n = Clamped(items, cap, what);
+    w_->U32(static_cast<uint32_t>(n.n));
+    return n;
   }
-  void operator()(const InternAtomRequest& r) {
-    Frame(WireOpcode::kInternAtom, 0);
-    w->U16(static_cast<uint16_t>(r.name.size()));
-    w->U16(0);
-    w->String(r.name);
+  Count Area(const std::vector<uint8_t>& cells, int, int, uint64_t cap, const char* what) {
+    return {cells.size(), cap, what};
   }
-  void operator()(const GetAtomNameRequest& r) {
-    Frame(WireOpcode::kGetAtomName, 0);
-    w->U32(r.atom);
+  template <class Items>
+  void List(Count n, const Items& items) {
+    Write(n.n, items);
   }
-  void operator()(const GetPropertyRequest& r) {
-    Frame(WireOpcode::kGetProperty, 0);
-    w->U32(r.window);
-    w->U32(r.property);
+  template <class A, class B>
+  void List(Count na, const A& a, Count nb, const B& b) {
+    Write(na.n, a);
+    Write(nb.n, b);
   }
-  void operator()(const TranslateCoordinatesRequest& r) {
-    Frame(WireOpcode::kTranslateCoordinates, 0);
-    w->U32(r.src);
-    w->U32(r.dst);
-    w->I16(static_cast<int16_t>(r.point.x));
-    w->I16(static_cast<int16_t>(r.point.y));
+  void Embedded(const Event& event) { EncodeEvent(event, 0, w_); }
+
+ private:
+  void SetHead(int i, uint8_t v) {
+    head_[i] = v;
+    w_->PatchU16(start_, static_cast<uint16_t>(head_[0] | head_[1] << 8));
   }
-  void operator()(const QueryScreensRequest&) { Frame(WireOpcode::kQueryScreens, 0); }
-  void operator()(const QueryClientWindowsRequest&) {
-    Frame(WireOpcode::kQueryClientWindows, 0);
+  template <class Items>
+  Count Clamped(const Items& items, uint64_t cap, const char* what) const {
+    return {clamp_ ? std::min<uint64_t>(items.size(), cap) : items.size(), cap, what};
   }
+  template <class Items>
+  void Write(uint64_t n, const Items& items) {
+    if constexpr (sizeof(typename Items::value_type) == 1) {
+      w_->Bytes({reinterpret_cast<const uint8_t*>(items.data()), static_cast<size_t>(n)});
+    } else {
+      for (uint64_t i = 0; i < n; ++i) {
+        Body(*this, items[i]);
+      }
+    }
+  }
+
+  WireWriter* w_;
+  size_t start_;
+  const uint8_t* codes_;
+  uint8_t head_[2];
+  bool clamp_;
 };
+
+// Fills a message from one frame's payload.  Reads are bounds-checked by
+// WireReader; the first failed check is the verdict.
+class Reader : public Fields<Reader> {
+ public:
+  Reader(std::span<const uint8_t> payload, uint8_t code, uint8_t detail)
+      : r_(payload), code_(code), detail_(detail) {}
+
+  bool ok() const { return !failed_ && r_.ok(); }
+  size_t offset() const { return r_.offset(); }
+  // The first failed check, else `overrun` for a body that ran past its
+  // payload.
+  ParseError Error(uint8_t opcode, ParseErrorCode overrun, std::string why) const {
+    return failed_ ? ParseError{fail_code_, 0, opcode, why_}
+                   : ParseError{overrun, 0, opcode, std::move(why)};
+  }
+
+  const uint8_t* codes = nullptr;  // The message's header codes, for Pick.
+
+  template <class W, class T, class C>
+  void Int(T& v, const C& check) {
+    std::make_unsigned_t<W> u = 0;
+    std::span<const uint8_t> bytes = r_.Bytes(sizeof(W));  // Empty on overrun.
+    for (size_t i = bytes.size(); i-- > 0;) {
+      u = static_cast<decltype(u)>(u << 8 | bytes[i]);
+    }
+    Accept(static_cast<W>(u), v, check);
+  }
+  void Pad(size_t n) { r_.Skip(n); }
+  template <class T, class C = Range>
+  void Detail(T& v, C check = kAnyValue) {
+    Accept(detail_, v, check);
+  }
+  void DetailNot(bool& v, const char* why) {
+    if (Check(detail_ <= 1, ParseErrorCode::kBadValue, why)) v = detail_ == 0;
+  }
+  void DetailFlags(bool& low, bool& high, const char* why) {
+    if (Check(detail_ <= 3, ParseErrorCode::kBadValue, why)) {
+      low = (detail_ & 1) != 0;
+      high = (detail_ & 2) != 0;
+    }
+  }
+  void Pick(bool& first) { first = code_ == codes[0]; }
+
+  template <class Items>
+  Count Count16(const Items&, uint64_t cap, const char* what) {
+    return {r_.U16(), cap, what};
+  }
+  template <class Items>
+  Count Count32(const Items&, uint64_t cap, const char* what) {
+    return {r_.U32(), cap, what};
+  }
+  Count Area(const std::vector<uint8_t>&, int width, int height, uint64_t cap,
+             const char* what) {
+    return {static_cast<uint64_t>(width) * static_cast<uint64_t>(height), cap, what};
+  }
+  template <class Items>
+  void List(Count n, Items& items) {
+    if (Capped(n) && Fits(n.n * ElementBytes<Items>(), n.what)) Read(n.n, items);
+  }
+  // Both caps first, then one overrun check for the two lists together.
+  template <class A, class B>
+  void List(Count na, A& a, Count nb, B& b) {
+    if (Capped(na) && Capped(nb) &&
+        Fits(na.n * ElementBytes<A>() + nb.n * ElementBytes<B>(), na.what)) {
+      Read(na.n, a);
+      Read(nb.n, b);
+    }
+  }
+  void Embedded(Event& event) {
+    std::span<const uint8_t> frame = r_.Bytes(kEventWireBytes);
+    ParseError error;
+    if (!r_.ok()) {
+      Fail(ParseErrorCode::kTruncated, "embedded event frame short");
+    } else if (DecodeEvent(frame, &event, &error) == 0) {
+      Fail(error.code, "embedded event: " + error.detail);
+    }
+  }
+
+ private:
+  template <class W, class T, class C>
+  void Accept(W raw, T& v, const C& check) {
+    if (Check(check.Valid(static_cast<uint64_t>(raw)), ParseErrorCode::kBadValue, check.why)) {
+      v = static_cast<T>(raw);
+    }
+  }
+  bool Check(bool valid, ParseErrorCode code, const char* why, const char* suffix = "") {
+    if (ok() && !valid) Fail(code, std::string(why) + suffix);
+    return ok();
+  }
+  bool Capped(const Count& n) {
+    return Check(n.n <= n.cap, ParseErrorCode::kOversized, n.what, " over cap");
+  }
+  bool Fits(uint64_t bytes, const char* what) {
+    return Check(bytes <= r_.remaining(), ParseErrorCode::kBadLength, what, " overruns frame");
+  }
+  void Fail(ParseErrorCode code, std::string why) {
+    if (!failed_) {
+      failed_ = true;
+      fail_code_ = code;
+      why_ = std::move(why);
+    }
+  }
+  template <class Items>
+  void Read(uint64_t n, Items& items) {
+    using T = typename Items::value_type;
+    if constexpr (sizeof(T) == 1) {
+      std::span<const uint8_t> bytes = r_.Bytes(n);
+      items.assign(bytes.begin(), bytes.end());
+    } else {
+      items.reserve(n);
+      for (uint64_t i = 0; i < n && ok(); ++i) {
+        T item{};
+        Body(*this, item);
+        items.push_back(item);
+      }
+    }
+  }
+
+  WireReader r_;
+  uint8_t code_;
+  uint8_t detail_;
+  bool failed_ = false;
+  ParseErrorCode fail_code_ = ParseErrorCode::kBadValue;
+  std::string why_;
+};
+
+// Header codes, RequestCode and name of each top-level message.
+template <class T>
+struct Meta;
+
+// Declares T's layout: the function body after the macro, run with `io` a
+// Writer, Reader or Sizer and `m` a T (const when encoding).
+#define WIRE_BODY(T)                                 \
+  template <class Io, class M>                       \
+    requires std::same_as<std::remove_const_t<M>, T> \
+  void Body([[maybe_unused]] Io& io, [[maybe_unused]] M& m)
+
+#define WIRE_MESSAGE(T, REQUEST_CODE, ...)                    \
+  template <>                                                 \
+  struct Meta<T> {                                            \
+    static constexpr uint8_t kCodes[] = {__VA_ARGS__};        \
+    static constexpr RequestCode kRequestCode = REQUEST_CODE; \
+    static constexpr const char* kName = #T;                  \
+  };                                                          \
+  WIRE_BODY(T)
+
+#define WIRE_REQUEST(T, OPCODE, REQUEST_CODE) \
+  WIRE_MESSAGE(T, RequestCode::REQUEST_CODE, static_cast<uint8_t>(WireOpcode::OPCODE))
+// A reply's code is the opcode of the request it answers.
+#define WIRE_REPLY(T, OPCODE) \
+  WIRE_MESSAGE(T, RequestCode::kNone, static_cast<uint8_t>(WireOpcode::OPCODE))
+// An event has one code, or two that a flag chooses between (Pick).
+#define WIRE_EVENT(T, ...) WIRE_MESSAGE(T, RequestCode::kNone, __VA_ARGS__)
+
+WIRE_BODY(WindowId) { io.U32(m); }  // A window-list element.
+
+WIRE_BODY(xbase::Point) {
+  io.I16(m.x);
+  io.I16(m.y);
+}
+
+WIRE_BODY(xbase::Rect) {
+  io.I16(m.x);
+  io.I16(m.y);
+  io.U16(m.width);
+  io.U16(m.height);
+}
+
+// ---- Requests ----
+
+WIRE_REQUEST(CreateWindowRequest, kCreateWindow, kCreateWindow) {
+  io.Detail(m.window_class, Range{0, 1, "window class not 0/1"});
+  io.U32(m.parent);
+  Body(io, m.geometry);
+  io.U16(m.border_width);
+  io.U8(m.override_redirect);  // Any nonzero byte decodes as set.
+}
+
+WIRE_REQUEST(DestroyWindowRequest, kDestroyWindow, kDestroyWindow) { io.U32(m.window); }
+
+WIRE_REQUEST(MapWindowRequest, kMapWindow, kMapWindow) { io.U32(m.window); }
+
+WIRE_REQUEST(UnmapWindowRequest, kUnmapWindow, kUnmapWindow) { io.U32(m.window); }
+
+WIRE_REQUEST(ReparentWindowRequest, kReparentWindow, kReparentWindow) {
+  io.U32(m.window);
+  io.U32(m.parent);
+  Body(io, m.position);
+}
+
+WIRE_REQUEST(ConfigureWindowRequest, kConfigureWindow, kConfigureWindow) {
+  io.U32(m.window);
+  io.U16(m.value_mask, kConfigureMask);
+  io.Pad(2);
+  // LISTofVALUE: one 4-byte slot per set mask bit, canonical order.
+  if (m.value_mask & kConfigX) io.I32(m.geometry.x);
+  if (m.value_mask & kConfigY) io.I32(m.geometry.y);
+  if (m.value_mask & kConfigWidth) io.U32(m.geometry.width);
+  if (m.value_mask & kConfigHeight) io.U32(m.geometry.height);
+  if (m.value_mask & kConfigBorderWidth) io.U32(m.border_width);
+  if (m.value_mask & kConfigSibling) io.U32(m.sibling);
+  if (m.value_mask & kConfigStackMode) io.U32(m.stack_mode, kStackMode);
+}
+
+WIRE_REQUEST(SelectInputRequest, kSelectInput, kSelectInput) {
+  io.U32(m.window);
+  io.U32(m.event_mask);
+}
+
+WIRE_REQUEST(ChangeSaveSetRequest, kChangeSaveSet, kChangeSaveSet) {
+  io.DetailNot(m.add, "save-set mode not 0/1");
+  io.U32(m.window);
+}
+
+WIRE_REQUEST(ChangePropertyRequest, kChangeProperty, kChangeProperty) {
+  io.Detail(m.mode, Range{0, 2, "property mode not 0/1/2"});
+  io.U32(m.window);
+  io.U32(m.property);
+  io.U32(m.type);
+  io.U8(m.format, Format{});
+  io.Pad(3);
+  // Bounded by the frame alone, which kMaxRequestBytes caps.
+  io.List(io.Count32(m.data, kUncapped, "property data"), m.data);
+}
+
+WIRE_REQUEST(DeletePropertyRequest, kDeleteProperty, kDeleteProperty) {
+  io.U32(m.window);
+  io.U32(m.property);
+}
+
+WIRE_REQUEST(SendEventRequest, kSendEvent, kSendEvent) {
+  io.U32(m.destination);
+  io.U32(m.event_mask);
+  io.Embedded(m.event);
+}
+
+WIRE_REQUEST(SetInputFocusRequest, kSetInputFocus, kSetInputFocus) { io.U32(m.window); }
+
+WIRE_REQUEST(GrabButtonRequest, kGrabButton, kGrabButton) {
+  io.Detail(m.button, Range{0, kMaxButton, "button out of range"});
+  io.U32(m.window);
+  io.U32(m.modifiers);
+  io.U32(m.event_mask);
+}
+
+WIRE_REQUEST(UngrabButtonRequest, kUngrabButton, kUngrabButton) {
+  io.Detail(m.button, Range{0, kMaxButton, "button out of range"});
+  io.U32(m.window);
+  io.U32(m.modifiers);
+}
+
+WIRE_REQUEST(ClearWindowRequest, kClearWindow, kClearWindow) { io.U32(m.window); }
+
+WIRE_REQUEST(SetWindowBackgroundRequest, kSetWindowBackground, kSetWindowBackground) {
+  io.U32(m.window);
+  io.U8(m.background);
+}
+
+WIRE_REQUEST(SetCursorRequest, kSetCursor, kSetCursor) {
+  io.U32(m.window);
+  io.List(io.Count16(m.name, kMaxWireStringBytes, "cursor name"), m.name);
+}
+
+WIRE_REQUEST(DrawRequest, kDraw, kDraw) {
+  io.Detail(m.kind, Range{0, 4, "draw kind out of range"});  // DrawOp::Kind has 5 values.
+  io.U32(m.window);
+  Body(io, m.rect);
+  io.U8(m.fill);
+  io.Pad(1);
+  Count text = io.Count16(m.text, kMaxWireStringBytes, "draw text");
+  io.U16(m.bitmap_width);
+  io.U16(m.bitmap_height);
+  Count cells = io.Area(m.bitmap_cells, m.bitmap_width, m.bitmap_height,
+                        kMaxWireBitmapCells, "bitmap cells");
+  io.List(text, m.text, cells, m.bitmap_cells);
+}
+
+WIRE_REQUEST(ShapeRegionRequest, kShapeRegion, kShapeOp) {
+  io.U32(m.window);
+  Count rects = io.Count16(m.rects, kMaxWireRects, "shape rects");
+  io.Pad(2);
+  io.List(rects, m.rects);
+}
+
+WIRE_REQUEST(ShapeClearRequest, kShapeClear, kShapeOp) { io.U32(m.window); }
+
+WIRE_REQUEST(ShapeSelectRequest, kShapeSelect, kShapeOp) {
+  io.Detail(m.enable, Flag("shape select flag not 0/1"));
+  io.U32(m.window);
+}
+
+WIRE_REQUEST(GetWindowAttributesRequest, kGetWindowAttributes, kGetWindowAttributes) {
+  io.U32(m.window);
+}
+
+WIRE_REQUEST(GetGeometryRequest, kGetGeometry, kGetGeometry) { io.U32(m.window); }
+
+WIRE_REQUEST(QueryTreeRequest, kQueryTree, kQueryTree) { io.U32(m.window); }
+
+WIRE_REQUEST(InternAtomRequest, kInternAtom, kInternAtom) {
+  Count name = io.Count16(m.name, kMaxWireStringBytes, "atom name");
+  io.Pad(2);
+  io.List(name, m.name);
+}
+
+WIRE_REQUEST(GetAtomNameRequest, kGetAtomName, kGetAtomName) { io.U32(m.atom); }
+
+WIRE_REQUEST(GetPropertyRequest, kGetProperty, kGetProperty) {
+  io.U32(m.window);
+  io.U32(m.property);
+}
+
+WIRE_REQUEST(TranslateCoordinatesRequest, kTranslateCoordinates, kTranslateCoordinates) {
+  io.U32(m.src);
+  io.U32(m.dst);
+  Body(io, m.point);
+}
+
+WIRE_REQUEST(QueryScreensRequest, kQueryScreens, kQueryScreens) {}
+
+WIRE_REQUEST(QueryClientWindowsRequest, kQueryClientWindows, kQueryClientWindows) {}
+
+// ---- Replies ----
+
+WIRE_REPLY(AttributesReply, kGetWindowAttributes) {
+  io.U32(m.window);
+  io.U8(m.window_class, Range{0, 1, "window class not 0/1"});
+  io.U8(m.map_state, Range{0, 2, "map state out of range"});
+  io.U8(m.override_redirect, Flag("override flag not 0/1"));
+  io.Pad(1);
+  io.U32(m.all_event_masks);
+  io.U16(m.border_width);
+}
+
+WIRE_REPLY(GeometryReply, kGetGeometry) {
+  io.U32(m.window);
+  Body(io, m.geometry);
+  io.U16(m.border_width);
+}
+
+WIRE_REPLY(TreeReply, kQueryTree) {
+  io.U32(m.window);
+  io.U32(m.root);
+  io.U32(m.parent);
+  io.List(io.Count32(m.children, kMaxReplyChildren, "child list"), m.children);
+}
+
+WIRE_REPLY(AtomReply, kInternAtom) { io.U32(m.atom); }
+
+WIRE_REPLY(AtomNameReply, kGetAtomName) {
+  io.U32(m.atom);
+  io.List(io.Count16(m.name, kMaxWireStringBytes, "atom name"), m.name);
+}
+
+WIRE_REPLY(PropertyReply, kGetProperty) {
+  io.U32(m.window);
+  io.U32(m.property);
+  io.U32(m.type);
+  io.U8(m.format, Format{});
+  io.U8(m.found, Flag("found flag not 0/1"));
+  io.Pad(2);
+  io.List(io.Count32(m.data, kMaxReplyPropertyBytes, "property data"), m.data);
+}
+
+WIRE_REPLY(CoordinatesReply, kTranslateCoordinates) {
+  io.I32(m.position.x);
+  io.I32(m.position.y);
+}
+
+WIRE_BODY(ScreensReply::Screen) {
+  io.U32(m.root);
+  io.U16(m.width);
+  io.U16(m.height);
+  io.U8(m.monochrome, Flag("monochrome flag not 0/1"));
+  io.Pad(3);
+}
+
+WIRE_REPLY(ScreensReply, kQueryScreens) {
+  io.List(io.Count32(m.screens, kMaxReplyChildren, "screen list"), m.screens);
+}
+
+WIRE_REPLY(ClientWindowsReply, kQueryClientWindows) {
+  io.List(io.Count32(m.windows, kMaxReplyChildren, "window list"), m.windows);
+}
+
+// ---- Events ----
+
+// Event codes are core X11's; ShapeNotify uses the typical extension base.
+
+WIRE_EVENT(ButtonEvent, 4, 5) {  // ButtonPress / ButtonRelease
+  io.Pick(m.press);
+  io.Detail(m.button, Range{1, kMaxButton, "button out of range"});
+  io.U32(m.window);
+  io.U32(m.subwindow);
+  io.U32(m.modifiers);
+  Body(io, m.root_pos);
+  Body(io, m.pos);
+  io.U64(m.time);
+}
+
+WIRE_EVENT(MotionEvent, 6) {
+  io.U32(m.window);
+  io.U32(m.subwindow);
+  io.U32(m.modifiers);
+  Body(io, m.root_pos);
+  Body(io, m.pos);
+  io.U64(m.time);
+}
+
+WIRE_EVENT(KeyEvent, 2, 3) {  // KeyPress / KeyRelease
+  io.Pick(m.press);
+  io.U32(m.window);
+  io.U32(m.keysym);
+  io.U32(m.modifiers);
+  Body(io, m.root_pos);
+  Body(io, m.pos);
+  io.U64(m.time);
+}
+
+WIRE_EVENT(CrossingEvent, 7, 8) {  // EnterNotify / LeaveNotify
+  io.Pick(m.enter);
+  io.U32(m.window);
+  Body(io, m.root_pos);
+  Body(io, m.pos);
+  io.U64(m.time);
+}
+
+WIRE_EVENT(ExposeEvent, 12) {
+  io.U32(m.window);
+  Body(io, m.area);
+  io.I32(m.count);
+}
+
+WIRE_EVENT(CreateNotifyEvent, 16) {
+  io.Detail(m.override_redirect, Flag("override flag not 0/1"));
+  io.U32(m.parent);
+  io.U32(m.window);
+  Body(io, m.geometry);
+}
+
+WIRE_EVENT(DestroyNotifyEvent, 17) {
+  io.U32(m.event_window);
+  io.U32(m.window);
+}
+
+WIRE_EVENT(MapRequestEvent, 20) {
+  io.U32(m.parent);
+  io.U32(m.window);
+}
+
+WIRE_EVENT(MapNotifyEvent, 19) {
+  io.Detail(m.override_redirect, Flag("override flag not 0/1"));
+  io.U32(m.event_window);
+  io.U32(m.window);
+}
+
+WIRE_EVENT(UnmapNotifyEvent, 18) {
+  io.Detail(m.from_configure, Flag("from-configure flag not 0/1"));
+  io.U32(m.event_window);
+  io.U32(m.window);
+}
+
+WIRE_EVENT(ReparentNotifyEvent, 21) {
+  io.Detail(m.override_redirect, Flag("override flag not 0/1"));
+  io.U32(m.event_window);
+  io.U32(m.window);
+  io.U32(m.parent);
+  Body(io, m.pos);
+}
+
+WIRE_EVENT(ConfigureRequestEvent, 23) {
+  io.Detail(m.stack_mode, kStackMode);
+  io.U32(m.parent);
+  io.U32(m.window);
+  io.U32(m.sibling);
+  Body(io, m.geometry);
+  io.I16(m.border_width);
+  io.U16(m.value_mask, kConfigureMask);
+}
+
+WIRE_EVENT(ConfigureNotifyEvent, 22) {
+  io.DetailFlags(m.override_redirect, m.synthetic, "flags beyond override|synthetic");
+  io.U32(m.event_window);
+  io.U32(m.window);
+  io.U32(m.above_sibling);
+  Body(io, m.geometry);
+  io.I16(m.border_width);
+}
+
+WIRE_EVENT(CirculateRequestEvent, 27) {
+  io.DetailNot(m.place_on_top, "place flag not 0/1");
+  io.U32(m.parent);
+  io.U32(m.window);
+}
+
+WIRE_EVENT(PropertyNotifyEvent, 28) {
+  io.Detail(m.state, Flag("property state not 0/1"));
+  io.U32(m.window);
+  io.U32(m.atom);
+  io.U64(m.time);
+}
+
+WIRE_EVENT(ClientMessageEvent, 33) {
+  io.Detail(m.format, Format{});
+  io.U32(m.window);
+  io.U32(m.message_type);
+  for (auto& word : m.data) {
+    io.U32(word);
+  }
+}
+
+WIRE_EVENT(FocusEvent, 9, 10) {  // FocusIn / FocusOut
+  io.Pick(m.in);
+  io.U32(m.window);
+}
+
+WIRE_EVENT(ShapeNotifyEvent, 64) {
+  io.Detail(m.shaped, Flag("shaped flag not 0/1"));
+  io.U32(m.window);
+  Body(io, m.extents);
+}
+
+// ---- Errors ----
+
+// The frame is [0][code][sequence u16] and this body.
+WIRE_BODY(XError) {
+  io.Detail(m.code, Range{0, static_cast<uint8_t>(ErrorCode::kBadLength),
+                          "error code out of range"});
+  io.U32(m.resource_id);
+  io.U64(m.sequence);
+  io.U8(m.request, Range{0, kMaxRequestCode, "request code out of range"});
+}
+
+#undef WIRE_EVENT
+#undef WIRE_REPLY
+#undef WIRE_REQUEST
+#undef WIRE_MESSAGE
+#undef WIRE_BODY
+
+// ---- Tables derived from the declarations ----
+
+// Calls fn(std::type_identity<T>{}) for each alternative T of Variant.
+template <class Variant, class Fn>
+constexpr void ForEachAlternative(Fn fn) {
+  [&]<size_t... I>(std::index_sequence<I...>) {
+    (fn(std::type_identity<std::variant_alternative_t<I, Variant>>{}), ...);
+  }(std::make_index_sequence<std::variant_size_v<Variant>>{});
+}
+
+template <class Variant>
+using DecodeFn = void (*)(Reader&, Variant*);
+
+template <class Variant, class T>
+void DecodeAs(Reader& io, Variant* out) {
+  io.codes = Meta<T>::kCodes;
+  Body(io, out->template emplace<T>());
+}
+
+// A variant's decoders by leading code (request opcode, reply opcode, or
+// event code); null where no alternative declares the code.
+template <class Variant>
+constexpr std::array<DecodeFn<Variant>, 256> kDecoders = [] {
+  std::array<DecodeFn<Variant>, 256> table{};
+  ForEachAlternative<Variant>([&]<class T>(std::type_identity<T>) {
+    for (uint8_t code : Meta<T>::kCodes) {
+      table[code] = &DecodeAs<Variant, T>;
+    }
+  });
+  return table;
+}();
+
+constexpr std::array<RequestCode, 256> kRequestCodes = [] {
+  std::array<RequestCode, 256> table{};  // RequestCode::kNone throughout.
+  ForEachAlternative<Request>([&]<class T>(std::type_identity<T>) {
+    table[Meta<T>::kCodes[0]] = Meta<T>::kRequestCode;
+  });
+  return table;
+}();
+
+// Decodes a request or reply frame whose payload starts at `header`: the
+// layout its opcode declares, then strict framing.  False with *error set.
+template <class Variant>
+bool DecodeFrame(std::span<const uint8_t> frame, size_t header, size_t floor, uint8_t opcode,
+                 uint8_t detail, const char* kind, Variant* out, ParseError* error) {
+  DecodeFn<Variant> decode = kDecoders<Variant>[opcode];
+  if (decode == nullptr) {
+    *error = ParseError{ParseErrorCode::kBadOpcode, 0, opcode,
+                        std::string("no ") + kind + " has this opcode"};
+    return false;
+  }
+  Reader reader(frame.subspan(header), opcode, detail);
+  Variant decoded;
+  decode(reader, &decoded);
+  if (!reader.ok()) {
+    *error = reader.Error(opcode, ParseErrorCode::kBadLength,
+                          std::string("payload shorter than the ") + kind + " needs");
+    return false;
+  }
+  // The length field must name exactly the padded size of what the body
+  // consumed (at least `floor`).  A frame padded out further than that is a
+  // length-field lie, not slack.
+  if (std::max(floor, Pad4(header + reader.offset())) != frame.size()) {
+    *error = ParseError{ParseErrorCode::kBadLength, 0, opcode,
+                        "frame length disagrees with payload size"};
+    return false;
+  }
+  *out = std::move(decoded);
+  return true;
+}
+
+template <class Variant>
+WireOpcode OpcodeOf(const Variant& message) {
+  return std::visit(
+      []<class T>(const T&) { return static_cast<WireOpcode>(Meta<T>::kCodes[0]); }, message);
+}
+
+template <class Variant>
+std::string NameOf(const Variant& message) {
+  return std::visit([]<class T>(const T&) { return std::string(Meta<T>::kName); }, message);
+}
 
 }  // namespace
 
+// ---- Request metadata -------------------------------------------------------
+
+WireOpcode RequestOpcode(const Request& request) { return OpcodeOf(request); }
+
+std::string WireRequestName(const Request& request) { return NameOf(request); }
+
+RequestCode RequestCodeOf(const Request& request) {
+  return std::visit([]<class T>(const T&) { return Meta<T>::kRequestCode; }, request);
+}
+
+RequestCode RequestCodeForOpcode(uint8_t opcode) { return kRequestCodes[opcode]; }
+
+// ---- Request frames ---------------------------------------------------------
+
 void EncodeRequest(const Request& request, WireWriter* writer) {
-  std::visit(Encoder{writer}, request);
+  std::visit(
+      [writer]<class T>(const T& m) {
+        Writer io(writer, Meta<T>::kCodes);
+        writer->BeginRequest(Meta<T>::kCodes[0], 0);
+        Body(io, m);
+      },
+      request);
   writer->CloseRequest();
 }
 
@@ -526,483 +1010,43 @@ std::vector<uint8_t> EncodeRequestBytes(const Request& request) {
   return writer.Take();
 }
 
-// ---- Request decoding -------------------------------------------------------
-
-namespace {
-
-// Per-opcode payload decoders.  Each reads from a reader scoped to exactly
-// the frame payload (header excluded) and returns the decoded request, or a
-// ParseError via `*error` (offset/opcode filled in by the caller).  The
-// caller verifies reader.ok() and that the frame was fully consumed.
-
-std::optional<Request> DecodePayload(WireOpcode opcode, uint8_t detail, WireReader& r,
-                                     ParseErrorCode* code, std::string* detail_text) {
-  auto fail = [&](ParseErrorCode c, const std::string& text) -> std::optional<Request> {
-    *code = c;
-    *detail_text = text;
-    return std::nullopt;
-  };
-
-  switch (opcode) {
-    case WireOpcode::kCreateWindow: {
-      if (detail > 1) {
-        return fail(ParseErrorCode::kBadValue, "window class not 0/1");
-      }
-      CreateWindowRequest out;
-      out.window_class = static_cast<WindowClass>(detail);
-      out.parent = r.U32();
-      out.geometry = GetRect(&r);
-      out.border_width = r.U16();
-      out.override_redirect = r.U8() != 0;
-      return out;
-    }
-    case WireOpcode::kDestroyWindow: {
-      DestroyWindowRequest out;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kMapWindow: {
-      MapWindowRequest out;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kUnmapWindow: {
-      UnmapWindowRequest out;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kReparentWindow: {
-      ReparentWindowRequest out;
-      out.window = r.U32();
-      out.parent = r.U32();
-      out.position.x = r.I16();
-      out.position.y = r.I16();
-      return out;
-    }
-    case WireOpcode::kConfigureWindow: {
-      ConfigureWindowRequest out;
-      out.window = r.U32();
-      out.value_mask = r.U16();
-      r.Skip(2);
-      if (out.value_mask >> 7 != 0) {
-        return fail(ParseErrorCode::kBadValue, "unknown configure mask bits");
-      }
-      if (out.value_mask & kConfigX) out.geometry.x = r.I32();
-      if (out.value_mask & kConfigY) out.geometry.y = r.I32();
-      if (out.value_mask & kConfigWidth) out.geometry.width = static_cast<int>(r.U32());
-      if (out.value_mask & kConfigHeight) out.geometry.height = static_cast<int>(r.U32());
-      if (out.value_mask & kConfigBorderWidth) out.border_width = static_cast<int>(r.U32());
-      if (out.value_mask & kConfigSibling) out.sibling = r.U32();
-      if (out.value_mask & kConfigStackMode) {
-        uint32_t mode = r.U32();
-        if (mode > static_cast<uint32_t>(StackMode::kOpposite)) {
-          return fail(ParseErrorCode::kBadValue, "stack mode out of range");
-        }
-        out.stack_mode = static_cast<StackMode>(mode);
-      }
-      return out;
-    }
-    case WireOpcode::kSelectInput: {
-      SelectInputRequest out;
-      out.window = r.U32();
-      out.event_mask = r.U32();
-      return out;
-    }
-    case WireOpcode::kChangeSaveSet: {
-      if (detail > 1) {
-        return fail(ParseErrorCode::kBadValue, "save-set mode not 0/1");
-      }
-      ChangeSaveSetRequest out;
-      out.add = detail == 0;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kChangeProperty: {
-      if (detail > 2) {
-        return fail(ParseErrorCode::kBadValue, "property mode not 0/1/2");
-      }
-      ChangePropertyRequest out;
-      out.mode = detail;
-      out.window = r.U32();
-      out.property = r.U32();
-      out.type = r.U32();
-      out.format = r.U8();
-      if (r.ok() && out.format != 8 && out.format != 16 && out.format != 32) {
-        return fail(ParseErrorCode::kBadValue, "format not 8/16/32");
-      }
-      r.Skip(3);
-      uint32_t data_len = r.U32();
-      // The embedded count must fit the frame that carries it — the classic
-      // length-field lie.  Checked against remaining() before Bytes() so an
-      // attacker-controlled count never becomes an allocation or a read.
-      if (r.ok() && data_len > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "property data overruns frame");
-      }
-      std::span<const uint8_t> data = r.Bytes(data_len);
-      out.data.assign(data.begin(), data.end());
-      return out;
-    }
-    case WireOpcode::kDeleteProperty: {
-      DeletePropertyRequest out;
-      out.window = r.U32();
-      out.property = r.U32();
-      return out;
-    }
-    case WireOpcode::kSendEvent: {
-      SendEventRequest out;
-      out.destination = r.U32();
-      out.event_mask = r.U32();
-      std::span<const uint8_t> frame = r.Bytes(kEventWireBytes);
-      if (!r.ok()) {
-        return fail(ParseErrorCode::kTruncated, "embedded event frame short");
-      }
-      ParseError event_error;
-      if (DecodeEvent(frame, &out.event, &event_error) == 0) {
-        return fail(event_error.code, "embedded event: " + event_error.detail);
-      }
-      return out;
-    }
-    case WireOpcode::kSetInputFocus: {
-      SetInputFocusRequest out;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kGrabButton: {
-      if (detail > kMaxButton) {
-        return fail(ParseErrorCode::kBadValue, "button out of range");
-      }
-      GrabButtonRequest out;
-      out.button = detail;
-      out.window = r.U32();
-      out.modifiers = r.U32();
-      out.event_mask = r.U32();
-      return out;
-    }
-    case WireOpcode::kUngrabButton: {
-      if (detail > kMaxButton) {
-        return fail(ParseErrorCode::kBadValue, "button out of range");
-      }
-      UngrabButtonRequest out;
-      out.button = detail;
-      out.window = r.U32();
-      out.modifiers = r.U32();
-      return out;
-    }
-    case WireOpcode::kClearWindow: {
-      ClearWindowRequest out;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kSetWindowBackground: {
-      SetWindowBackgroundRequest out;
-      out.window = r.U32();
-      out.background = static_cast<char>(r.U8());
-      return out;
-    }
-    case WireOpcode::kSetCursor: {
-      SetCursorRequest out;
-      out.window = r.U32();
-      uint16_t len = r.U16();
-      if (r.ok() && len > kMaxWireStringBytes) {
-        return fail(ParseErrorCode::kOversized, "cursor name over cap");
-      }
-      if (r.ok() && len > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "cursor name overruns frame");
-      }
-      out.name = r.String(len);
-      return out;
-    }
-    case WireOpcode::kDraw: {
-      if (detail > 4) {  // xserver::DrawOp::Kind has 5 values.
-        return fail(ParseErrorCode::kBadValue, "draw kind out of range");
-      }
-      DrawRequest out;
-      out.kind = detail;
-      out.window = r.U32();
-      out.rect = GetRect(&r);
-      out.fill = static_cast<char>(r.U8());
-      r.Skip(1);
-      uint16_t text_len = r.U16();
-      out.bitmap_width = r.U16();
-      out.bitmap_height = r.U16();
-      if (r.ok() && text_len > kMaxWireStringBytes) {
-        return fail(ParseErrorCode::kOversized, "draw text over cap");
-      }
-      uint64_t cells = static_cast<uint64_t>(out.bitmap_width) *
-                       static_cast<uint64_t>(out.bitmap_height);
-      if (r.ok() && cells > kMaxWireBitmapCells) {
-        return fail(ParseErrorCode::kOversized, "bitmap over cell cap");
-      }
-      if (r.ok() && static_cast<uint64_t>(text_len) + cells > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "draw payload overruns frame");
-      }
-      out.text = r.String(text_len);
-      std::span<const uint8_t> cell_bytes = r.Bytes(static_cast<size_t>(cells));
-      out.bitmap_cells.assign(cell_bytes.begin(), cell_bytes.end());
-      return out;
-    }
-    case WireOpcode::kShapeRegion: {
-      ShapeRegionRequest out;
-      out.window = r.U32();
-      uint16_t count = r.U16();
-      r.Skip(2);
-      if (r.ok() && count > kMaxWireRects) {
-        return fail(ParseErrorCode::kOversized, "shape rect count over cap");
-      }
-      if (r.ok() && static_cast<size_t>(count) * 8 > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "shape rects overrun frame");
-      }
-      out.rects.reserve(count);
-      for (uint16_t i = 0; i < count && r.ok(); ++i) {
-        out.rects.push_back(GetRect(&r));
-      }
-      return out;
-    }
-    case WireOpcode::kShapeClear: {
-      ShapeClearRequest out;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kShapeSelect: {
-      if (detail > 1) {
-        return fail(ParseErrorCode::kBadValue, "shape select flag not 0/1");
-      }
-      ShapeSelectRequest out;
-      out.enable = detail == 1;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kGetWindowAttributes: {
-      GetWindowAttributesRequest out;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kGetGeometry: {
-      GetGeometryRequest out;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kQueryTree: {
-      QueryTreeRequest out;
-      out.window = r.U32();
-      return out;
-    }
-    case WireOpcode::kInternAtom: {
-      InternAtomRequest out;
-      uint16_t len = r.U16();
-      r.Skip(2);
-      if (r.ok() && len > kMaxWireStringBytes) {
-        return fail(ParseErrorCode::kOversized, "atom name over cap");
-      }
-      if (r.ok() && len > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "atom name overruns frame");
-      }
-      out.name = r.String(len);
-      return out;
-    }
-    case WireOpcode::kGetAtomName: {
-      GetAtomNameRequest out;
-      out.atom = r.U32();
-      return out;
-    }
-    case WireOpcode::kGetProperty: {
-      GetPropertyRequest out;
-      out.window = r.U32();
-      out.property = r.U32();
-      return out;
-    }
-    case WireOpcode::kTranslateCoordinates: {
-      TranslateCoordinatesRequest out;
-      out.src = r.U32();
-      out.dst = r.U32();
-      out.point.x = r.I16();
-      out.point.y = r.I16();
-      return out;
-    }
-    case WireOpcode::kQueryScreens: {
-      return QueryScreensRequest{};
-    }
-    case WireOpcode::kQueryClientWindows: {
-      return QueryClientWindowsRequest{};
-    }
-  }
-  return fail(ParseErrorCode::kBadOpcode, "opcode not implemented");
-}
-
-}  // namespace
-
 size_t DecodeRequest(std::span<const uint8_t> buffer, Request* out, ParseError* error) {
   if (buffer.size() < 4) {
-    *error = MakeError(ParseErrorCode::kTruncated, 0, buffer.empty() ? 0 : buffer[0],
-                       "buffer shorter than request header");
+    *error = ParseError{ParseErrorCode::kTruncated, 0, buffer.empty() ? uint8_t{0} : buffer[0],
+                        "buffer shorter than request header"};
     return 0;
   }
   uint8_t opcode = buffer[0];
-  uint8_t detail = buffer[1];
   size_t frame_bytes =
       (static_cast<size_t>(buffer[2]) | static_cast<size_t>(buffer[3]) << 8) * 4;
   if (frame_bytes < 4) {
-    *error = MakeError(ParseErrorCode::kBadLength, 0, opcode,
-                       "frame length smaller than its header");
+    *error = ParseError{ParseErrorCode::kBadLength, 0, opcode,
+                        "frame length smaller than its header"};
     return 0;
   }
   if (frame_bytes > kMaxRequestBytes) {
-    *error = MakeError(ParseErrorCode::kOversized, 0, opcode,
-                       "frame length exceeds kMaxRequestBytes");
+    *error = ParseError{ParseErrorCode::kOversized, 0, opcode,
+                        "frame length exceeds kMaxRequestBytes"};
     return 0;
   }
   if (frame_bytes > buffer.size()) {
-    *error = MakeError(ParseErrorCode::kTruncated, 0, opcode,
-                       "frame extends past end of buffer");
+    *error = ParseError{ParseErrorCode::kTruncated, 0, opcode,
+                        "frame extends past end of buffer"};
     return 0;
   }
-
-  WireReader reader(buffer.subspan(4, frame_bytes - 4));
-  ParseErrorCode code = ParseErrorCode::kBadValue;
-  std::string detail_text;
-  std::optional<Request> request =
-      DecodePayload(static_cast<WireOpcode>(opcode), detail, reader, &code, &detail_text);
-  if (!request.has_value()) {
-    *error = MakeError(code, 0, opcode, detail_text);
+  if (!DecodeFrame(buffer.first(frame_bytes), 4, 4, opcode, buffer[1], "request", out, error)) {
     return 0;
   }
-  if (!reader.ok()) {
-    *error = MakeError(ParseErrorCode::kBadLength, 0, opcode,
-                       "payload shorter than the request needs");
-    return 0;
-  }
-  // Strict framing: the length field must be exactly the padded size of what
-  // the payload decoder consumed.  A frame padded out further than that is a
-  // length-field lie, not slack.
-  size_t consumed = Pad4(4 + reader.offset());
-  if (consumed != frame_bytes) {
-    *error = MakeError(ParseErrorCode::kBadLength, 0, opcode,
-                       "frame length disagrees with payload size");
-    return 0;
-  }
-  *out = std::move(*request);
   return frame_bytes;
 }
 
 // ---- Reply metadata ---------------------------------------------------------
 
-namespace {
+WireOpcode ReplyOpcode(const Reply& reply) { return OpcodeOf(reply); }
 
-struct ReplyInfo {
-  WireOpcode opcode;
-  const char* name;
-};
+std::string WireReplyName(const Reply& reply) { return NameOf(reply); }
 
-template <typename T>
-ReplyInfo ReplyInfoFor();
-
-#define WIRE_REPLY_INFO(TYPE, OPCODE)        \
-  template <>                                \
-  ReplyInfo ReplyInfoFor<TYPE>() {           \
-    return {WireOpcode::OPCODE, #TYPE};      \
-  }
-
-WIRE_REPLY_INFO(AttributesReply, kGetWindowAttributes)
-WIRE_REPLY_INFO(GeometryReply, kGetGeometry)
-WIRE_REPLY_INFO(TreeReply, kQueryTree)
-WIRE_REPLY_INFO(AtomReply, kInternAtom)
-WIRE_REPLY_INFO(AtomNameReply, kGetAtomName)
-WIRE_REPLY_INFO(PropertyReply, kGetProperty)
-WIRE_REPLY_INFO(CoordinatesReply, kTranslateCoordinates)
-WIRE_REPLY_INFO(ScreensReply, kQueryScreens)
-WIRE_REPLY_INFO(ClientWindowsReply, kQueryClientWindows)
-
-#undef WIRE_REPLY_INFO
-
-}  // namespace
-
-WireOpcode ReplyOpcode(const Reply& reply) {
-  return std::visit(
-      [](const auto& r) { return ReplyInfoFor<std::decay_t<decltype(r)>>().opcode; }, reply);
-}
-
-std::string WireReplyName(const Reply& reply) {
-  return std::visit(
-      [](const auto& r) { return std::string(ReplyInfoFor<std::decay_t<decltype(r)>>().name); },
-      reply);
-}
-
-// ---- Reply encoding ---------------------------------------------------------
-
-namespace {
-
-struct ReplyEncoder {
-  WireWriter* w;
-
-  void operator()(const AttributesReply& r) {
-    w->U32(r.window);
-    w->U8(static_cast<uint8_t>(r.window_class));
-    w->U8(static_cast<uint8_t>(r.map_state));
-    w->U8(r.override_redirect ? 1 : 0);
-    w->U8(0);
-    w->U32(r.all_event_masks);
-    w->U16(static_cast<uint16_t>(r.border_width));
-  }
-  void operator()(const GeometryReply& r) {
-    w->U32(r.window);
-    PutRect(r.geometry, w);
-    w->U16(static_cast<uint16_t>(r.border_width));
-  }
-  void operator()(const TreeReply& r) {
-    w->U32(r.window);
-    w->U32(r.root);
-    w->U32(r.parent);
-    size_t count = std::min(r.children.size(), kMaxReplyChildren);
-    w->U32(static_cast<uint32_t>(count));
-    for (size_t i = 0; i < count; ++i) {
-      w->U32(r.children[i]);
-    }
-  }
-  void operator()(const AtomReply& r) { w->U32(r.atom); }
-  void operator()(const AtomNameReply& r) {
-    w->U32(r.atom);
-    size_t len = std::min(r.name.size(), kMaxWireStringBytes);
-    w->U16(static_cast<uint16_t>(len));
-    w->String(r.name.substr(0, len));
-  }
-  void operator()(const PropertyReply& r) {
-    w->U32(r.window);
-    w->U32(r.property);
-    w->U32(r.type);
-    w->U8(static_cast<uint8_t>(r.format));
-    w->U8(r.found ? 1 : 0);
-    w->U16(0);
-    size_t len = std::min(r.data.size(), kMaxReplyPropertyBytes);
-    w->U32(static_cast<uint32_t>(len));
-    w->Bytes(std::span<const uint8_t>(r.data.data(), len));
-  }
-  void operator()(const CoordinatesReply& r) {
-    w->I32(r.position.x);
-    w->I32(r.position.y);
-  }
-  void operator()(const ScreensReply& r) {
-    size_t count = std::min(r.screens.size(), kMaxReplyChildren);
-    w->U32(static_cast<uint32_t>(count));
-    for (size_t i = 0; i < count; ++i) {
-      const ScreensReply::Screen& s = r.screens[i];
-      w->U32(s.root);
-      w->U16(static_cast<uint16_t>(s.width));
-      w->U16(static_cast<uint16_t>(s.height));
-      w->U8(s.monochrome ? 1 : 0);
-      w->U8(0);
-      w->U16(0);
-    }
-  }
-  void operator()(const ClientWindowsReply& r) {
-    size_t count = std::min(r.windows.size(), kMaxReplyChildren);
-    w->U32(static_cast<uint32_t>(count));
-    for (size_t i = 0; i < count; ++i) {
-      w->U32(r.windows[i]);
-    }
-  }
-};
-
-}  // namespace
+// ---- Reply frames -----------------------------------------------------------
 
 void EncodeReply(const Reply& reply, uint16_t sequence, WireWriter* writer) {
   size_t start = writer->bytes().size();
@@ -1010,7 +1054,12 @@ void EncodeReply(const Reply& reply, uint16_t sequence, WireWriter* writer) {
   writer->U8(static_cast<uint8_t>(ReplyOpcode(reply)));
   writer->U16(sequence);
   writer->U32(0);  // Extra length, patched below.
-  std::visit(ReplyEncoder{writer}, reply);
+  std::visit(
+      [writer]<class T>(const T& m) {
+        Writer io(writer, Meta<T>::kCodes, /*clamp=*/true);
+        Body(io, m);
+      },
+      reply);
   // Pad to the 4-byte grid and to the 32-byte floor, then patch the length
   // field with the 4-byte units beyond the floor.
   while ((writer->bytes().size() - start) % 4 != 0 ||
@@ -1027,407 +1076,55 @@ std::vector<uint8_t> EncodeReplyBytes(const Reply& reply, uint16_t sequence) {
   return writer.Take();
 }
 
-// ---- Reply decoding ---------------------------------------------------------
-
-namespace {
-
-std::optional<Reply> DecodeReplyPayload(WireOpcode opcode, WireReader& r,
-                                        ParseErrorCode* code, std::string* detail_text) {
-  auto fail = [&](ParseErrorCode c, const std::string& text) -> std::optional<Reply> {
-    *code = c;
-    *detail_text = text;
-    return std::nullopt;
-  };
-
-  switch (opcode) {
-    case WireOpcode::kGetWindowAttributes: {
-      AttributesReply out;
-      out.window = r.U32();
-      uint8_t window_class = r.U8();
-      uint8_t map_state = r.U8();
-      uint8_t override_redirect = r.U8();
-      r.Skip(1);
-      if (r.ok() && window_class > 1) {
-        return fail(ParseErrorCode::kBadValue, "window class not 0/1");
-      }
-      if (r.ok() && map_state > 2) {
-        return fail(ParseErrorCode::kBadValue, "map state out of range");
-      }
-      if (r.ok() && override_redirect > 1) {
-        return fail(ParseErrorCode::kBadValue, "override flag not 0/1");
-      }
-      out.window_class = static_cast<WindowClass>(window_class);
-      out.map_state = static_cast<MapState>(map_state);
-      out.override_redirect = override_redirect == 1;
-      out.all_event_masks = r.U32();
-      out.border_width = r.U16();
-      return out;
-    }
-    case WireOpcode::kGetGeometry: {
-      GeometryReply out;
-      out.window = r.U32();
-      out.geometry = GetRect(&r);
-      out.border_width = r.U16();
-      return out;
-    }
-    case WireOpcode::kQueryTree: {
-      TreeReply out;
-      out.window = r.U32();
-      out.root = r.U32();
-      out.parent = r.U32();
-      uint32_t count = r.U32();
-      if (r.ok() && count > kMaxReplyChildren) {
-        return fail(ParseErrorCode::kOversized, "child count over cap");
-      }
-      if (r.ok() && static_cast<uint64_t>(count) * 4 > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "child list overruns frame");
-      }
-      out.children.reserve(count);
-      for (uint32_t i = 0; i < count && r.ok(); ++i) {
-        out.children.push_back(r.U32());
-      }
-      return out;
-    }
-    case WireOpcode::kInternAtom: {
-      AtomReply out;
-      out.atom = r.U32();
-      return out;
-    }
-    case WireOpcode::kGetAtomName: {
-      AtomNameReply out;
-      out.atom = r.U32();
-      uint16_t len = r.U16();
-      if (r.ok() && len > kMaxWireStringBytes) {
-        return fail(ParseErrorCode::kOversized, "atom name over cap");
-      }
-      if (r.ok() && len > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "atom name overruns frame");
-      }
-      out.name = r.String(len);
-      return out;
-    }
-    case WireOpcode::kGetProperty: {
-      PropertyReply out;
-      out.window = r.U32();
-      out.property = r.U32();
-      out.type = r.U32();
-      out.format = r.U8();
-      uint8_t found = r.U8();
-      r.Skip(2);
-      if (r.ok() && out.format != 8 && out.format != 16 && out.format != 32) {
-        return fail(ParseErrorCode::kBadValue, "format not 8/16/32");
-      }
-      if (r.ok() && found > 1) {
-        return fail(ParseErrorCode::kBadValue, "found flag not 0/1");
-      }
-      out.found = found == 1;
-      uint32_t data_len = r.U32();
-      if (r.ok() && data_len > kMaxReplyPropertyBytes) {
-        return fail(ParseErrorCode::kOversized, "property data over cap");
-      }
-      if (r.ok() && data_len > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "property data overruns frame");
-      }
-      std::span<const uint8_t> data = r.Bytes(data_len);
-      out.data.assign(data.begin(), data.end());
-      return out;
-    }
-    case WireOpcode::kTranslateCoordinates: {
-      CoordinatesReply out;
-      out.position.x = r.I32();
-      out.position.y = r.I32();
-      return out;
-    }
-    case WireOpcode::kQueryScreens: {
-      ScreensReply out;
-      uint32_t count = r.U32();
-      if (r.ok() && count > kMaxReplyChildren) {
-        return fail(ParseErrorCode::kOversized, "screen count over cap");
-      }
-      if (r.ok() && static_cast<uint64_t>(count) * 12 > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "screen list overruns frame");
-      }
-      out.screens.reserve(count);
-      for (uint32_t i = 0; i < count && r.ok(); ++i) {
-        ScreensReply::Screen s;
-        s.root = r.U32();
-        s.width = r.U16();
-        s.height = r.U16();
-        uint8_t mono = r.U8();
-        r.Skip(3);
-        if (r.ok() && mono > 1) {
-          return fail(ParseErrorCode::kBadValue, "monochrome flag not 0/1");
-        }
-        s.monochrome = mono == 1;
-        out.screens.push_back(s);
-      }
-      return out;
-    }
-    case WireOpcode::kQueryClientWindows: {
-      ClientWindowsReply out;
-      uint32_t count = r.U32();
-      if (r.ok() && count > kMaxReplyChildren) {
-        return fail(ParseErrorCode::kOversized, "window count over cap");
-      }
-      if (r.ok() && static_cast<uint64_t>(count) * 4 > r.remaining()) {
-        return fail(ParseErrorCode::kBadLength, "window list overruns frame");
-      }
-      out.windows.reserve(count);
-      for (uint32_t i = 0; i < count && r.ok(); ++i) {
-        out.windows.push_back(r.U32());
-      }
-      return out;
-    }
-    default:
-      return fail(ParseErrorCode::kBadOpcode, "opcode has no reply");
-  }
-}
-
-}  // namespace
-
 size_t DecodeReply(std::span<const uint8_t> buffer, Reply* out, ParseError* error,
                    uint16_t* sequence) {
   if (buffer.size() < 8) {
-    *error = MakeError(ParseErrorCode::kTruncated, 0, buffer.empty() ? 0 : buffer[0],
-                       "buffer shorter than reply header");
+    *error = ParseError{ParseErrorCode::kTruncated, 0, buffer.empty() ? uint8_t{0} : buffer[0],
+                        "buffer shorter than reply header"};
     return 0;
   }
   if (buffer[0] != 1) {
-    *error = MakeError(ParseErrorCode::kBadOpcode, 0, buffer[0],
-                       "reply frames start with a one byte");
+    *error = ParseError{ParseErrorCode::kBadOpcode, 0, buffer[0],
+                        "reply frames start with a one byte"};
     return 0;
   }
   uint8_t opcode = buffer[1];
-  uint32_t extra = 0;
-  for (int i = 3; i >= 0; --i) {
-    extra = extra << 8 | buffer[4 + static_cast<size_t>(i)];
-  }
+  uint32_t extra = WireReader(buffer.subspan(4, 4)).U32();
   if (extra > (kMaxReplyBytes - kMinReplyBytes) / 4) {
-    *error = MakeError(ParseErrorCode::kOversized, 0, opcode,
-                       "frame length exceeds kMaxReplyBytes");
+    *error = ParseError{ParseErrorCode::kOversized, 0, opcode,
+                        "frame length exceeds kMaxReplyBytes"};
     return 0;
   }
   size_t frame_bytes = kMinReplyBytes + static_cast<size_t>(extra) * 4;
   if (frame_bytes > buffer.size()) {
-    *error = MakeError(ParseErrorCode::kTruncated, 0, opcode,
-                       "frame extends past end of buffer");
+    *error = ParseError{ParseErrorCode::kTruncated, 0, opcode,
+                        "frame extends past end of buffer"};
     return 0;
   }
-
-  WireReader reader(buffer.subspan(8, frame_bytes - 8));
-  ParseErrorCode code = ParseErrorCode::kBadValue;
-  std::string detail_text;
-  std::optional<Reply> reply =
-      DecodeReplyPayload(static_cast<WireOpcode>(opcode), reader, &code, &detail_text);
-  if (!reply.has_value()) {
-    *error = MakeError(code, 0, opcode, detail_text);
-    return 0;
-  }
-  if (!reader.ok()) {
-    *error = MakeError(ParseErrorCode::kBadLength, 0, opcode,
-                       "payload shorter than the reply needs");
-    return 0;
-  }
-  // Strict framing, as for requests: the length field must name exactly the
-  // padded size of what the payload decoder consumed (with the 32-byte
-  // floor).  Anything else is a length-field lie.
-  size_t consumed = std::max(kMinReplyBytes, Pad4(8 + reader.offset()));
-  if (consumed != frame_bytes) {
-    *error = MakeError(ParseErrorCode::kBadLength, 0, opcode,
-                       "frame length disagrees with payload size");
+  if (!DecodeFrame(buffer.first(frame_bytes), 8, kMinReplyBytes, opcode, 0, "reply", out,
+                   error)) {
     return 0;
   }
   if (sequence != nullptr) {
-    *sequence = static_cast<uint16_t>(buffer[2]) |
-                static_cast<uint16_t>(static_cast<uint16_t>(buffer[3]) << 8);
+    *sequence = WireReader(buffer.subspan(2, 2)).U16();
   }
-  *out = std::move(*reply);
   return frame_bytes;
 }
 
-// ---- Event encoding ---------------------------------------------------------
-
-namespace {
-
-// Event codes on the wire (core X11 numbering; ShapeNotify uses the typical
-// extension base).
-enum : uint8_t {
-  kWireKeyPress = 2,
-  kWireKeyRelease = 3,
-  kWireButtonPress = 4,
-  kWireButtonRelease = 5,
-  kWireMotionNotify = 6,
-  kWireEnterNotify = 7,
-  kWireLeaveNotify = 8,
-  kWireFocusIn = 9,
-  kWireFocusOut = 10,
-  kWireExpose = 12,
-  kWireCreateNotify = 16,
-  kWireDestroyNotify = 17,
-  kWireUnmapNotify = 18,
-  kWireMapNotify = 19,
-  kWireMapRequest = 20,
-  kWireReparentNotify = 21,
-  kWireConfigureNotify = 22,
-  kWireConfigureRequest = 23,
-  kWireCirculateRequest = 27,
-  kWirePropertyNotify = 28,
-  kWireClientMessage = 33,
-  kWireShapeNotify = 64,
-};
-
-void PutPoint16(const xbase::Point& p, WireWriter* w) {
-  w->I16(static_cast<int16_t>(p.x));
-  w->I16(static_cast<int16_t>(p.y));
-}
-
-xbase::Point GetPoint16(WireReader* r) {
-  xbase::Point p;
-  p.x = r->I16();
-  p.y = r->I16();
-  return p;
-}
-
-struct EventEncoder {
-  WireWriter* w;
-
-  void Header(uint8_t code, uint8_t detail) {
-    w->U8(code);
-    w->U8(detail);
-    w->U16(0);  // Sequence, patched by EncodeEvent.
-  }
-
-  void operator()(const ButtonEvent& e) {
-    Header(e.press ? kWireButtonPress : kWireButtonRelease, static_cast<uint8_t>(e.button));
-    w->U32(e.window);
-    w->U32(e.subwindow);
-    w->U32(e.modifiers);
-    PutPoint16(e.root_pos, w);
-    PutPoint16(e.pos, w);
-    w->U64(e.time);
-  }
-  void operator()(const MotionEvent& e) {
-    Header(kWireMotionNotify, 0);
-    w->U32(e.window);
-    w->U32(e.subwindow);
-    w->U32(e.modifiers);
-    PutPoint16(e.root_pos, w);
-    PutPoint16(e.pos, w);
-    w->U64(e.time);
-  }
-  void operator()(const KeyEvent& e) {
-    Header(e.press ? kWireKeyPress : kWireKeyRelease, 0);
-    w->U32(e.window);
-    w->U32(e.keysym);
-    w->U32(e.modifiers);
-    PutPoint16(e.root_pos, w);
-    PutPoint16(e.pos, w);
-    w->U64(e.time);
-  }
-  void operator()(const CrossingEvent& e) {
-    Header(e.enter ? kWireEnterNotify : kWireLeaveNotify, 0);
-    w->U32(e.window);
-    PutPoint16(e.root_pos, w);
-    PutPoint16(e.pos, w);
-    w->U64(e.time);
-  }
-  void operator()(const ExposeEvent& e) {
-    Header(kWireExpose, 0);
-    w->U32(e.window);
-    PutRect(e.area, w);
-    w->I32(e.count);
-  }
-  void operator()(const CreateNotifyEvent& e) {
-    Header(kWireCreateNotify, e.override_redirect ? 1 : 0);
-    w->U32(e.parent);
-    w->U32(e.window);
-    PutRect(e.geometry, w);
-  }
-  void operator()(const DestroyNotifyEvent& e) {
-    Header(kWireDestroyNotify, 0);
-    w->U32(e.event_window);
-    w->U32(e.window);
-  }
-  void operator()(const MapRequestEvent& e) {
-    Header(kWireMapRequest, 0);
-    w->U32(e.parent);
-    w->U32(e.window);
-  }
-  void operator()(const MapNotifyEvent& e) {
-    Header(kWireMapNotify, e.override_redirect ? 1 : 0);
-    w->U32(e.event_window);
-    w->U32(e.window);
-  }
-  void operator()(const UnmapNotifyEvent& e) {
-    Header(kWireUnmapNotify, e.from_configure ? 1 : 0);
-    w->U32(e.event_window);
-    w->U32(e.window);
-  }
-  void operator()(const ReparentNotifyEvent& e) {
-    Header(kWireReparentNotify, e.override_redirect ? 1 : 0);
-    w->U32(e.event_window);
-    w->U32(e.window);
-    w->U32(e.parent);
-    PutPoint16(e.pos, w);
-  }
-  void operator()(const ConfigureRequestEvent& e) {
-    Header(kWireConfigureRequest, static_cast<uint8_t>(e.stack_mode));
-    w->U32(e.parent);
-    w->U32(e.window);
-    w->U32(e.sibling);
-    PutRect(e.geometry, w);
-    w->I16(static_cast<int16_t>(e.border_width));
-    w->U16(e.value_mask);
-  }
-  void operator()(const ConfigureNotifyEvent& e) {
-    uint8_t flags = (e.override_redirect ? 1 : 0) | (e.synthetic ? 2 : 0);
-    Header(kWireConfigureNotify, flags);
-    w->U32(e.event_window);
-    w->U32(e.window);
-    w->U32(e.above_sibling);
-    PutRect(e.geometry, w);
-    w->I16(static_cast<int16_t>(e.border_width));
-  }
-  void operator()(const CirculateRequestEvent& e) {
-    Header(kWireCirculateRequest, e.place_on_top ? 0 : 1);
-    w->U32(e.parent);
-    w->U32(e.window);
-  }
-  void operator()(const PropertyNotifyEvent& e) {
-    Header(kWirePropertyNotify, static_cast<uint8_t>(e.state));
-    w->U32(e.window);
-    w->U32(e.atom);
-    w->U64(e.time);
-  }
-  void operator()(const ClientMessageEvent& e) {
-    Header(kWireClientMessage, static_cast<uint8_t>(e.format));
-    w->U32(e.window);
-    w->U32(e.message_type);
-    for (uint32_t word : e.data) {
-      w->U32(word);
-    }
-  }
-  void operator()(const FocusEvent& e) {
-    Header(e.in ? kWireFocusIn : kWireFocusOut, 0);
-    w->U32(e.window);
-  }
-  void operator()(const ShapeNotifyEvent& e) {
-    Header(kWireShapeNotify, e.shaped ? 1 : 0);
-    w->U32(e.window);
-    PutRect(e.extents, w);
-  }
-};
-
-}  // namespace
+// ---- Event frames -----------------------------------------------------------
 
 void EncodeEvent(const Event& event, uint16_t sequence, WireWriter* writer) {
   size_t start = writer->bytes().size();
-  std::visit(EventEncoder{writer}, event);
-  // Pad the frame to exactly 32 bytes and patch the sequence.
-  while (writer->bytes().size() - start < kEventWireBytes) {
-    writer->U8(0);
-  }
-  writer->PatchU16(start + 2, sequence);
+  std::visit(
+      [writer, sequence, start]<class T>(const T& m) {
+        Writer io(writer, Meta<T>::kCodes);
+        writer->U8(Meta<T>::kCodes[0]);
+        writer->U8(0);  // Detail, set by the body.
+        writer->U16(sequence);
+        Body(io, m);
+        io.Pad(start + kEventWireBytes - writer->bytes().size());
+      },
+      event);
 }
 
 std::vector<uint8_t> EncodeEventBytes(const Event& event, uint16_t sequence) {
@@ -1439,285 +1136,63 @@ std::vector<uint8_t> EncodeEventBytes(const Event& event, uint16_t sequence) {
 size_t DecodeEvent(std::span<const uint8_t> buffer, Event* out, ParseError* error,
                    uint16_t* sequence) {
   if (buffer.size() < kEventWireBytes) {
-    *error = MakeError(ParseErrorCode::kTruncated, 0, buffer.empty() ? 0 : buffer[0],
-                       "event frame shorter than 32 bytes");
+    *error = ParseError{ParseErrorCode::kTruncated, 0, buffer.empty() ? uint8_t{0} : buffer[0],
+                        "event frame shorter than 32 bytes"};
     return 0;
   }
   uint8_t code = buffer[0];
-  uint8_t detail = buffer[1];
   if (sequence != nullptr) {
-    *sequence = static_cast<uint16_t>(buffer[2]) |
-                static_cast<uint16_t>(static_cast<uint16_t>(buffer[3]) << 8);
+    *sequence = WireReader(buffer.subspan(2, 2)).U16();
   }
-  WireReader r(buffer.subspan(4, kEventWireBytes - 4));
-
-  auto fail = [&](ParseErrorCode c, const std::string& text) -> size_t {
-    *error = MakeError(c, 0, code, text);
+  DecodeFn<Event> decode = kDecoders<Event>[code];
+  if (decode == nullptr) {
+    *error = ParseError{ParseErrorCode::kBadOpcode, 0, code, "event code not implemented"};
     return 0;
-  };
-
-  switch (code) {
-    case kWireButtonPress:
-    case kWireButtonRelease: {
-      if (detail < 1 || detail > kMaxButton) {
-        return fail(ParseErrorCode::kBadValue, "button out of range");
-      }
-      ButtonEvent e;
-      e.press = code == kWireButtonPress;
-      e.button = detail;
-      e.window = r.U32();
-      e.subwindow = r.U32();
-      e.modifiers = r.U32();
-      e.root_pos = GetPoint16(&r);
-      e.pos = GetPoint16(&r);
-      e.time = r.U64();
-      *out = e;
-      break;
-    }
-    case kWireMotionNotify: {
-      MotionEvent e;
-      e.window = r.U32();
-      e.subwindow = r.U32();
-      e.modifiers = r.U32();
-      e.root_pos = GetPoint16(&r);
-      e.pos = GetPoint16(&r);
-      e.time = r.U64();
-      *out = e;
-      break;
-    }
-    case kWireKeyPress:
-    case kWireKeyRelease: {
-      KeyEvent e;
-      e.press = code == kWireKeyPress;
-      e.window = r.U32();
-      e.keysym = r.U32();
-      e.modifiers = r.U32();
-      e.root_pos = GetPoint16(&r);
-      e.pos = GetPoint16(&r);
-      e.time = r.U64();
-      *out = e;
-      break;
-    }
-    case kWireEnterNotify:
-    case kWireLeaveNotify: {
-      CrossingEvent e;
-      e.enter = code == kWireEnterNotify;
-      e.window = r.U32();
-      e.root_pos = GetPoint16(&r);
-      e.pos = GetPoint16(&r);
-      e.time = r.U64();
-      *out = e;
-      break;
-    }
-    case kWireExpose: {
-      ExposeEvent e;
-      e.window = r.U32();
-      e.area = GetRect(&r);
-      e.count = r.I32();
-      *out = e;
-      break;
-    }
-    case kWireCreateNotify: {
-      if (detail > 1) {
-        return fail(ParseErrorCode::kBadValue, "override flag not 0/1");
-      }
-      CreateNotifyEvent e;
-      e.override_redirect = detail == 1;
-      e.parent = r.U32();
-      e.window = r.U32();
-      e.geometry = GetRect(&r);
-      *out = e;
-      break;
-    }
-    case kWireDestroyNotify: {
-      DestroyNotifyEvent e;
-      e.event_window = r.U32();
-      e.window = r.U32();
-      *out = e;
-      break;
-    }
-    case kWireMapRequest: {
-      MapRequestEvent e;
-      e.parent = r.U32();
-      e.window = r.U32();
-      *out = e;
-      break;
-    }
-    case kWireMapNotify: {
-      if (detail > 1) {
-        return fail(ParseErrorCode::kBadValue, "override flag not 0/1");
-      }
-      MapNotifyEvent e;
-      e.override_redirect = detail == 1;
-      e.event_window = r.U32();
-      e.window = r.U32();
-      *out = e;
-      break;
-    }
-    case kWireUnmapNotify: {
-      if (detail > 1) {
-        return fail(ParseErrorCode::kBadValue, "from-configure flag not 0/1");
-      }
-      UnmapNotifyEvent e;
-      e.from_configure = detail == 1;
-      e.event_window = r.U32();
-      e.window = r.U32();
-      *out = e;
-      break;
-    }
-    case kWireReparentNotify: {
-      if (detail > 1) {
-        return fail(ParseErrorCode::kBadValue, "override flag not 0/1");
-      }
-      ReparentNotifyEvent e;
-      e.override_redirect = detail == 1;
-      e.event_window = r.U32();
-      e.window = r.U32();
-      e.parent = r.U32();
-      e.pos = GetPoint16(&r);
-      *out = e;
-      break;
-    }
-    case kWireConfigureRequest: {
-      if (detail > static_cast<uint8_t>(StackMode::kOpposite)) {
-        return fail(ParseErrorCode::kBadValue, "stack mode out of range");
-      }
-      ConfigureRequestEvent e;
-      e.stack_mode = static_cast<StackMode>(detail);
-      e.parent = r.U32();
-      e.window = r.U32();
-      e.sibling = r.U32();
-      e.geometry = GetRect(&r);
-      e.border_width = r.I16();
-      e.value_mask = r.U16();
-      if (e.value_mask >> 7 != 0) {
-        return fail(ParseErrorCode::kBadValue, "unknown configure mask bits");
-      }
-      *out = e;
-      break;
-    }
-    case kWireConfigureNotify: {
-      if (detail > 3) {
-        return fail(ParseErrorCode::kBadValue, "flags beyond override|synthetic");
-      }
-      ConfigureNotifyEvent e;
-      e.override_redirect = (detail & 1) != 0;
-      e.synthetic = (detail & 2) != 0;
-      e.event_window = r.U32();
-      e.window = r.U32();
-      e.above_sibling = r.U32();
-      e.geometry = GetRect(&r);
-      e.border_width = r.I16();
-      *out = e;
-      break;
-    }
-    case kWireCirculateRequest: {
-      if (detail > 1) {
-        return fail(ParseErrorCode::kBadValue, "place flag not 0/1");
-      }
-      CirculateRequestEvent e;
-      e.place_on_top = detail == 0;
-      e.parent = r.U32();
-      e.window = r.U32();
-      *out = e;
-      break;
-    }
-    case kWirePropertyNotify: {
-      if (detail > 1) {
-        return fail(ParseErrorCode::kBadValue, "property state not 0/1");
-      }
-      PropertyNotifyEvent e;
-      e.state = static_cast<PropertyState>(detail);
-      e.window = r.U32();
-      e.atom = r.U32();
-      e.time = r.U64();
-      *out = e;
-      break;
-    }
-    case kWireClientMessage: {
-      if (detail != 8 && detail != 16 && detail != 32) {
-        return fail(ParseErrorCode::kBadValue, "format not 8/16/32");
-      }
-      ClientMessageEvent e;
-      e.format = detail;
-      e.window = r.U32();
-      e.message_type = r.U32();
-      for (uint32_t& word : e.data) {
-        word = r.U32();
-      }
-      *out = e;
-      break;
-    }
-    case kWireFocusIn:
-    case kWireFocusOut: {
-      FocusEvent e;
-      e.in = code == kWireFocusIn;
-      e.window = r.U32();
-      *out = e;
-      break;
-    }
-    case kWireShapeNotify: {
-      if (detail > 1) {
-        return fail(ParseErrorCode::kBadValue, "shaped flag not 0/1");
-      }
-      ShapeNotifyEvent e;
-      e.shaped = detail == 1;
-      e.window = r.U32();
-      e.extents = GetRect(&r);
-      *out = e;
-      break;
-    }
-    default:
-      return fail(ParseErrorCode::kBadOpcode, "event code not implemented");
   }
-  // The payload reader is scoped to the 28-byte body, so ok() can only fail
-  // if a decoder above consumed more than fits — a codec bug, not an input
-  // property.  Guard anyway: never let a short read masquerade as success.
-  if (!r.ok()) {
-    return fail(ParseErrorCode::kTruncated, "event body short");
+  Reader reader(buffer.subspan(4, kEventWireBytes - 4), code, buffer[1]);
+  Event event;
+  decode(reader, &event);
+  // The reader is scoped to the 28-byte body, so only a codec bug could
+  // overrun it.  Guard anyway: never let a short read masquerade as success.
+  if (!reader.ok()) {
+    *error = reader.Error(code, ParseErrorCode::kTruncated, "event body short");
+    return 0;
   }
+  *out = std::move(event);
   return kEventWireBytes;
 }
 
-// ---- Error encoding ---------------------------------------------------------
+// ---- Error frames -----------------------------------------------------------
 
 void EncodeError(const XError& error, WireWriter* writer) {
+  static constexpr uint8_t kErrorFrameType[] = {0};  // As in core X11.
   size_t start = writer->bytes().size();
-  writer->U8(0);  // Errors are frame type 0, as in core X11.
-  writer->U8(static_cast<uint8_t>(error.code));
+  Writer io(writer, kErrorFrameType);
+  writer->U8(0);
+  writer->U8(0);  // Error code, set by the body.
   writer->U16(static_cast<uint16_t>(error.sequence));
-  writer->U32(error.resource_id);
-  writer->U64(error.sequence);
-  writer->U8(static_cast<uint8_t>(error.request));
-  while (writer->bytes().size() - start < kEventWireBytes) {
-    writer->U8(0);
-  }
+  Body(io, error);
+  io.Pad(start + kEventWireBytes - writer->bytes().size());
 }
 
 size_t DecodeError(std::span<const uint8_t> buffer, XError* out, ParseError* parse_error) {
   if (buffer.size() < kEventWireBytes) {
-    *parse_error = MakeError(ParseErrorCode::kTruncated, 0, 0, "error frame short");
+    *parse_error = ParseError{ParseErrorCode::kTruncated, 0, 0, "error frame short"};
     return 0;
   }
   if (buffer[0] != 0) {
-    *parse_error = MakeError(ParseErrorCode::kBadOpcode, 0, buffer[0],
-                             "error frames start with a zero byte");
+    *parse_error = ParseError{ParseErrorCode::kBadOpcode, 0, buffer[0],
+                              "error frames start with a zero byte"};
     return 0;
   }
-  if (buffer[1] > static_cast<uint8_t>(ErrorCode::kBadLength)) {
-    *parse_error = MakeError(ParseErrorCode::kBadValue, 0, 0, "error code out of range");
+  Reader reader(buffer.subspan(4, kEventWireBytes - 4), 0, buffer[1]);
+  XError error;
+  Body(reader, error);
+  if (!reader.ok()) {
+    *parse_error = reader.Error(0, ParseErrorCode::kTruncated, "error body short");
     return 0;
   }
-  WireReader r(buffer.subspan(4, kEventWireBytes - 4));
-  out->code = static_cast<ErrorCode>(buffer[1]);
-  out->resource_id = r.U32();
-  out->sequence = r.U64();
-  uint8_t request = r.U8();
-  if (request > kMaxRequestCode) {
-    *parse_error = MakeError(ParseErrorCode::kBadValue, 0, 0, "request code out of range");
-    return 0;
-  }
-  out->request = static_cast<RequestCode>(request);
+  *out = error;
   return kEventWireBytes;
 }
 

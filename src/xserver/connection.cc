@@ -334,6 +334,18 @@ IoStatus Connection::FlushOutbound() {
   return IoStatus::kOk;
 }
 
+void Connection::CloseDrained() {
+  // EOF with a partial request frame still buffered: the client died
+  // mid-request (SIGKILL, crash).  That burdened the server with reassembly
+  // work it can never finish — charge it like any other misbehavior before
+  // the sweep.
+  if (drain_reason_ == CloseReason::kPeerClosed && inbound_.buffered_bytes() > 0) {
+    died_mid_frame_ = true;
+    ChargeMisbehavior();
+  }
+  Close(drain_reason_);
+}
+
 ConnectionState Connection::Pump() {
   if (state_ == ConnectionState::kConnecting) {
     Establish();
@@ -359,21 +371,22 @@ ConnectionState Connection::Pump() {
   stats_.write_queue_peak = std::max(stats_.write_queue_peak, outbound_queued());
   IoStatus flush = FlushOutbound();
   if (flush == IoStatus::kClosed) {
-    // A write rejected with EPIPE/ECONNRESET on a still-established
-    // connection is a dead peer we only discovered on the write side —
-    // a transport error, not a clean EOF.  During a drain the read side
-    // already diagnosed the close; keep its reason (and still account a
-    // partial request frame as a mid-request death).
-    if (state_ == ConnectionState::kDraining) {
-      if (drain_reason_ == CloseReason::kPeerClosed &&
-          inbound_.buffered_bytes() > 0) {
-        died_mid_frame_ = true;
-        ChargeMisbehavior();
+    // A write rejected with EPIPE/ECONNRESET.  On an established connection
+    // the peer may have died after this pump's read: if one more read sees
+    // its EOF (or reset), the close is the peer's, as the next pump would
+    // have found.  A peer that only stopped receiving still reads as open,
+    // and a dead peer found on the write side alone is a transport error.
+    // During a drain the read side already diagnosed the close; keep it.
+    if (state_ == ConnectionState::kEstablished) {
+      uint8_t byte = 0;
+      size_t n = 0;
+      if (channel_->Read(&byte, 1, &n) != IoStatus::kClosed) {
+        Close(CloseReason::kTransportError);
+        return state_;
       }
-      Close(drain_reason_);
-    } else {
-      Close(CloseReason::kTransportError);
+      drain_reason_ = CloseReason::kPeerClosed;
     }
+    CloseDrained();
     return state_;
   }
   if (flush == IoStatus::kError) {
@@ -383,16 +396,7 @@ ConnectionState Connection::Pump() {
 
   if (state_ == ConnectionState::kDraining) {
     if (outbound_queued() == 0) {
-      // EOF with a partial request frame still buffered: the client died
-      // mid-request (SIGKILL, crash).  That burdened the server with
-      // reassembly work it can never finish — charge it like any other
-      // misbehavior before the sweep.
-      if (drain_reason_ == CloseReason::kPeerClosed &&
-          inbound_.buffered_bytes() > 0) {
-        died_mid_frame_ = true;
-        ChargeMisbehavior();
-      }
-      Close(drain_reason_);
+      CloseDrained();
     }
     return state_;
   }

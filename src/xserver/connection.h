@@ -177,6 +177,9 @@ class Connection {
   // fault applies here).
   xproto::IoStatus FlushOutbound();
   void ChargeMisbehavior();
+  // Ends a drain with drain_reason_, accounting a partial request frame left
+  // by a peer that closed as a mid-request death.
+  void CloseDrained();
 
   Server* server_;
   std::unique_ptr<xproto::ByteChannel> channel_;

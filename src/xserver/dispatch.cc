@@ -47,11 +47,21 @@ xproto::ErrorCode ErrorForParse(ParseErrorCode code) {
 
 // Opcodes a scramble may rewrite to: parsing an old payload under a
 // different valid opcode's rules probes far more decoder paths than pure
-// garbage does.
-constexpr uint8_t kValidOpcodes[] = {1,  3,  4,  6,  7,  8,  10, 12,  14,  15,
-                                     16, 17, 18, 19, 20, 25, 28, 29,  40,  42,
-                                     61, 128, 129, 130, 131, 132, 133, 134, 135,
-                                     136};
+// garbage does.  Every opcode the codec declares, ascending (the seeded
+// scramble indexes into this order).
+const std::vector<uint8_t>& ValidOpcodes() {
+  static const std::vector<uint8_t> opcodes = [] {
+    std::vector<uint8_t> all;
+    for (int opcode = 0; opcode < 256; ++opcode) {
+      if (xproto::RequestCodeForOpcode(static_cast<uint8_t>(opcode)) !=
+          xproto::RequestCode::kNone) {
+        all.push_back(static_cast<uint8_t>(opcode));
+      }
+    }
+    return all;
+  }();
+  return opcodes;
+}
 
 }  // namespace
 
@@ -73,7 +83,7 @@ void Server::MutateFrame(std::vector<uint8_t>* frame, size_t frame_start) {
     uint8_t replacement =
         fault_rng_.Roll(500)
             ? static_cast<uint8_t>(fault_rng_.Next() % 256)
-            : kValidOpcodes[fault_rng_.Next() % std::size(kValidOpcodes)];
+            : ValidOpcodes()[fault_rng_.Next() % ValidOpcodes().size()];
     (*frame)[frame_start] = replacement;
     ++fault_counters_.scrambled_opcodes;
   }

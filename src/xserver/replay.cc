@@ -25,11 +25,9 @@ void HashBytes(std::span<const uint8_t> bytes, uint64_t* hash) {
   }
 }
 
-// One traced client's live channel when ReplayOptions::use_transport or
-// listen_socket is set.
+// One traced client's live channel when ReplayOptions::listen_socket is set.
 struct TransportClient {
-  std::unique_ptr<Connection> connection;  // Socketpair mode: replay-owned.
-  Connection* conn = nullptr;  // Either mode: view (host-owned in socket mode).
+  Connection* conn = nullptr;  // Host-owned; null once the host reaps it.
   std::unique_ptr<xproto::WireClientEndpoint> endpoint;
   ClientId live_id = 0;
   uint64_t requests_seen = 0;
@@ -48,7 +46,7 @@ ReplayResult ReplayTrace(Server* server, const Trace& trace,
     return it == client_map.end() ? recorded : it->second;
   };
 
-  // Live channels, keyed by *recorded* client id (transport mode only).
+  // Live channels, keyed by *recorded* client id (socket mode only).
   std::map<ClientId, TransportClient> channels;
 
   // Socket mode: the readiness loop owns every server-side connection.
@@ -98,22 +96,6 @@ ReplayResult ReplayTrace(Server* server, const Trace& trace,
         HashBytes(*frame, &result.replayed_reply_hash);
       }
     }
-  };
-
-  // Collects a transport client's reply frames and dispatch counters after
-  // moving bytes both ways until the pair goes quiescent.
-  auto pump_channel = [&](TransportClient& tc) {
-    for (int spin = 0; spin < 64; ++spin) {
-      tc.endpoint->Flush();
-      ConnectionState state = tc.connection->Pump();
-      tc.endpoint->Poll();
-      bool quiescent = tc.endpoint->queued_bytes() == 0 &&
-                       tc.connection->outbound_queued() == 0;
-      if (quiescent || state == ConnectionState::kClosed) {
-        break;
-      }
-    }
-    collect(tc);
   };
 
   // Socket mode: let the epoll loop move bytes until the client's stream is
@@ -167,37 +149,16 @@ ReplayResult ReplayTrace(Server* server, const Trace& trace,
           }
           break;
         }
-        if (options.use_transport) {
-          xproto::ChannelPair pair = xproto::MakeSocketPair();
-          TransportClient tc;
-          tc.connection = std::make_unique<Connection>(server, std::move(pair.server),
-                                                       rec.machine);
-          tc.connection->Establish();
-          tc.conn = tc.connection.get();
-          tc.live_id = tc.connection->client();
-          tc.endpoint =
-              std::make_unique<xproto::WireClientEndpoint>(std::move(pair.client));
-          client_map[rec.client] = tc.live_id;
-          channels[rec.client] = std::move(tc);
-        } else {
-          client_map[rec.client] = server->Connect(rec.machine);
-        }
+        client_map[rec.client] = server->Connect(rec.machine);
         break;
       case TraceRecordType::kDisconnect: {
         auto it = channels.find(rec.client);
         if (it != channels.end()) {
-          if (host != nullptr) {
-            pump_socket(it->second);
-            // EOF is the disconnect: the readiness loop drains and sweeps.
-            it->second.endpoint->Close();
-            TransportClient& tc = it->second;
-            host->RunUntil([&]() { return tc.conn == nullptr; },
-                           /*budget_ms=*/2000);
-          } else {
-            it->second.connection->BeginDrain();
-            pump_channel(it->second);
-            it->second.connection->Close(CloseReason::kGracefulDrain);
-          }
+          TransportClient& tc = it->second;
+          pump_socket(tc);
+          // EOF is the disconnect: the readiness loop drains and sweeps.
+          tc.endpoint->Close();
+          host->RunUntil([&]() { return tc.conn == nullptr; }, /*budget_ms=*/2000);
           channels.erase(it);
         } else {
           server->Disconnect(live(rec.client));
@@ -209,11 +170,7 @@ ReplayResult ReplayTrace(Server* server, const Trace& trace,
         if (it != channels.end()) {
           it->second.endpoint->QueueBytes(rec.bytes);
           it->second.bytes_sent += rec.bytes.size();
-          if (host != nullptr) {
-            pump_socket(it->second);
-          } else {
-            pump_channel(it->second);
-          }
+          pump_socket(it->second);
           break;
         }
         Server::DispatchResult d = server->DispatchBytes(live(rec.client), rec.bytes);
@@ -271,17 +228,12 @@ ReplayResult ReplayTrace(Server* server, const Trace& trace,
   // Channels the trace never disconnected: collect their last replies, then
   // detach — the recorded server still had these clients connected, so the
   // replayed one must keep their sessions (and windows) alive too.
+  for (auto& [recorded_id, tc] : channels) {
+    pump_socket(tc);
+    tc.conn = nullptr;  // DetachAll destroys the host-owned connections.
+  }
   if (host != nullptr) {
-    for (auto& [recorded_id, tc] : channels) {
-      pump_socket(tc);
-      tc.conn = nullptr;  // DetachAll destroys the host-owned connections.
-    }
     host->DetachAll();
-  } else {
-    for (auto& [recorded_id, tc] : channels) {
-      pump_channel(tc);
-      tc.connection->Detach();
-    }
   }
   channels.clear();
 

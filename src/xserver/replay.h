@@ -32,20 +32,15 @@ struct ReplayOptions {
   // Invoked at every kPump record — the recorded session's "drain the WM's
   // event queue" points.  Optional.
   std::function<void()> pump;
-  // Route every traced client's request bytes through a real socketpair
-  // Connection + WireClientEndpoint instead of calling DispatchBytes
-  // directly, so replay exercises framing, reassembly and the outbound
-  // queue.  Replies come back across the kernel boundary and are verified
-  // against the trace's kReply records the same way.  (Pre-bound clients in
-  // `client_map` have no channel and stay on the direct path.)
-  bool use_transport = false;
   // Non-empty: the full out-of-process path.  Replay binds a WireHost to
   // this socket ('@' prefix = abstract namespace), connects each traced
   // client through the listener, and lets the epoll readiness loop — accept,
   // read, dispatch, flush — move every byte.  Traced clients bind to live
-  // ids in accept order (connect order on a unix socket).  Takes precedence
-  // over use_transport; the reply-stream verification is identical, which
-  // is what makes this the cross-version gate for recorded sessions.
+  // ids in accept order (connect order on a unix socket).  Replies come back
+  // across the kernel boundary and are verified against the trace's kReply
+  // records, which makes this the cross-version gate for recorded sessions.
+  // (Pre-bound clients in `client_map` have no channel and stay on the
+  // direct path.)
   std::string listen_socket;
 };
 

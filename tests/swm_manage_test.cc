@@ -211,6 +211,19 @@ TEST_F(SwmTest, ClientDestructionCleansUp) {
   EXPECT_EQ(wm_->ClientCount(), 0u);
 }
 
+TEST_F(SwmTest, UnmanageForgetsPerWindowEventCount) {
+  StartWm();
+  auto app = Spawn("xterm", {"xterm", "XTerm"});
+  xlib::SetWmName(&app->display(), app->window(), "busy");
+  wm_->ProcessEvents();
+  ASSERT_GT(wm_->events_dispatched_for(app->window()), 0u);
+  app->Unmap();  // ICCCM withdrawal: swm unmanages the window.
+  wm_->ProcessEvents();
+  ASSERT_EQ(Managed(*app), nullptr);
+  EXPECT_EQ(wm_->events_dispatched_for(app->window()), 0u)
+      << "per-window state must not outlive the managed client";
+}
+
 TEST_F(SwmTest, WmShutdownReparentsClientsBack) {
   StartWm();
   auto app = Spawn("xterm", {"xterm", "XTerm"});

@@ -5,6 +5,7 @@
 // tests/traces/ are the regression corpus: streams that once carried live
 // fault-plan mutations now replay bit-identically with no fault plan at all.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <memory>
 #include <string>
@@ -25,6 +26,21 @@ using xserver::ReplayResult;
 using xserver::ReplayTrace;
 using xserver::Server;
 using xserver::ServerFingerprint;
+
+// A fresh abstract-namespace socket name per replay, so tests (and parallel
+// ctest processes) never share a listener.
+std::string UniqueSocketPath(const std::string& tag) {
+  static int counter = 0;
+  return "@swm-trace-test-" + std::to_string(::getpid()) + "-" + tag + "-" +
+         std::to_string(++counter);
+}
+
+// Replays `trace` with every traced client on the out-of-process path.
+ReplayResult ReplayOverSocket(Server* server, const Trace& trace, const std::string& tag) {
+  xserver::ReplayOptions options;
+  options.listen_socket = UniqueSocketPath(tag);
+  return ReplayTrace(server, trace, options);
+}
 
 // A small scripted session issued through wire-mode Displays (so every
 // request travels as bytes and lands in the recorder) plus simulated input.
@@ -105,8 +121,9 @@ TEST(TraceReplayTest, ScriptedSessionReplaysToIdenticalState) {
 
 TEST(TraceReplayTest, TransportReplayMatchesDirectReplayByteForByte) {
   // The acceptance bar: a recorded session replays byte-identically when
-  // every traced client is routed through a real socketpair Connection
-  // instead of direct dispatch — same fingerprint, same reply stream.
+  // every traced client connects through a listening socket and the host's
+  // readiness loop instead of direct dispatch — same fingerprint, same reply
+  // stream.
   Server recorded;
   xproto::TraceRecorder recorder;
   recorded.SetTraceRecorder(&recorder);
@@ -120,12 +137,10 @@ TEST(TraceReplayTest, TransportReplayMatchesDirectReplayByteForByte) {
   ReplayResult rd = ReplayTrace(&direct, trace);
   ASSERT_TRUE(rd.expectations_met) << rd.mismatch;
 
-  xserver::ReplayOptions transport_options;
-  transport_options.use_transport = true;
   Server t1;
-  ReplayResult rt1 = ReplayTrace(&t1, trace, transport_options);
+  ReplayResult rt1 = ReplayOverSocket(&t1, trace, "duplex");
   Server t2;
-  ReplayResult rt2 = ReplayTrace(&t2, trace, transport_options);
+  ReplayResult rt2 = ReplayOverSocket(&t2, trace, "duplex");
 
   EXPECT_TRUE(rt1.expectations_met) << rt1.mismatch;
   EXPECT_GT(rt1.recorded_replies, 0u);
@@ -133,7 +148,7 @@ TEST(TraceReplayTest, TransportReplayMatchesDirectReplayByteForByte) {
   EXPECT_TRUE(rt2.replies_match) << rt2.reply_mismatch;
   EXPECT_EQ(rt1.requests_dispatched, rd.requests_dispatched);
   EXPECT_EQ(rt1.replayed_reply_hash, rd.replayed_reply_hash)
-      << "the socketpair transport must carry the same reply bytes direct "
+      << "the socket transport must carry the same reply bytes direct "
          "dispatch produces";
 
   ServerFingerprint original = FingerprintServer(recorded);
@@ -237,7 +252,7 @@ TEST_P(TraceCorpusTest, CorpusTraceReplaysDeterministically) {
   EXPECT_EQ(r1.replies_match, r2.replies_match);
 
   // The duplex traces were recorded through real framed connections: they
-  // carry kReply records and replay cleanly over socketpair transport too,
+  // carry kReply records and replay cleanly over a listening socket too,
   // with the reply stream verified in both directions.  (The v1 chaos
   // traces predate connections; their hostile streams keep dispatching
   // mid-buffer after parse errors, which a lifecycle-enforcing Connection
@@ -246,11 +261,9 @@ TEST_P(TraceCorpusTest, CorpusTraceReplaysDeterministically) {
     EXPECT_GT(r1.recorded_replies, 0u);
     EXPECT_TRUE(r1.replies_match) << r1.reply_mismatch;
 
-    xserver::ReplayOptions transport_options;
-    transport_options.use_transport = true;
     xbase::SetMinLogSeverity(xbase::LogSeverity::kFatal);
     Server transport_replay;
-    ReplayResult rt = ReplayTrace(&transport_replay, *trace, transport_options);
+    ReplayResult rt = ReplayOverSocket(&transport_replay, *trace, "corpus");
     xbase::SetMinLogSeverity(xbase::LogSeverity::kWarning);
     EXPECT_TRUE(rt.expectations_met) << rt.mismatch;
     EXPECT_TRUE(rt.replies_match) << rt.reply_mismatch;

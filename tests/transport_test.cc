@@ -9,7 +9,10 @@
 #include <signal.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -494,6 +497,78 @@ TEST(Connection, EpipeDuringDrainKeepsPeerClosedReason) {
   EXPECT_LE(conn.stats().pumps - pumps_before, 8u) << "no busy-loop on EPIPE";
   // Closed is terminal: further pumps are cheap no-ops.
   EXPECT_EQ(conn.Pump(), ConnectionState::kClosed);
+}
+
+// A channel that plays back scripted read and write results, for races a
+// real socket only hits now and then.  An empty script reads/writes as
+// kWouldBlock.
+class ScriptedChannel : public ByteChannel {
+ public:
+  struct ReadStep {
+    IoStatus status = IoStatus::kWouldBlock;
+    std::vector<uint8_t> bytes;
+  };
+
+  ScriptedChannel(std::deque<ReadStep> reads, std::deque<IoStatus> writes)
+      : reads_(std::move(reads)), writes_(std::move(writes)) {}
+
+  IoStatus Write(std::span<const uint8_t> data, size_t* written) override {
+    *written = 0;
+    if (writes_.empty()) {
+      return IoStatus::kWouldBlock;
+    }
+    IoStatus status = writes_.front();
+    writes_.pop_front();
+    if (status == IoStatus::kOk) {
+      *written = data.size();
+    }
+    return status;
+  }
+  IoStatus Read(uint8_t* buf, size_t cap, size_t* bytes_read) override {
+    *bytes_read = 0;
+    if (reads_.empty()) {
+      return IoStatus::kWouldBlock;
+    }
+    ReadStep step = std::move(reads_.front());
+    reads_.pop_front();
+    *bytes_read = std::min(cap, step.bytes.size());
+    std::copy_n(step.bytes.begin(), *bytes_read, buf);
+    return step.status;
+  }
+  void Close() override { open_ = false; }
+  bool IsOpen() const override { return open_; }
+
+ private:
+  std::deque<ReadStep> reads_;
+  std::deque<IoStatus> writes_;
+  bool open_ = true;
+};
+
+// The race a SIGKILL mid-frame can hit: the pump reads the victim's partial
+// frame and then EAGAIN, the victim dies, and the reply flush is the first
+// operation to notice (EPIPE).  A read then sees the EOF, so this is the
+// peer's death mid-request, not a transport error.
+TEST(Connection, EpipeThenEofOnEstablishedPeerIsMidFrameDeath) {
+  Server server;
+  std::vector<uint8_t> stream = xproto::EncodeRequestBytes(
+      xproto::GetGeometryRequest{.window = server.RootWindow(0)});
+  std::vector<uint8_t> torn = xproto::EncodeRequestBytes(xproto::MapWindowRequest{.window = 1});
+  stream.insert(stream.end(), torn.begin(), torn.begin() + 3);
+  auto channel = std::make_unique<ScriptedChannel>(
+      std::deque<ScriptedChannel::ReadStep>{{IoStatus::kOk, stream},
+                                            {IoStatus::kWouldBlock, {}},
+                                            {IoStatus::kClosed, {}}},
+      std::deque<IoStatus>{IoStatus::kClosed});
+  Connection conn(&server, std::move(channel), "killed-mid-frame");
+  conn.Establish();
+  int charges = 0;
+  conn.SetMisbehaviorHook([&](xproto::ClientId, int) { ++charges; });
+
+  EXPECT_EQ(conn.Pump(), ConnectionState::kClosed);
+  EXPECT_EQ(conn.close_reason(), CloseReason::kPeerClosed);
+  EXPECT_TRUE(conn.died_mid_frame());
+  EXPECT_EQ(charges, 1);
+  EXPECT_EQ(conn.stats().requests_dispatched, 1u);
 }
 
 // ---- Display duplex equivalence --------------------------------------------

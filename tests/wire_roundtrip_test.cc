@@ -6,8 +6,11 @@
 // come back as a typed ParseError, never a crash or an overread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/xproto/error.h"
@@ -138,8 +141,10 @@ TEST(WireRequestRoundTrip, EveryRequestTypeIsIdentity) {
   }
 }
 
-TEST(WireRequestRoundTrip, ConfigureWindowEveryMaskSubset) {
-  // The LISTofVALUE encoding is mask-driven; exercise all 128 subsets.
+// Every one of the 128 ConfigureWindow value-mask subsets.  The LISTofVALUE
+// encoding is mask-driven, so each subset is its own frame layout.
+std::vector<Request> ConfigureMaskExemplars() {
+  std::vector<Request> all;
   for (uint16_t mask = 0; mask < 128; ++mask) {
     ConfigureWindowRequest request;
     request.window = 1;
@@ -157,6 +162,13 @@ TEST(WireRequestRoundTrip, ConfigureWindowEveryMaskSubset) {
     if (!(mask & kConfigBorderWidth)) request.border_width = 0;
     if (!(mask & kConfigSibling)) request.sibling = kNone;
     if (!(mask & kConfigStackMode)) request.stack_mode = StackMode::kAbove;
+    all.push_back(request);
+  }
+  return all;
+}
+
+TEST(WireRequestRoundTrip, ConfigureWindowEveryMaskSubset) {
+  for (const Request& request : ConfigureMaskExemplars()) {
     ExpectRequestRoundTrip(request);
   }
 }
@@ -636,6 +648,339 @@ TEST(WireReplyRejects, ChildCountLie) {
   ParseError error;
   EXPECT_EQ(DecodeReply(bytes, &decoded, &error), 0u);
   EXPECT_EQ(error.code, ParseErrorCode::kBadLength);
+}
+
+// ---- Codec behaviour pins ---------------------------------------------------
+//
+// Two golden hashes hold the codec to its exact bytes and verdicts: any change
+// to a field's width, order, padding, cap, bounds check or error code moves
+// one of them.  A refactor of the codec must leave both unchanged.
+
+std::vector<XError> AllErrorExemplars() {
+  std::vector<XError> all;
+  for (uint8_t code = 0; code <= static_cast<uint8_t>(ErrorCode::kBadLength); ++code) {
+    all.push_back(XError{.code = static_cast<ErrorCode>(code),
+                         .request = static_cast<RequestCode>((code * 5) % (kMaxRequestCode + 1)),
+                         .resource_id = 0x01020304u * code,
+                         .sequence = 0x1122334455667788ull >> code});
+  }
+  all.push_back(XError{.code = ErrorCode::kBadWindow,
+                       .request = static_cast<RequestCode>(kMaxRequestCode),
+                       .resource_id = 0xFFFFFFFFu,
+                       .sequence = 0xFFFFFFFFFFFFFFFFull});
+  return all;
+}
+
+size_t Pad4Bytes(size_t n) { return (n + 3) & ~size_t{3}; }
+
+// FNV-1a, 64-bit.
+struct Fnv {
+  uint64_t h = 14695981039346656037ull;
+  void Byte(uint8_t b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  void Bytes(std::span<const uint8_t> bytes) {
+    for (uint8_t b : bytes) Byte(b);
+  }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+};
+
+enum class FrameKind { kRequest, kReply, kEvent, kError };
+
+// Every exemplar frame, encoded, grouped by kind.
+std::vector<std::vector<uint8_t>> ExemplarFrames(FrameKind kind) {
+  std::vector<std::vector<uint8_t>> frames;
+  switch (kind) {
+    case FrameKind::kRequest:
+      for (const Request& r : AllRequestExemplars()) frames.push_back(EncodeRequestBytes(r));
+      for (const Request& r : ConfigureMaskExemplars()) frames.push_back(EncodeRequestBytes(r));
+      break;
+    case FrameKind::kReply:
+      for (const Reply& r : AllReplyExemplars()) frames.push_back(EncodeReplyBytes(r, 0xCAFE));
+      break;
+    case FrameKind::kEvent:
+      for (const Event& e : AllEventExemplars()) frames.push_back(EncodeEventBytes(e, 0xBEEF));
+      break;
+    case FrameKind::kError:
+      for (const XError& e : AllErrorExemplars()) {
+        WireWriter w;
+        EncodeError(e, &w);
+        frames.push_back(w.Take());
+      }
+      break;
+  }
+  return frames;
+}
+
+constexpr FrameKind kFrameKinds[] = {FrameKind::kRequest, FrameKind::kReply, FrameKind::kEvent,
+                                     FrameKind::kError};
+
+TEST(WireCodecPin, EncodeGolden) {
+  Fnv fnv;
+  size_t frames = 0;
+  for (FrameKind kind : kFrameKinds) {
+    for (const std::vector<uint8_t>& frame : ExemplarFrames(kind)) {
+      fnv.U64(frame.size());
+      fnv.Bytes(frame);
+      ++frames;
+    }
+  }
+  EXPECT_EQ(frames, 41u + 128u + 17u + 23u + 9u);
+  EXPECT_EQ(fnv.h, 0x986d732ffaab6562ull) << std::hex << "0x" << fnv.h;
+}
+
+// Decodes `input` as `kind`, folding the verdict into `fnv`: the return value,
+// the ParseError's code/offset/opcode on failure, and on success the bytes the
+// decoded value re-encodes to (with the decoded sequence).  True on success.
+bool FoldDecode(FrameKind kind, std::span<const uint8_t> input, Fnv* fnv) {
+  ParseError error;
+  WireWriter w;
+  size_t n = 0;
+  switch (kind) {
+    case FrameKind::kRequest: {
+      Request request;
+      n = DecodeRequest(input, &request, &error);
+      if (n != 0) EncodeRequest(request, &w);
+      break;
+    }
+    case FrameKind::kReply: {
+      Reply reply;
+      uint16_t sequence = 0;
+      n = DecodeReply(input, &reply, &error, &sequence);
+      if (n != 0) EncodeReply(reply, sequence, &w);
+      break;
+    }
+    case FrameKind::kEvent: {
+      Event event;
+      uint16_t sequence = 0;
+      n = DecodeEvent(input, &event, &error, &sequence);
+      if (n != 0) EncodeEvent(event, sequence, &w);
+      break;
+    }
+    case FrameKind::kError: {
+      XError x;
+      n = DecodeError(input, &x, &error);
+      if (n != 0) EncodeError(x, &w);
+      break;
+    }
+  }
+  fnv->U64(n);
+  if (n == 0) {
+    fnv->U64(static_cast<uint64_t>(error.code));
+    fnv->U64(error.offset);
+    fnv->U64(error.opcode);
+  } else {
+    fnv->U64(w.bytes().size());
+    fnv->Bytes(w.span());
+  }
+  return n != 0;
+}
+
+// Seeded mutations of every exemplar frame — bit flips, truncation, length
+// lies, opcode/code scrambles, random bytes — through the four decoders.
+TEST(WireCodecPin, DecodeGolden) {
+  std::vector<std::vector<uint8_t>> frames[4];
+  std::vector<uint8_t> codes[4];  // Byte values each kind's frames lead with.
+  for (int k = 0; k < 4; ++k) {
+    frames[k] = ExemplarFrames(kFrameKinds[k]);
+    for (const std::vector<uint8_t>& f : frames[k]) {
+      codes[k].push_back(kFrameKinds[k] == FrameKind::kReply ? f[1] : f[0]);
+    }
+  }
+  uint64_t state = 0x5EED5EED5EED5EEDull;
+  auto next = [&state] {  // splitmix64
+    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+
+  Fnv fnv;
+  size_t accepted[4] = {};
+  size_t rejected[4] = {};
+  for (int i = 0; i < 20000; ++i) {
+    int k = static_cast<int>(next() % 4);
+    FrameKind kind = kFrameKinds[k];
+    std::vector<uint8_t> input = frames[k][next() % frames[k].size()];
+    // Where the frame names its type: byte 1 for replies and errors (byte 0
+    // is the frame type), byte 0 otherwise.
+    size_t code_at = kind == FrameKind::kReply || kind == FrameKind::kError ? 1 : 0;
+    switch (next() % 5) {
+      case 0: {  // Bit flips.
+        int flips = 1 + static_cast<int>(next() % 3);
+        for (int f = 0; f < flips; ++f) {
+          size_t bit = next() % (input.size() * 8);
+          input[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        }
+        break;
+      }
+      case 1:  // Truncation.
+        input.resize(next() % input.size());
+        break;
+      case 2: {  // Length lie.
+        uint32_t lie = 0;
+        switch (next() % 3) {
+          case 0:
+            lie = 0;
+            break;
+          case 1:
+            lie = 0xFFFFFFFFu;
+            break;
+          default:
+            lie = static_cast<uint32_t>(input.size() / 4 + 1 + next() % 8);
+            break;
+        }
+        if (kind == FrameKind::kRequest) {
+          input[2] = static_cast<uint8_t>(lie);
+          input[3] = static_cast<uint8_t>(lie >> 8);
+        } else if (kind == FrameKind::kReply) {
+          for (int b = 0; b < 4; ++b) input[4 + b] = static_cast<uint8_t>(lie >> (8 * b));
+        } else {
+          // Fixed-size frames carry no length: pad them past 32 bytes.
+          input.resize(input.size() + 1 + next() % 8, static_cast<uint8_t>(lie));
+        }
+        break;
+      }
+      case 3:  // Opcode / code scramble: a random byte or another valid code.
+        input[code_at] = next() % 2 != 0 ? static_cast<uint8_t>(next())
+                                         : codes[k][next() % codes[k].size()];
+        break;
+      default: {  // Random bytes behind a valid header prefix.
+        size_t keep = next() % 9;
+        input.resize(std::min(input.size(), keep));
+        size_t extra = next() % 48;
+        for (size_t b = 0; b < extra; ++b) input.push_back(static_cast<uint8_t>(next()));
+        break;
+      }
+    }
+    ++(FoldDecode(kind, input, &fnv) ? accepted : rejected)[k];
+  }
+  // Each decoder sees both verdicts, so the hash pins both paths.
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_GT(accepted[k], 100u) << "kind " << k;
+    EXPECT_GT(rejected[k], 100u) << "kind " << k;
+  }
+  EXPECT_EQ(fnv.h, 0xc951883ec6540ea7ull) << std::hex << "0x" << fnv.h;
+}
+
+// Reply encoders clamp every list to its decode cap, so any reply the server
+// builds decodes; request encoders send what they are given and leave the
+// cap to the decoder.
+TEST(WireCodecPin, ReplyListsClampToCapsRequestListsDoNot) {
+  Reply decoded;
+  ParseError error;
+  std::vector<WindowId> many(kMaxReplyChildren + 3, 9);
+  ASSERT_GT(DecodeReply(EncodeReplyBytes(TreeReply{.window = 1, .children = many}), &decoded,
+                        &error),
+            0u)
+      << ParseErrorText(error);
+  EXPECT_EQ(std::get<TreeReply>(decoded).children.size(), kMaxReplyChildren);
+  ASSERT_GT(DecodeReply(EncodeReplyBytes(ClientWindowsReply{.windows = many}), &decoded, &error),
+            0u);
+  EXPECT_EQ(std::get<ClientWindowsReply>(decoded).windows.size(), kMaxReplyChildren);
+  std::string long_name(kMaxWireStringBytes + 7, 'n');
+  ASSERT_GT(DecodeReply(EncodeReplyBytes(AtomNameReply{.atom = 2, .name = long_name}), &decoded,
+                        &error),
+            0u);
+  EXPECT_EQ(std::get<AtomNameReply>(decoded).name, long_name.substr(0, kMaxWireStringBytes));
+  std::vector<uint8_t> data(kMaxReplyPropertyBytes + 5, 0x5A);
+  ASSERT_GT(DecodeReply(EncodeReplyBytes(PropertyReply{.found = true, .data = data}), &decoded,
+                        &error),
+            0u);
+  EXPECT_EQ(std::get<PropertyReply>(decoded).data.size(), kMaxReplyPropertyBytes);
+
+  Request request;
+  std::vector<uint8_t> frame =
+      EncodeRequestBytes(SetCursorRequest{.window = 1, .name = long_name});
+  EXPECT_EQ(frame.size(), Pad4Bytes(4 + 4 + 2 + long_name.size()));
+  EXPECT_EQ(DecodeRequest(frame, &request, &error), 0u);
+  EXPECT_EQ(error.code, ParseErrorCode::kOversized);
+}
+
+// DrawRequest checks the text cap and the cell cap first, then text and
+// cells together against the bytes left: a text that overruns the frame
+// behind an over-cap bitmap is kOversized, not kBadLength.
+TEST(WireCodecPin, DrawChecksBothCapsBeforeTheCombinedOverrun) {
+  WireWriter w;
+  w.BeginRequest(static_cast<uint8_t>(WireOpcode::kDraw), 4);
+  w.U32(1);  // window
+  w.I16(0);
+  w.I16(0);
+  w.U16(8);
+  w.U16(8);  // rect
+  w.U8(' ');
+  w.U8(0);
+  w.U16(100);  // text_len: more than the frame carries
+  w.U16(300);
+  w.U16(300);  // 90000 cells > kMaxWireBitmapCells
+  w.CloseRequest();
+  Request request;
+  ParseError error;
+  EXPECT_EQ(DecodeRequest(w.span(), &request, &error), 0u);
+  EXPECT_EQ(error.code, ParseErrorCode::kOversized);
+}
+
+// Flags are strict in replies and events (a byte above 1 is kBadValue) but
+// CreateWindow's override_redirect byte decodes as set when nonzero.
+TEST(WireCodecPin, CreateWindowOverrideIsLenientEventFlagsAreStrict) {
+  std::vector<uint8_t> create =
+      EncodeRequestBytes(CreateWindowRequest{.parent = 1, .geometry = {0, 0, 4, 4}});
+  create[4 + 4 + 8 + 2] = 0x80;  // After parent, geometry and border width.
+  Request request;
+  ParseError error;
+  ASSERT_EQ(DecodeRequest(create, &request, &error), create.size()) << ParseErrorText(error);
+  EXPECT_TRUE(std::get<CreateWindowRequest>(request).override_redirect);
+
+  std::vector<uint8_t> map = EncodeEventBytes(MapNotifyEvent{.event_window = 1, .window = 2});
+  map[1] = 2;
+  Event event;
+  EXPECT_EQ(DecodeEvent(map, &event, &error), 0u);
+  EXPECT_EQ(error.code, ParseErrorCode::kBadValue);
+
+  std::vector<uint8_t> attributes = EncodeReplyBytes(AttributesReply{.window = 1});
+  attributes[8 + 6] = 2;  // override_redirect, after window, class and map state.
+  Reply reply;
+  EXPECT_EQ(DecodeReply(attributes, &reply, &error), 0u);
+  EXPECT_EQ(error.code, ParseErrorCode::kBadValue);
+}
+
+// Every opcode a request declares maps to a RequestCode and no other does:
+// the set the dispatcher's opcode scramble draws from.
+TEST(WireCodecPin, RequestCodeForOpcodeCoversExactlyTheDeclaredOpcodes) {
+  std::vector<bool> declared(256, false);
+  for (const Request& request : AllRequestExemplars()) {
+    declared[static_cast<uint8_t>(RequestOpcode(request))] = true;
+    EXPECT_EQ(RequestCodeForOpcode(static_cast<uint8_t>(RequestOpcode(request))),
+              RequestCodeOf(request))
+        << WireRequestName(request);
+  }
+  size_t count = 0;
+  for (int opcode = 0; opcode < 256; ++opcode) {
+    bool mapped = RequestCodeForOpcode(static_cast<uint8_t>(opcode)) != RequestCode::kNone;
+    EXPECT_EQ(mapped, declared[opcode]) << "opcode " << opcode;
+    count += mapped ? 1 : 0;
+  }
+  EXPECT_EQ(count, std::variant_size_v<Request>);
+}
+
+// The pins only cover what the exemplars reach: every alternative of every
+// message variant needs at least one exemplar.
+template <class Variant, class T>
+void ExpectEveryAlternative(const std::vector<T>& exemplars, const char* what) {
+  std::vector<bool> seen(std::variant_size_v<Variant>, false);
+  for (const T& exemplar : exemplars) seen[exemplar.index()] = true;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_TRUE(seen[i]) << what << " alternative " << i << " has no exemplar";
+  }
+}
+
+TEST(WireCodecPin, EveryVariantAlternativeHasAnExemplar) {
+  ExpectEveryAlternative<Request>(AllRequestExemplars(), "Request");
+  ExpectEveryAlternative<Reply>(AllReplyExemplars(), "Reply");
+  ExpectEveryAlternative<Event>(AllEventExemplars(), "Event");
 }
 
 }  // namespace
