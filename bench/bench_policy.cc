@@ -1,11 +1,11 @@
 // Layout-policy engine (docs/POLICIES.md).
 //
 // Two costs matter: the per-manage overhead each policy adds (a manage storm
-// of N clients — slot policies reflow the population every manage, so the
-// storm is O(N^2) in ApplySlot calls), and the cost of a runtime policy
-// switch (SetLayoutPolicy relayouts every screen).  The floating policy is
-// the baseline: its manage storm is the pre-refactor cascade placement and
-// its relayout is a no-op.
+// of N clients — slot policies request a reflow per manage, and the event
+// loop runs one per batch, so the storm is O(N) in ApplySlot calls), and the
+// cost of a runtime policy switch (SetLayoutPolicy relayouts every screen).
+// The floating policy is the baseline: its manage storm is the pre-refactor
+// cascade placement and its relayout is a no-op.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -61,10 +61,10 @@ void BM_ManageStorm_Tiling(benchmark::State& state) { ManageStorm(state, "tiling
 void BM_ManageStorm_Dynamic(benchmark::State& state) {
   ManageStorm(state, "dynamic");
 }
-BENCHMARK(BM_ManageStorm_Floating)->Arg(8)->Arg(32)->UseManualTime();
-BENCHMARK(BM_ManageStorm_Maximize)->Arg(8)->Arg(32)->UseManualTime();
-BENCHMARK(BM_ManageStorm_Tiling)->Arg(8)->Arg(32)->UseManualTime();
-BENCHMARK(BM_ManageStorm_Dynamic)->Arg(8)->Arg(32)->UseManualTime();
+BENCHMARK(BM_ManageStorm_Floating)->Arg(8)->Arg(32)->Arg(128)->UseManualTime();
+BENCHMARK(BM_ManageStorm_Maximize)->Arg(8)->Arg(32)->Arg(128)->UseManualTime();
+BENCHMARK(BM_ManageStorm_Tiling)->Arg(8)->Arg(32)->Arg(128)->UseManualTime();
+BENCHMARK(BM_ManageStorm_Dynamic)->Arg(8)->Arg(32)->Arg(128)->UseManualTime();
 
 // One full runtime policy switch over a standing population of N clients:
 // SetLayoutPolicy tears the old policy down, adopts the population and

@@ -76,6 +76,11 @@ void ResetLogThrottle() {
   ThrottleCounts().clear();
 }
 
+void ForgetLogThrottle(const std::string& key) {
+  std::lock_guard<std::mutex> lock(g_throttle_mutex);
+  ThrottleCounts().erase(key);
+}
+
 int LogThrottleCount(const std::string& key) {
   std::lock_guard<std::mutex> lock(g_throttle_mutex);
   auto it = ThrottleCounts().find(key);

@@ -54,9 +54,12 @@ int LogErrorCount();
 // Occurrences are counted even when the call returns false, so the throttle
 // itself is cheap and state is bounded by the number of distinct keys.
 bool ShouldLogEveryN(const std::string& key, int n);
-// Drops all throttle state (tests; also keeps long-lived processes bounded
-// if a caller knows its keys went stale, e.g. after unmanaging a window).
+// Drops all throttle state (tests).
 void ResetLogThrottle();
+// Drops one key's state: callers whose keys name a resource (a window id,
+// say) forget the key when the resource goes, so state stays bounded over a
+// long session.
+void ForgetLogThrottle(const std::string& key);
 // Occurrences recorded for a key so far (0 if never seen).
 int LogThrottleCount(const std::string& key);
 

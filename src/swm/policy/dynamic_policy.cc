@@ -43,13 +43,13 @@ xbase::Point DynamicPolicy::PlaceNew(ManagedClient* client,
 
 void DynamicPolicy::OnManage(ManagedClient* client) {
   if (SlotManaged(*client)) {
-    Relayout(client->screen);
+    wm_->RequestRelayout(client->screen);
   }
 }
 
 void DynamicPolicy::OnUnmanage(xproto::WindowId window, int screen) {
   (void)window;
-  Relayout(screen);  // Survivors reflow into the vacated space.
+  wm_->RequestRelayout(screen);  // Survivors reflow into the vacated space.
 }
 
 bool DynamicPolicy::OnConfigureRequest(ManagedClient* client,
@@ -59,11 +59,11 @@ bool DynamicPolicy::OnConfigureRequest(ManagedClient* client,
 
 void DynamicPolicy::OnViewportChange(int screen) {
   ResetCascade(screen);
-  Relayout(screen);  // The grid follows the viewport.
+  wm_->RequestRelayout(screen);  // The grid follows the viewport.
 }
 
 void DynamicPolicy::OnIconicChange(ManagedClient* client) {
-  Relayout(client->screen);
+  wm_->RequestRelayout(client->screen);
 }
 
 void DynamicPolicy::Relayout(int screen) {

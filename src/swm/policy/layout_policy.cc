@@ -147,7 +147,8 @@ bool LayoutPolicy::DenySlotConfigure(ManagedClient* client,
   }
   // Geometry is slot-owned: re-assert the layout, which ends in a synthetic
   // ConfigureNotify telling the client its actual geometry (ICCCM denial).
-  Relayout(client->screen);
+  // A batch of denials shares one reflow.
+  wm_->RequestRelayout(client->screen);
   return true;
 }
 

@@ -20,6 +20,11 @@
 //  - ResizeClient runs WM_NORMAL_HINTS constraints, so a slot-granting
 //    policy may get back a smaller window than the slot; ApplySlot centers
 //    the frame in its slot in that case (ICCCM min/max/increment hints).
+//  - Hooks never call Relayout themselves: they call
+//    WindowManager::RequestRelayout(screen).  Outside ProcessEvents that
+//    reflows at once; inside, the event loop reflows each requested screen
+//    once per batch, before the batch's frame flush, so a burst of n
+//    manages, unmanages or denied configures costs one reflow, not n.
 #ifndef SRC_SWM_POLICY_LAYOUT_POLICY_H_
 #define SRC_SWM_POLICY_LAYOUT_POLICY_H_
 
@@ -56,7 +61,8 @@ class LayoutPolicy {
                                 const xbase::Rect& client_geometry,
                                 const std::optional<SwmHintsRecord>& session) = 0;
 
-  // A client finished managing (decorated, placed, mapped).  Reflow here.
+  // A client finished managing (decorated, placed, mapped).  Slot policies
+  // request a reflow here.
   virtual void OnManage(ManagedClient* client) { (void)client; }
 
   // A client left management (withdrawn, destroyed, healed).  The window id
@@ -90,8 +96,9 @@ class LayoutPolicy {
   // the new state); slot policies give up / reclaim the slot.
   virtual void OnIconicChange(ManagedClient* client) { (void)client; }
 
-  // Re-applies the policy to every eligible client on `screen` — called
-  // after a runtime policy switch so the new regime takes over wholesale.
+  // Re-applies the policy to every eligible client on `screen`.  Only the
+  // WindowManager calls it, to run a reflow requested through
+  // RequestRelayout (a hook above, or a runtime policy switch).
   virtual void Relayout(int screen) { (void)screen; }
 
   // Bare (non-"f.") swmcmd verbs, pre-split into words; return true if the

@@ -45,7 +45,7 @@ bool MaximizePolicy::OnConfigureRequest(ManagedClient* client,
 
 void MaximizePolicy::OnViewportChange(int screen) {
   ResetCascade(screen);
-  Relayout(screen);  // Maximized frames follow the viewport across pans.
+  wm_->RequestRelayout(screen);  // Maximized frames follow the viewport.
 }
 
 void MaximizePolicy::OnStackingChange(ManagedClient* client, bool raised) {

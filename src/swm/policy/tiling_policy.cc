@@ -71,12 +71,12 @@ void TilingPolicy::OnManage(ManagedClient* client) {
     return;
   }
   order_.push_back(client->window);
-  Relayout(client->screen);
+  wm_->RequestRelayout(client->screen);
 }
 
 void TilingPolicy::OnUnmanage(xproto::WindowId window, int screen) {
   order_.erase(std::remove(order_.begin(), order_.end(), window), order_.end());
-  Relayout(screen);
+  wm_->RequestRelayout(screen);
 }
 
 bool TilingPolicy::OnConfigureRequest(ManagedClient* client,
@@ -86,13 +86,13 @@ bool TilingPolicy::OnConfigureRequest(ManagedClient* client,
 
 void TilingPolicy::OnViewportChange(int screen) {
   ResetCascade(screen);
-  Relayout(screen);  // Tiles follow the viewport.
+  wm_->RequestRelayout(screen);  // Tiles follow the viewport.
 }
 
 void TilingPolicy::OnIconicChange(ManagedClient* client) {
   // An iconified window leaves the tiling (SlotManaged excludes it); a
   // deiconified one reclaims its place.  Either way, survivors reflow.
-  Relayout(client->screen);
+  wm_->RequestRelayout(client->screen);
 }
 
 void TilingPolicy::Relayout(int screen) {

@@ -697,10 +697,11 @@ bool WindowManager::SetLayoutPolicy(const std::string& name) {
     return false;
   }
   policy_ = std::move(policy);
-  // Full re-layout under the new regime; the frames flush at the caller's
-  // batch boundary (or right here when invoked outside ProcessEvents).
+  // Full re-layout under the new regime; it and the frames run at the
+  // caller's batch boundary (or right here when invoked outside
+  // ProcessEvents).
   for (ScreenState& state : screens_) {
-    policy_->Relayout(state.number);
+    RequestRelayout(state.number);
   }
   MaybeFlushFrames();
   return true;

@@ -298,6 +298,12 @@ class WindowManager {
   // Reachable at runtime via `swmcmd policy <name>` or f.policy(name); the
   // selection persists across WM restart on SWM_RESTART_INFO.
   bool SetLayoutPolicy(const std::string& name);
+  // Asks the active policy to reflow `screen`.  Outside ProcessEvents this
+  // runs LayoutPolicy::Relayout at once; inside, it marks the screen and the
+  // event loop reflows each marked screen once per settle iteration, just
+  // before the batch's frame flush — so a burst of n manages, unmanages or
+  // denied ConfigureRequests costs one reflow, not n.
+  void RequestRelayout(int screen);
 
   // ---- Function execution ------------------------------------------------------
   // Executes one bound function in a dispatch context.
@@ -413,6 +419,8 @@ class WindowManager {
   // ---- Frame pipeline --------------------------------------------------------
   // Flushes unless an event batch holds frames for batch-end coalescing.
   void MaybeFlushFrames();
+  // Runs the reflows RequestRelayout deferred, one per marked screen.
+  void RunRequestedRelayouts();
   // RAII scope: while held, MaybeFlushFrames defers to the batch-end
   // FlushFrames in ProcessEvents so one frame covers the whole batch.
   struct FrameHold {
@@ -486,6 +494,7 @@ class WindowManager {
   bool resource_reload_pending_ = false;  // f.restart defers to ProcessEvents.
   bool started_ = false;
   int frame_hold_depth_ = 0;  // >0 while ProcessEvents batches invalidations.
+  std::set<int> relayout_pending_;  // Screens awaiting a batch-end reflow.
   uint64_t events_dispatched_ = 0;
   uint64_t events_coalesced_ = 0;
 

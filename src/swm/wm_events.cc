@@ -1,7 +1,9 @@
 // Event handling: redirect requests, client state changes, swmcmd property
 // commands, interactive drags and pending target selection.
 #include <algorithm>
+#include <exception>
 #include <map>
+#include <set>
 #include <tuple>
 
 #include "src/base/logging.h"
@@ -35,6 +37,27 @@ xproto::WindowId CulpritWindow(const xproto::Event& event) {
     return circulate->window;
   }
   return xproto::EventWindow(event);
+}
+
+// The barrier: one failed dispatch or reflow must not take down the WM (or
+// leave the remaining queue unprocessed).  X errors don't throw — they go
+// through OnXError — so this catches toolkit/dispatch/policy bugs.
+template <typename Fn>
+void Guarded(bool self_heal, uint64_t* errors, const char* what, Fn&& fn) {
+  if (!self_heal) {
+    fn();
+    return;
+  }
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    ++*errors;
+    XB_LOG(Error) << "swm: " << what << " failed (" << e.what()
+                  << "); dropping it and continuing";
+  } catch (...) {
+    ++*errors;
+    XB_LOG(Error) << "swm: " << what << " failed; dropping it and continuing";
+  }
 }
 
 }  // namespace
@@ -89,24 +112,13 @@ void WindowManager::ProcessEvents() {
       if (ManagedClient* culprit = FindClientByAnyWindow(CulpritWindow(event))) {
         ++events_dispatched_by_client_[culprit->window];
       }
-      if (options_.self_heal) {
-        // The barrier: one failed dispatch must not take down the WM (or
-        // leave the remaining queue unprocessed).  X errors don't throw —
-        // they go through OnXError — so this catches toolkit/dispatch bugs.
-        try {
-          HandleEvent(event);
-        } catch (const std::exception& e) {
-          ++dispatch_errors_;
-          XB_LOG(Error) << "swm: event dispatch failed (" << e.what()
-                        << "); dropping event and continuing";
-        } catch (...) {
-          ++dispatch_errors_;
-          XB_LOG(Error) << "swm: event dispatch failed; dropping event and continuing";
-        }
-      } else {
-        HandleEvent(event);
-      }
+      Guarded(options_.self_heal, &dispatch_errors_, "event dispatch",
+              [&] { HandleEvent(event); });
     }
+    // Slot policies reflow once per batch, whatever number of manages,
+    // unmanages and denied configures asked for it, and only after the
+    // batch's DestroyNotifys have left the tables.
+    RunRequestedRelayouts();
     // One frame per batch: lay out dirty subtrees, paint each damaged
     // object once.  The flush's own layout may emit new ConfigureNotify /
     // Expose events; they form the next iteration's batch and settle
@@ -124,6 +136,23 @@ void WindowManager::ProcessEvents() {
       ReloadResources();
       progressed = true;
     }
+  }
+}
+
+void WindowManager::RequestRelayout(int screen) {
+  if (frame_hold_depth_ == 0) {
+    policy_->Relayout(screen);
+  } else {
+    relayout_pending_.insert(screen);
+  }
+}
+
+void WindowManager::RunRequestedRelayouts() {
+  std::set<int> screens;
+  screens.swap(relayout_pending_);
+  for (int screen : screens) {
+    Guarded(options_.self_heal, &dispatch_errors_, "policy relayout",
+            [&] { policy_->Relayout(screen); });
   }
 }
 

@@ -18,6 +18,11 @@ namespace {
 // repeats (a hostile client can mint fresh windows faster than we walk).
 constexpr int kMaxTransientDepth = 64;
 
+// Log-throttle key of a window's transient-cycle warning; freed at unmanage.
+std::string TransientCycleLogKey(xproto::WindowId window) {
+  return "swm:transient-cycle:" + std::to_string(window);
+}
+
 xbase::Point OffsetWithinTree(const oi::Object* object) {
   xbase::Point offset{0, 0};
   const oi::Object* cur = object;
@@ -44,8 +49,7 @@ xproto::WindowId WindowManager::BreakTransientCycle(xproto::WindowId window,
       // A→B→…→A (or a cycle further down the chain the walk can never
       // escape): drop the hint rather than loop forever in any consumer.
       ++display_.mutable_sanitizer_stats()->transient_cycles_broken;
-      XB_LOG_EVERY_N(Warning, "swm:transient-cycle:" + std::to_string(window),
-                     1 << 30)
+      XB_LOG_EVERY_N(Warning, TransientCycleLogKey(window), 1 << 30)
           << "swm: WM_TRANSIENT_FOR cycle through window " << window
           << "; breaking";
       return xproto::kNone;
@@ -400,6 +404,7 @@ void WindowManager::UnmanageWindow(xproto::WindowId window, bool reparent_back) 
   events_dispatched_by_client_.erase(window);
   ledger_.Forget(window);
   quarantine_pending_configure_.erase(window);
+  xbase::ForgetLogThrottle(TransientCycleLogKey(window));
   if (Panner* p = panner(screen)) {
     p->Update();
   }

@@ -5,8 +5,11 @@
 // policy switching over swmcmd and persistence across a WM restart.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/swm/policy/dynamic_policy.h"
@@ -44,6 +47,41 @@ class PolicyTest : public SwmTest {
   }
 
   xproto::WindowId Focus() { return wm_->display().GetInputFocus(); }
+
+  // `count` clients created but not yet mapped, so a test can map them all
+  // and let the WM see the whole burst as one batch.
+  std::vector<std::unique_ptr<xlib::ClientApp>> Unmapped(int count) {
+    std::vector<std::unique_ptr<xlib::ClientApp>> apps;
+    for (int i = 0; i < count; ++i) {
+      xlib::ClientAppConfig config;
+      config.name = "storm" + std::to_string(i);
+      config.wm_class = {config.name, "Storm"};
+      config.command = {config.name};
+      config.geometry = {0, 0, 30, 10};
+      config.size_hint_flags = xproto::kPSize;
+      apps.push_back(std::make_unique<xlib::ClientApp>(server_.get(), config));
+    }
+    return apps;
+  }
+
+  // Drains a client's queue; returns the geometry of every synthetic
+  // ConfigureNotify about its own window, in arrival order.
+  static std::vector<xbase::Rect> DrainSyntheticConfigures(xlib::ClientApp& app) {
+    std::vector<xbase::Rect> geometries;
+    app.display().DrainEvents([&](const xproto::Event& event) {
+      const auto* configure = std::get_if<xproto::ConfigureNotifyEvent>(&event);
+      if (configure != nullptr && configure->synthetic &&
+          configure->window == app.window()) {
+        geometries.push_back(configure->geometry);
+      }
+    });
+    return geometries;
+  }
+
+  static std::vector<xbase::Rect> Slots(const std::string& policy, size_t count) {
+    return policy == "tiling" ? TilingPolicy::SplitSlots({200, 100}, count)
+                              : DynamicPolicy::GridSlots({200, 100}, count);
+  }
 };
 
 // ---- Factory and selection --------------------------------------------------
@@ -361,6 +399,109 @@ TEST_F(PolicyTest, CascadeResetsAfterViewportPan) {
   // (32,32) of the old one.
   auto b = Spawn("beta", {"beta", "Beta"}, {0, 0, 30, 10});
   EXPECT_EQ(Managed(*b)->ClientDesktopPosition(), (xbase::Point{38, 28}));
+}
+
+// ---- Batched reflow ---------------------------------------------------------
+// Slot policies request a reflow from their hooks; inside ProcessEvents the
+// WM runs one per screen per batch (WindowManager::RequestRelayout).
+
+// A manage storm costs each window a fixed amount of work however many
+// windows share the batch.  Work is the toolkit's layout passes plus the
+// synthetic ConfigureNotifys every client receives; reflowing once per
+// manage makes it grow with the population instead.
+TEST_F(PolicyTest, ManageStormWorkPerWindowStaysFlat) {
+  // A decoration that is only the client panel, so even the 1-pixel slots
+  // of a deep tiling split are granted exactly.
+  const std::string bare = "swm*panel.bare: panel client +0+0\nswm*decoration: bare\n";
+  for (const std::string policy : {"tiling", "dynamic"}) {
+    std::map<int, double> work_per_window;
+    for (int count : {8, 32, 128}) {
+      StartWm(bare + "swm.layout.policy: " + policy + "\n");
+      auto apps = Unmapped(count);
+      for (auto& app : apps) {
+        app->Map();
+      }
+      uint64_t layouts_before = wm_->toolkit(0).frame_stats().layouts;
+      wm_->ProcessEvents();
+      uint64_t work = wm_->toolkit(0).frame_stats().layouts - layouts_before;
+      std::vector<xbase::Rect> slots = Slots(policy, apps.size());
+      for (size_t i = 0; i < apps.size(); ++i) {
+        EXPECT_EQ(Frame(*apps[i]), slots[i]) << policy << " " << count << " #" << i;
+        work += DrainSyntheticConfigures(*apps[i]).size();
+      }
+      work_per_window[count] = static_cast<double>(work) / count;
+    }
+    EXPECT_LE(work_per_window[128], 2 * work_per_window[8])
+        << policy << ": per-window work at 8 clients " << work_per_window[8]
+        << ", at 32 " << work_per_window[32] << ", at 128 " << work_per_window[128];
+  }
+}
+
+// A client that destroys several tiled windows at once: the survivors reflow
+// after the whole burst has left the tables, so the WM never configures a
+// window the same burst already destroyed (no BadWindow, no heal sweep).
+TEST_F(PolicyTest, DestroyBurstUnderSlotPolicyRaisesNoXErrors) {
+  for (const std::string policy : {"tiling", "dynamic"}) {
+    StartWm("swm.layout.policy: " + policy + "\n");
+    auto apps = Unmapped(6);
+    for (auto& app : apps) {
+      app->Map();
+    }
+    wm_->ProcessEvents();
+    uint64_t errors = wm_->x_error_count();
+    uint64_t healed = wm_->healed_count();
+    for (size_t i = 0; i < 4; ++i) {
+      apps[i]->display().DestroyWindow(apps[i]->window());
+    }
+    wm_->ProcessEvents();
+    EXPECT_EQ(wm_->x_error_count(), errors) << policy;
+    EXPECT_EQ(wm_->healed_count(), healed) << policy;
+    std::vector<xbase::Rect> slots = Slots(policy, 2);
+    EXPECT_EQ(Frame(*apps[4]), slots[0]) << policy;
+    EXPECT_EQ(Frame(*apps[5]), slots[1]) << policy;
+  }
+}
+
+// N denied ConfigureRequests in one batch share one reflow, and each
+// requester still hears its slot geometry in a synthetic ConfigureNotify
+// (the ICCCM 4.1.5 denial).
+TEST_F(PolicyTest, BatchedConfigureDenialsShareOneReflow) {
+  StartWm("swm.layout.policy: tiling\n");
+  auto apps = Unmapped(3);
+  for (auto& app : apps) {
+    app->Map();
+  }
+  wm_->ProcessEvents();
+  for (auto& app : apps) {
+    DrainSyntheticConfigures(*app);
+  }
+  // One denial alone: what a single reflow tells each client.
+  apps[0]->RequestMoveResize({10, 10, 40, 20});
+  wm_->ProcessEvents();
+  std::vector<size_t> per_reflow;
+  for (auto& app : apps) {
+    per_reflow.push_back(DrainSyntheticConfigures(*app).size());
+    ASSERT_GT(per_reflow.back(), 0u);
+  }
+
+  for (auto& app : apps) {
+    app->RequestMoveResize({10, 10, 40, 20});
+  }
+  wm_->ProcessEvents();
+  std::vector<xbase::Rect> slots = Slots("tiling", apps.size());
+  for (size_t i = 0; i < apps.size(); ++i) {
+    std::vector<xbase::Rect> notified = DrainSyntheticConfigures(*apps[i]);
+    EXPECT_EQ(notified.size(), per_reflow[i]) << "client " << i;
+    EXPECT_EQ(Frame(*apps[i]), slots[i]) << "client " << i;
+    ASSERT_FALSE(notified.empty());
+    std::optional<xbase::Rect> granted =
+        apps[i]->display().GetGeometry(apps[i]->window());
+    ASSERT_TRUE(granted.has_value());
+    xbase::Point position = Managed(*apps[i])->ClientDesktopPosition();
+    EXPECT_EQ(notified.back(),
+              (xbase::Rect{position.x, position.y, granted->width, granted->height}))
+        << "client " << i;
+  }
 }
 
 // ---- Runtime switching and persistence --------------------------------------

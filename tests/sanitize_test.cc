@@ -409,5 +409,31 @@ TEST_F(ZeroIncrementWmTest, TransientForCycleAcrossThreeWindowsBroken) {
   EXPECT_GT(wm_->display().sanitizer_stats().transient_cycles_broken, 0u);
 }
 
+// The cycle warning's throttle key names the window; unmanaging the window
+// frees it, so a long session does not keep one key per window ever seen.
+TEST_F(ZeroIncrementWmTest, TransientCycleThrottleKeyFreedAtUnmanage) {
+  StartWm();
+  auto a = Spawn("cyc-a", {"cyc-a", "Cyc"});
+  auto b = Spawn("cyc-b", {"cyc-b", "Cyc"});
+  xlib::SetTransientForHint(&b->display(), b->window(), a->window());
+  b->Unmap();
+  wm_->ProcessEvents();
+  b->Map();
+  wm_->ProcessEvents();
+  // a → b → a: remanaging a breaks the cycle and logs under a's key.
+  xlib::SetTransientForHint(&a->display(), a->window(), b->window());
+  a->Unmap();
+  wm_->ProcessEvents();
+  a->Map();
+  wm_->ProcessEvents();
+  const std::string key = "swm:transient-cycle:" + std::to_string(a->window());
+  ASSERT_GT(xbase::LogThrottleCount(key), 0);
+
+  a->display().DestroyWindow(a->window());
+  wm_->ProcessEvents();
+  EXPECT_EQ(wm_->FindClient(a->window()), nullptr);
+  EXPECT_EQ(xbase::LogThrottleCount(key), 0);
+}
+
 }  // namespace
 }  // namespace swm_test
