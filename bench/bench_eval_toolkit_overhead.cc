@@ -35,7 +35,36 @@ void BM_Swm_ManageUnmanage(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_Swm_ManageUnmanage)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_Swm_ManageUnmanage)->Arg(1)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+// One app launch and exit while `standing` clients stay managed on a
+// virtual desktop: connect a fresh client, map it, let swm manage it, then
+// destroy the app (its Display disconnects) and let swm unmanage it.  The
+// server's per-client indexes keep connect/disconnect independent of the
+// population; what still grows is O(n) by design — the panner draws one
+// box per window, and the pointer-window search and sibling erase walk
+// their lists.
+void BM_Swm_LaunchWithStanding(benchmark::State& state) {
+  const int standing = static_cast<int>(state.range(0));
+  const bool panner = state.range(1) != 0;
+  auto server = bench_util::MakeServer();
+  auto wm = bench_util::MakeSwm(server.get(),
+                                std::string("swm*virtualDesktop: 3456x2700\nswm*panner: ") +
+                                    (panner ? "True\n" : "False\n"));
+  auto apps = bench_util::SpawnClients(server.get(), standing, [&] { wm->ProcessEvents(); });
+  for (auto _ : state) {
+    auto app =
+        std::make_unique<xlib::ClientApp>(server.get(), bench_util::ClientConfig(standing));
+    app->Map();
+    wm->ProcessEvents();
+    app.reset();
+    wm->ProcessEvents();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Swm_LaunchWithStanding)
+    ->ArgNames({"standing", "panner"})
+    ->ArgsProduct({{16, 256, 1024}, {0, 1}});
 
 void BM_Twm_ManageUnmanage(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));

@@ -9,7 +9,7 @@ namespace oi {
 
 Object::Object(Toolkit* toolkit, Panel* parent, xproto::WindowId parent_window,
                std::string name, ObjectType type_for_path)
-    : toolkit_(toolkit), parent_(parent), name_(std::move(name)) {
+    : toolkit_(toolkit), parent_(parent), name_(std::move(name)), parent_window_(parent_window) {
   if (parent != nullptr) {
     path_names_ = parent->path_names();
     path_classes_ = parent->path_classes();

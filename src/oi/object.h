@@ -45,6 +45,9 @@ class Object {
 
   Toolkit& toolkit() const { return *toolkit_; }
   xproto::WindowId window() const { return window_; }
+  // The window this object's window was created under.  oi never
+  // reparents an object's window, so this is its X parent for life.
+  xproto::WindowId parent_window() const { return parent_window_; }
   const std::string& name() const { return name_; }
   virtual ObjectType type() const = 0;
   Panel* parent() const { return parent_; }
@@ -143,6 +146,7 @@ class Object {
   Panel* parent_;
   std::string name_;
   xproto::WindowId window_ = xproto::kNone;
+  xproto::WindowId parent_window_ = xproto::kNone;
   xbase::Rect geometry_;
   ObjectPosition position_;
   bool floating_ = false;

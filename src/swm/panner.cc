@@ -76,9 +76,10 @@ void Panner::Update() {
     if (client->window == app_->window()) {
       continue;
     }
-    std::optional<xserver::QueryTreeReply> tree =
-        dpy.QueryTree(client->frame->window());
-    if (!tree.has_value() || tree->parent != desk->window()) {
+    // Frames on other desktops hang under those desktops' windows.  A
+    // frame keeps the parent BuildFrame gave it (ReDecorate rebuilds the
+    // frame rather than moving it), so no QueryTree is needed.
+    if (client->frame->parent_window() != desk->window()) {
       continue;
     }
     xbase::Rect frame = client->frame->geometry();

@@ -131,8 +131,10 @@ std::optional<SwmHintsRecord> SwmHintsRecord::Parse(const std::string& line) {
       record.command = *value;
       have_command = true;
     } else {
-      // Unknown flag: swallow a value if one follows, for forward compat.
-      XB_LOG_EVERY_N(Warning, "swmhints:unknown-flag:" + flag, 16)
+      // Unknown flag: ignored, for forward compat.  One throttle key for all
+      // flags: the flag text is client-chosen, so keying on it would let a
+      // client grow the throttle table without bound.
+      XB_LOG_EVERY_N(Warning, "swmhints:unknown-flag", 16)
           << "swmhints: unknown flag " << flag;
     }
   }

@@ -405,6 +405,7 @@ void WindowManager::UnmanageWindow(xproto::WindowId window, bool reparent_back) 
   ledger_.Forget(window);
   quarantine_pending_configure_.erase(window);
   xbase::ForgetLogThrottle(TransientCycleLogKey(window));
+  xlib::ForgetSanitizerLog(window);
   if (Panner* p = panner(screen)) {
     p->Update();
   }

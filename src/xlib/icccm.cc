@@ -15,11 +15,32 @@ namespace {
 // property from a window is news, the next thousand are the same news.
 constexpr int kLogOncePerWindow = 1 << 30;
 
-void LogSanitized(WindowId window, const char* kind) {
-  XB_LOG_EVERY_N(Warning,
-                 std::string("icccm:") + kind + ":" + std::to_string(window),
-                 kLogOncePerWindow)
-      << "icccm: sanitized " << kind << " from window " << window;
+// Every property kind the getters sanitize; the log throttle holds at most
+// one key per (kind, window), and ForgetSanitizerLog frees all of them.
+enum SanitizedKind {
+  kWmNameKind,
+  kWmIconNameKind,
+  kWmClientMachineKind,
+  kWmTransientForKind,
+  kWmClassKind,
+  kWmCommandKind,
+  kWmNormalHintsKind,
+  kWmHintsKind,
+  kSanitizedKindCount,
+};
+
+constexpr const char* kSanitizedKindNames[kSanitizedKindCount] = {
+    "WM_NAME",  "WM_ICON_NAME", "WM_CLIENT_MACHINE", "WM_TRANSIENT_FOR",
+    "WM_CLASS", "WM_COMMAND",   "WM_NORMAL_HINTS",   "WM_HINTS",
+};
+
+std::string SanitizerLogKey(SanitizedKind kind, WindowId window) {
+  return std::string("icccm:") + kSanitizedKindNames[kind] + ":" + std::to_string(window);
+}
+
+void LogSanitized(WindowId window, SanitizedKind kind) {
+  XB_LOG_EVERY_N(Warning, SanitizerLogKey(kind, window), kLogOncePerWindow)
+      << "icccm: sanitized " << kSanitizedKindNames[kind] << " from window " << window;
 }
 
 void PutU32(std::vector<uint8_t>* out, uint32_t value) {
@@ -93,6 +114,12 @@ class Reader {
 
 }  // namespace
 
+void ForgetSanitizerLog(WindowId window) {
+  for (int kind = 0; kind < kSanitizedKindCount; ++kind) {
+    xbase::ForgetLogThrottle(SanitizerLogKey(static_cast<SanitizedKind>(kind), window));
+  }
+}
+
 // ---- Simple string properties -------------------------------------------------
 
 namespace {
@@ -101,7 +128,7 @@ namespace {
 // the per-window dedupe on the log line.
 std::optional<std::string> GetSanitizedString(Display* dpy, WindowId window,
                                               const char* atom, size_t cap,
-                                              const char* kind) {
+                                              SanitizedKind kind) {
   std::optional<std::string> raw = dpy->GetStringProperty(window, atom);
   if (!raw.has_value()) {
     return std::nullopt;
@@ -120,7 +147,7 @@ bool SetWmName(Display* dpy, WindowId window, const std::string& name) {
 
 std::optional<std::string> GetWmName(Display* dpy, WindowId window) {
   return GetSanitizedString(dpy, window, xproto::kAtomWmName,
-                            xproto::kMaxWmStringBytes, "WM_NAME");
+                            xproto::kMaxWmStringBytes, kWmNameKind);
 }
 
 bool SetWmIconName(Display* dpy, WindowId window, const std::string& name) {
@@ -129,7 +156,7 @@ bool SetWmIconName(Display* dpy, WindowId window, const std::string& name) {
 
 std::optional<std::string> GetWmIconName(Display* dpy, WindowId window) {
   return GetSanitizedString(dpy, window, xproto::kAtomWmIconName,
-                            xproto::kMaxWmStringBytes, "WM_ICON_NAME");
+                            xproto::kMaxWmStringBytes, kWmIconNameKind);
 }
 
 bool SetWmClientMachine(Display* dpy, WindowId window, const std::string& machine) {
@@ -138,7 +165,7 @@ bool SetWmClientMachine(Display* dpy, WindowId window, const std::string& machin
 
 std::optional<std::string> GetWmClientMachine(Display* dpy, WindowId window) {
   return GetSanitizedString(dpy, window, xproto::kAtomWmClientMachine,
-                            xproto::kMaxWmStringBytes, "WM_CLIENT_MACHINE");
+                            xproto::kMaxWmStringBytes, kWmClientMachineKind);
 }
 
 // ---- WM_TRANSIENT_FOR ------------------------------------------------------
@@ -156,7 +183,7 @@ std::optional<WindowId> GetTransientForHint(Display* dpy, WindowId window) {
   WindowId sanitized =
       xproto::SanitizeTransientFor(window, *owner, dpy->mutable_sanitizer_stats());
   if (sanitized != *owner) {
-    LogSanitized(window, "WM_TRANSIENT_FOR");
+    LogSanitized(window, kWmTransientForKind);
   }
   return sanitized;
 }
@@ -175,7 +202,7 @@ std::optional<xproto::WmClass> GetWmClass(Display* dpy, WindowId window) {
   }
   xproto::WmClass out;
   if (xproto::DecodeWmClass(*raw, &out, dpy->mutable_sanitizer_stats())) {
-    LogSanitized(window, "WM_CLASS");
+    LogSanitized(window, kWmClassKind);
   }
   return out;
 }
@@ -220,7 +247,7 @@ std::optional<std::vector<std::string>> GetWmCommand(Display* dpy, WindowId wind
                                              dpy->mutable_sanitizer_stats());
   }
   if (repaired) {
-    LogSanitized(window, "WM_COMMAND");
+    LogSanitized(window, kWmCommandKind);
   }
   return argv;
 }
@@ -277,7 +304,7 @@ std::optional<xproto::SizeHints> GetWmNormalHints(Display* dpy, WindowId window)
   }
   repaired |= xproto::SanitizeSizeHints(&hints, dpy->mutable_sanitizer_stats());
   if (repaired) {
-    LogSanitized(window, "WM_NORMAL_HINTS");
+    LogSanitized(window, kWmNormalHintsKind);
   }
   return hints;
 }
@@ -331,7 +358,7 @@ std::optional<xproto::WmHints> GetWmHints(Display* dpy, WindowId window) {
                                            xproto::kMaxIconNameBytes,
                                            dpy->mutable_sanitizer_stats());
   if (repaired) {
-    LogSanitized(window, "WM_HINTS");
+    LogSanitized(window, kWmHintsKind);
   }
   return hints;
 }

@@ -12,6 +12,12 @@
 
 namespace xlib {
 
+// The getters below log a sanitized property once per (property, window),
+// keyed in the log throttle as "icccm:<property>:<window>".  Frees those
+// keys for `window`; the window manager calls it when it unmanages the
+// window, so a long session keeps no key per window it has ever seen.
+void ForgetSanitizerLog(xproto::WindowId window);
+
 // WM_NAME / WM_ICON_NAME --------------------------------------------------
 bool SetWmName(Display* dpy, xproto::WindowId window, const std::string& name);
 std::optional<std::string> GetWmName(Display* dpy, xproto::WindowId window);

@@ -160,6 +160,7 @@ bool Server::GrabButton(ClientId client, WindowId window, int button, uint32_t m
     }
   }
   win->passive_grabs.push_back(PassiveGrab{client, button, modifiers, event_mask});
+  Reference(client, window);
   return true;
 }
 
@@ -176,6 +177,7 @@ bool Server::UngrabButton(ClientId client, WindowId window, int button, uint32_t
   std::erase_if(win->passive_grabs, [&](const PassiveGrab& g) {
     return g.client == client && g.button == button && g.modifiers == modifiers;
   });
+  Unreference(client, *win);
   return win->passive_grabs.size() != before;
 }
 

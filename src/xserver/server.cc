@@ -68,26 +68,24 @@ void Server::Disconnect(ClientId client) {
     ReparentWindow(client, wid, screens_[win->screen].root, root_pos);
     MapWindow(win->owner, wid);
   }
-  // Destroy windows created by the client (top-level first is not required;
-  // DestroyRecursive handles nesting).
-  std::vector<WindowId> owned;
-  for (const auto& [wid, win] : windows_) {
-    if (win.owner == client) {
-      owned.push_back(wid);
-    }
-  }
+  // Destroy windows created by the client, ascending id (top-level first is
+  // not required; DestroyRecursive handles nesting and prunes `owned`).
+  std::vector<WindowId> owned(rec->owned.begin(), rec->owned.end());
   for (WindowId wid : owned) {
     if (windows_.count(wid) != 0) {
       DestroyWindow(client, wid);
     }
   }
-  // Drop selections and grabs referencing the client.
-  for (auto& [wid, win] : windows_) {
-    win.selections.erase(client);
-    win.shape_selections.erase(client);
-    std::erase_if(win.passive_grabs,
+  // Drop selections and grabs the client holds on other clients' windows
+  // (its own are gone, and DestroyRecursive pruned them from `referenced`).
+  for (WindowId wid : rec->referenced) {
+    WindowRec* win = Find(wid);
+    XB_CHECK(win != nullptr) << "window " << wid << " outlived its index entry";
+    win->selections.erase(client);
+    win->shape_selections.erase(client);
+    std::erase_if(win->passive_grabs,
                   [client](const PassiveGrab& g) { return g.client == client; });
-    std::erase(win.save_set_clients, client);
+    std::erase(win->save_set_clients, client);
   }
   if (grab_.active && grab_.client == client) {
     grab_.active = false;
@@ -148,6 +146,31 @@ const WindowRec* Server::Find(WindowId window) const {
 Server::ClientRec* Server::FindClient(ClientId client) {
   auto it = clients_.find(client);
   return it == clients_.end() ? nullptr : &it->second;
+}
+
+const Server::ClientRec* Server::FindClient(ClientId client) const {
+  auto it = clients_.find(client);
+  return it == clients_.end() ? nullptr : &it->second;
+}
+
+void Server::Reference(ClientId client, WindowId window) {
+  FindClient(client)->referenced.insert(window);
+}
+
+void Server::Unreference(ClientId client, const WindowRec& win) {
+  ClientRec* rec = FindClient(client);
+  if (rec == nullptr) {
+    return;
+  }
+  bool holds =
+      win.selections.count(client) != 0 || win.shape_selections.count(client) != 0 ||
+      std::any_of(win.passive_grabs.begin(), win.passive_grabs.end(),
+                  [client](const PassiveGrab& g) { return g.client == client; }) ||
+      std::find(win.save_set_clients.begin(), win.save_set_clients.end(), client) !=
+          win.save_set_clients.end();
+  if (!holds) {
+    rec->referenced.erase(win.id);
+  }
 }
 
 ClientId Server::RedirectHolder(const WindowRec& win) const {
@@ -392,6 +415,7 @@ WindowId Server::CreateWindow(ClientId client, WindowId parent, const xbase::Rec
   win.owner = client;
   WindowId id = win.id;
   windows_[id] = std::move(win);
+  FindClient(client)->owned.insert(id);
   parent_rec = Find(parent);  // Map may have rehashed.
   parent_rec->children.push_back(id);
   Tick();
@@ -438,9 +462,30 @@ void Server::DestroyRecursive(WindowId window, bool notify_parent) {
     DeliverToSelecting(win->parent, xproto::kSubstructureNotifyMask, Event{notify});
   }
   RemoveFromParent(win);
-  // Drop the window from all save sets.
-  for (auto& [cid, rec] : clients_) {
-    std::erase(rec.save_set, window);
+  // Drop the window from the indexes and save sets of exactly the clients
+  // it names; no other client can hold it.
+  auto forget = [this, window](ClientId cid) {
+    ClientRec* rec = FindClient(cid);
+    if (rec != nullptr) {
+      rec->owned.erase(window);
+      rec->referenced.erase(window);
+    }
+    return rec;
+  };
+  forget(win->owner);
+  for (const auto& [cid, mask] : win->selections) {
+    forget(cid);
+  }
+  for (const auto& [cid, enabled] : win->shape_selections) {
+    forget(cid);
+  }
+  for (const PassiveGrab& grab : win->passive_grabs) {
+    forget(grab.client);
+  }
+  for (ClientId cid : win->save_set_clients) {
+    if (ClientRec* rec = forget(cid)) {
+      std::erase(rec->save_set, window);
+    }
   }
   if (grab_.active && grab_.window == window) {
     grab_.active = false;
@@ -793,8 +838,10 @@ bool Server::SelectInput(ClientId client, WindowId window, uint32_t event_mask) 
   }
   if (event_mask == 0) {
     win->selections.erase(client);
+    Unreference(client, *win);
   } else {
     win->selections[client] = event_mask;
+    Reference(client, window);
   }
   return true;
 }
@@ -825,10 +872,12 @@ bool Server::ChangeSaveSet(ClientId client, WindowId window, bool add) {
     if (std::find(rec->save_set.begin(), rec->save_set.end(), window) == rec->save_set.end()) {
       rec->save_set.push_back(window);
       win->save_set_clients.push_back(client);
+      rec->referenced.insert(window);
     }
   } else {
     std::erase(rec->save_set, window);
     std::erase(win->save_set_clients, client);
+    Unreference(client, *win);
   }
   return true;
 }
@@ -901,13 +950,11 @@ std::optional<xbase::Point> Server::TranslateCoordinates(WindowId src, WindowId 
 bool Server::WindowExists(WindowId window) const { return Find(window) != nullptr; }
 
 std::vector<WindowId> Server::ClientWindows(ClientId client) const {
-  std::vector<WindowId> ids;
-  for (const auto& [id, rec] : windows_) {
-    if (rec.owner == client && !rec.destroyed) {
-      ids.push_back(id);
-    }
+  const ClientRec* rec = FindClient(client);
+  if (rec == nullptr) {
+    return {};
   }
-  return ids;
+  return {rec->owned.begin(), rec->owned.end()};
 }
 
 bool Server::IsViewable(WindowId window) const {

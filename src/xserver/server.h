@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -317,6 +318,19 @@ class Server {
 
   // Test-only introspection (const view of internal records).
   const WindowRec* FindWindowForTest(xproto::WindowId window) const { return Find(window); }
+  // Test-only: a client's save set (insertion order) and the windows it
+  // holds state on (ascending), or nullopt for unknown clients.
+  struct ClientIndex {
+    std::vector<xproto::WindowId> save_set;
+    std::vector<xproto::WindowId> referenced;
+  };
+  std::optional<ClientIndex> ClientIndexForTest(xproto::ClientId client) const {
+    const ClientRec* rec = FindClient(client);
+    if (rec == nullptr) {
+      return std::nullopt;
+    }
+    return ClientIndex{rec->save_set, {rec->referenced.begin(), rec->referenced.end()}};
+  }
 
  private:
   struct ClientRec {
@@ -326,6 +340,13 @@ class Server {
     // for this client (adjacent reorder) or when the queue drains.
     std::deque<xproto::Event> delayed;
     std::vector<xproto::WindowId> save_set;
+    // Ascending ids of the client's live windows.
+    std::set<xproto::WindowId> owned;
+    // Windows, whoever owns them, on which the client holds an event
+    // selection, a shape selection, a passive grab or a save-set entry.
+    // With `owned`, everything Disconnect must sweep, so it never walks
+    // windows_.
+    std::set<xproto::WindowId> referenced;
     uint64_t sequence = 0;  // Requests processed on this connection.
     uint64_t errors = 0;
     ErrorCallback on_error;
@@ -346,6 +367,13 @@ class Server {
   WindowRec* Find(xproto::WindowId window);
   const WindowRec* Find(xproto::WindowId window) const;
   ClientRec* FindClient(xproto::ClientId client);
+  const ClientRec* FindClient(xproto::ClientId client) const;
+  // Keep ClientRec::referenced in step with the per-window client state:
+  // Reference (for a connected client) after granting a selection, shape
+  // selection, grab or save-set entry; Unreference after dropping one,
+  // which forgets the window once the client holds nothing else on it.
+  void Reference(xproto::ClientId client, xproto::WindowId window);
+  void Unreference(xproto::ClientId client, const WindowRec& win);
 
   xproto::Timestamp Tick() { return ++time_; }
 

@@ -75,8 +75,10 @@ bool Server::ShapeSelect(ClientId client, WindowId window, bool enable) {
   }
   if (enable) {
     win->shape_selections[client] = true;
+    Reference(client, window);
   } else {
     win->shape_selections.erase(client);
+    Unreference(client, *win);
   }
   return true;
 }

@@ -59,7 +59,6 @@ struct WindowRec {
 
   bool override_redirect = false;
   bool mapped = false;
-  bool destroyed = false;
 
   // Children in stacking order, bottom-most first.
   std::vector<xproto::WindowId> children;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/base/logging.h"
+#include "src/swm/session.h"
 #include "src/xlib/icccm.h"
 #include "src/xproto/sanitize.h"
 #include "tests/swm_test_util.h"
@@ -433,6 +434,51 @@ TEST_F(ZeroIncrementWmTest, TransientCycleThrottleKeyFreedAtUnmanage) {
   wm_->ProcessEvents();
   EXPECT_EQ(wm_->FindClient(a->window()), nullptr);
   EXPECT_EQ(xbase::LogThrottleCount(key), 0);
+}
+
+// The ICCCM getters log a sanitized property once per (property, window);
+// unmanaging the window frees those keys too.
+TEST_F(ZeroIncrementWmTest, SanitizerThrottleKeysFreedAtUnmanage) {
+  xbase::SetMinLogSeverity(xbase::LogSeverity::kFatal);
+  StartWm();
+  xlib::ClientAppConfig config;
+  config.name = std::string(100000, 'x');
+  config.wm_class = {"loud", "Loud"};
+  config.command = {"loud"};
+  config.geometry = {0, 0, 36, 18};
+  xlib::ClientApp app(server_.get(), config);
+  app.display().ChangeProperty(
+      app.window(), app.display().InternAtom(xproto::kAtomWmNormalHints),
+      app.display().InternAtom("WM_SIZE_HINTS"), 32, xserver::PropMode::kReplace,
+      std::vector<uint8_t>{1, 0, 0, 0, 7, 0, 0, 0, 9, 9});
+  app.Map();
+  wm_->ProcessEvents();
+  xbase::SetMinLogSeverity(xbase::LogSeverity::kWarning);
+  ASSERT_NE(Managed(app), nullptr);
+  const std::string window = std::to_string(app.window());
+  ASSERT_GT(xbase::LogThrottleCount("icccm:WM_NAME:" + window), 0);
+  ASSERT_GT(xbase::LogThrottleCount("icccm:WM_NORMAL_HINTS:" + window), 0);
+
+  app.display().DestroyWindow(app.window());
+  wm_->ProcessEvents();
+  EXPECT_EQ(wm_->FindClient(app.window()), nullptr);
+  EXPECT_EQ(xbase::LogThrottleCount("icccm:WM_NAME:" + window), 0);
+  EXPECT_EQ(xbase::LogThrottleCount("icccm:WM_NORMAL_HINTS:" + window), 0);
+}
+
+// Unknown swmhints flags share one throttle key: the flag text is chosen by
+// the client, so keying on it would grow the table without bound.
+TEST(SwmHintsThrottleTest, UnknownFlagsShareOneKey) {
+  xbase::ResetLogThrottle();
+  xbase::SetMinLogSeverity(xbase::LogSeverity::kFatal);
+  for (const char* flag : {"-bogus1", "-bogus2", "-bogus3"}) {
+    std::optional<swm::SwmHintsRecord> record = swm::SwmHintsRecord::Parse(
+        std::string("swmhints -geometry 10x10+0+0 ") + flag + " -cmd \"xterm\"");
+    EXPECT_TRUE(record.has_value()) << flag;
+    EXPECT_EQ(xbase::LogThrottleCount(std::string("swmhints:unknown-flag:") + flag), 0);
+  }
+  xbase::SetMinLogSeverity(xbase::LogSeverity::kWarning);
+  EXPECT_EQ(xbase::LogThrottleCount("swmhints:unknown-flag"), 3);
 }
 
 }  // namespace

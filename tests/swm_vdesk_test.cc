@@ -343,5 +343,53 @@ TEST_F(PannerTest, MiniatureReflectsWindows) {
   EXPECT_TRUE(found);
 }
 
+// One box per normal, non-sticky client on the active desktop, plus the
+// viewport outline: nothing for sticky windows (the panner included),
+// icons, or clients on the other desktop.
+TEST_F(PannerTest, DrawsOneBoxPerClientOnTheActiveDesktop) {
+  StartWm(
+      "swm*virtualDesktop: 800x400\n"
+      "swm*virtualDesktops: 2\n"
+      "swm*panner: True\n"
+      "swm*pannerScale: 10\n"
+      "swm*XClock*sticky: True\n");
+  panner_ = wm_->panner(0);
+  ASSERT_NE(panner_, nullptr);
+  wm_->ProcessEvents();
+  // {boxes, outlines} in the panner's current draw list.
+  auto drawn = [&] {
+    const xserver::WindowRec* rec = server_->FindWindowForTest(panner_->window());
+    std::pair<int, int> counts{0, 0};
+    for (const xserver::DrawOp& op : rec->draw_ops) {
+      if (op.kind == xserver::DrawOp::Kind::kFillRect) {
+        ++counts.first;
+      } else if (op.kind == xserver::DrawOp::Kind::kBorder) {
+        ++counts.second;
+      }
+    }
+    return counts;
+  };
+
+  auto editor = Spawn("editor", {"editor", "Editor"}, {0, 0, 60, 30});
+  auto mail = Spawn("mail", {"mail", "Mail"}, {0, 0, 60, 30});
+  auto clock = Spawn("xclock", {"xclock", "XClock"}, {0, 0, 30, 30});
+  auto notes = Spawn("notes", {"notes", "Notes"}, {0, 0, 60, 30});
+  ASSERT_TRUE(Managed(*clock)->sticky);
+  wm_->Iconify(Managed(*notes));
+  wm_->ProcessEvents();
+  ASSERT_EQ(Managed(*notes)->state, xproto::WmState::kIconic);
+  EXPECT_EQ(drawn(), (std::pair<int, int>{2, 1}));  // editor, mail.
+
+  ASSERT_TRUE(wm_->SwitchDesktop(0, 1));
+  wm_->ProcessEvents();
+  EXPECT_EQ(drawn(), (std::pair<int, int>{0, 1}));
+  auto term = Spawn("term", {"term", "Term"}, {0, 0, 60, 30});
+  EXPECT_EQ(drawn(), (std::pair<int, int>{1, 1}));
+
+  ASSERT_TRUE(wm_->SwitchDesktop(0, 0));
+  wm_->ProcessEvents();
+  EXPECT_EQ(drawn(), (std::pair<int, int>{2, 1}));
+}
+
 }  // namespace
 }  // namespace swm_test

@@ -3,6 +3,8 @@
 // coordinate arithmetic, save-set hygiene and pointer-window validity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <random>
 #include <set>
 
@@ -177,6 +179,188 @@ TEST_P(ServerFuzzTest, RandomOperationsPreserveInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServerFuzzTest, ::testing::Range(100, 112));
+
+// ---- Per-client indexes --------------------------------------------------------
+//
+// ClientWindows and Disconnect read per-client indexes instead of walking
+// every window.  Interleave the requests that change what a client owns or
+// holds on a window across three clients, and after every step check the
+// indexes against the window-side state.
+class ClientIndexFuzzTest : public ::testing::TestWithParam<int> {
+ protected:
+  ClientIndexFuzzTest() : server_({ScreenConfig{300, 200, false}}) {
+    for (int i = 0; i < 3; ++i) {
+      clients_.push_back(server_.Connect("c" + std::to_string(i)));
+    }
+  }
+
+  // Live windows, root first, then ascending id.
+  std::vector<WindowId> LiveWindows() const {
+    std::vector<WindowId> live{server_.RootWindow(0)};
+    for (const auto& [window, owner] : created_) {
+      if (server_.WindowExists(window)) {
+        live.push_back(window);
+      }
+    }
+    return live;
+  }
+
+  WindowId RandomWindow(std::mt19937* rng) const {
+    std::vector<WindowId> live = LiveWindows();
+    std::uniform_int_distribution<size_t> pick(0, live.size() - 1);
+    return live[pick(*rng)];
+  }
+
+  ClientId RandomClient(std::mt19937* rng) const {
+    std::uniform_int_distribution<size_t> pick(0, clients_.size() - 1);
+    return clients_[pick(*rng)];
+  }
+
+  static bool Holds(const WindowRec& rec, ClientId client) {
+    return rec.selections.count(client) != 0 || rec.shape_selections.count(client) != 0 ||
+           std::any_of(rec.passive_grabs.begin(), rec.passive_grabs.end(),
+                       [client](const PassiveGrab& g) { return g.client == client; }) ||
+           std::count(rec.save_set_clients.begin(), rec.save_set_clients.end(), client) != 0;
+  }
+
+  void CheckIndexes() const {
+    std::vector<WindowId> live = LiveWindows();
+    for (ClientId client : clients_) {
+      std::vector<WindowId> owned;
+      for (const auto& [window, owner] : created_) {
+        if (owner == client && server_.WindowExists(window)) {
+          owned.push_back(window);
+        }
+      }
+      EXPECT_EQ(server_.ClientWindows(client), owned) << "client " << client;
+
+      std::vector<WindowId> held;
+      std::multiset<WindowId> saved;
+      for (WindowId window : live) {
+        const WindowRec* rec = server_.FindWindowForTest(window);
+        if (Holds(*rec, client)) {
+          held.push_back(window);
+        }
+        if (std::count(rec->save_set_clients.begin(), rec->save_set_clients.end(), client)) {
+          saved.insert(window);
+        }
+      }
+      std::optional<Server::ClientIndex> index = server_.ClientIndexForTest(client);
+      ASSERT_TRUE(index.has_value());
+      EXPECT_EQ(index->referenced, held) << "client " << client;
+      EXPECT_EQ(std::multiset<WindowId>(index->save_set.begin(), index->save_set.end()), saved)
+          << "client " << client;
+    }
+  }
+
+  // Nothing of a departed client may remain anywhere.
+  void CheckGone(ClientId departed) const {
+    EXPECT_FALSE(server_.ClientIndexForTest(departed).has_value());
+    EXPECT_TRUE(server_.ClientWindows(departed).empty());
+    for (WindowId window : LiveWindows()) {
+      const WindowRec* rec = server_.FindWindowForTest(window);
+      EXPECT_NE(rec->owner, departed);
+      EXPECT_EQ(server_.SelectedInput(departed, window), 0u);
+      EXPECT_FALSE(Holds(*rec, departed)) << "window " << window;
+    }
+  }
+
+  Server server_;
+  std::vector<ClientId> clients_;
+  std::map<WindowId, ClientId> created_;  // Every window made, dead ones too.
+};
+
+TEST_P(ClientIndexFuzzTest, IndexesMatchWindowState) {
+  std::mt19937 rng(GetParam());
+  std::uniform_int_distribution<int> op_dist(0, 24);
+  std::uniform_int_distribution<int> coord(-20, 280);
+  std::uniform_int_distribution<int> extent(1, 120);
+  std::uniform_int_distribution<int> button(1, 3);
+  std::uniform_int_distribution<int> coin(0, 1);
+  const uint32_t masks[] = {0, xproto::kStructureNotifyMask,
+                            xproto::kButtonPressMask | xproto::kExposureMask,
+                            xproto::kSubstructureNotifyMask};
+  std::uniform_int_distribution<size_t> mask_pick(0, std::size(masks) - 1);
+  int disconnects = 0;
+
+  for (int step = 0; step < 400; ++step) {
+    switch (op_dist(rng)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3: {
+        ClientId client = RandomClient(&rng);
+        WindowId created = server_.CreateWindow(
+            client, RandomWindow(&rng), {coord(rng), coord(rng), extent(rng), extent(rng)}, 0,
+            xproto::WindowClass::kInputOutput, false);
+        ASSERT_NE(created, xproto::kNone);
+        created_[created] = client;
+        break;
+      }
+      case 4:
+      case 5:
+        server_.DestroyWindow(RandomClient(&rng), RandomWindow(&rng));
+        break;
+      case 6:
+      case 7:
+        server_.ReparentWindow(RandomClient(&rng), RandomWindow(&rng), RandomWindow(&rng),
+                               {coord(rng) / 4, coord(rng) / 4});
+        break;
+      case 8:
+        server_.MapWindow(RandomClient(&rng), RandomWindow(&rng));
+        break;
+      case 9:
+      case 10:
+      case 11:
+        server_.SelectInput(RandomClient(&rng), RandomWindow(&rng), masks[mask_pick(rng)]);
+        break;
+      case 12:
+      case 13:
+        server_.GrabButton(RandomClient(&rng), RandomWindow(&rng), button(rng), coin(rng),
+                           xproto::kButtonPressMask);
+        break;
+      case 14:
+        server_.UngrabButton(RandomClient(&rng), RandomWindow(&rng), button(rng), coin(rng));
+        break;
+      case 15:
+      case 16:
+        server_.ShapeSelect(RandomClient(&rng), RandomWindow(&rng), coin(rng) == 1);
+        break;
+      case 17:
+      case 18:
+      case 19:
+        server_.ChangeSaveSet(RandomClient(&rng), RandomWindow(&rng), coin(rng) == 1);
+        break;
+      case 20:
+      case 21:
+      case 22:
+      case 23:
+        break;  // Quiet step: indexes must hold with nothing changing.
+      case 24: {
+        // A client leaves and a fresh one takes its place.
+        std::uniform_int_distribution<size_t> pick(0, clients_.size() - 1);
+        size_t slot = pick(rng);
+        ClientId departed = clients_[slot];
+        server_.Disconnect(departed);
+        clients_[slot] = server_.Connect("late" + std::to_string(step));
+        ++disconnects;
+        CheckGone(departed);
+        break;
+      }
+    }
+    for (ClientId client : clients_) {
+      while (server_.NextEvent(client).has_value()) {
+      }
+    }
+    CheckIndexes();
+    if (HasFailure()) {
+      FAIL() << "seed " << GetParam() << " step " << step;
+    }
+  }
+  EXPECT_GT(disconnects, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClientIndexFuzzTest, ::testing::Range(200, 208));
 
 }  // namespace
 }  // namespace xserver

@@ -336,6 +336,45 @@ TEST_F(ServerTest, DisconnectDestroysOwnedWindows) {
   EXPECT_FALSE(server_.HasClient(client_));
 }
 
+TEST_F(ServerTest, DisconnectDropsStateOnOtherClientsWindows) {
+  // One kind of state per window, so each must be found on its own.
+  auto make = [&] {
+    return server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+                                xproto::WindowClass::kInputOutput, false);
+  };
+  WindowId selected = make();
+  WindowId grabbed = make();
+  WindowId shaped = make();
+  ASSERT_TRUE(server_.SelectInput(wm_, selected,
+                                  xproto::kButtonPressMask | xproto::kStructureNotifyMask));
+  ASSERT_TRUE(server_.GrabButton(wm_, grabbed, 1, 0, xproto::kButtonPressMask));
+  ASSERT_TRUE(server_.ShapeSelect(wm_, shaped, true));
+  xproto::ClientId other = server_.Connect("hostB");
+  EXPECT_FALSE(server_.GrabButton(other, grabbed, 1, 0, xproto::kButtonPressMask));  // Held.
+
+  server_.Disconnect(wm_);
+  EXPECT_EQ(server_.SelectedInput(wm_, selected), 0u);
+  // The departed client's passive grab no longer conflicts.
+  EXPECT_TRUE(server_.GrabButton(other, grabbed, 1, 0, xproto::kButtonPressMask));
+  EXPECT_TRUE(server_.FindWindowForTest(shaped)->shape_selections.empty());
+  EXPECT_EQ(server_.ClientWindows(client_), (std::vector<WindowId>{selected, grabbed, shaped}));
+}
+
+TEST_F(ServerTest, DestroyedWindowLeavesNoSaveSetEntry) {
+  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+                                      xproto::WindowClass::kInputOutput, false);
+  ASSERT_TRUE(server_.ChangeSaveSet(wm_, win, true));
+  ASSERT_TRUE(server_.SelectInput(wm_, win, xproto::kStructureNotifyMask));
+  ASSERT_EQ(server_.ClientIndexForTest(wm_)->save_set, std::vector<WindowId>{win});
+
+  ASSERT_TRUE(server_.DestroyWindow(client_, win));
+  std::optional<Server::ClientIndex> index = server_.ClientIndexForTest(wm_);
+  ASSERT_TRUE(index.has_value());
+  EXPECT_TRUE(index->save_set.empty());
+  EXPECT_TRUE(index->referenced.empty());
+  EXPECT_TRUE(server_.ClientWindows(client_).empty());
+}
+
 TEST_F(ServerTest, SendEventWithMaskZeroGoesToOwner) {
   WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
