@@ -28,7 +28,6 @@ void Canvas::Put(int x, int y, char c) {
     return;
   }
   cells_[static_cast<size_t>(y) * width_ + x] = c;
-  ++cells_written_;
 }
 
 void Canvas::Clear(char background) {
@@ -38,13 +37,11 @@ void Canvas::Clear(char background) {
 void Canvas::FillRowRaw(int x0, int x1, int y, char c) {
   char* row = cells_.data() + static_cast<size_t>(y) * width_;
   std::fill(row + x0, row + x1, c);
-  cells_written_ += static_cast<uint64_t>(x1 - x0);
 }
 
 void Canvas::CopyRowRaw(int x0, int y, const char* src, int count) {
   char* row = cells_.data() + static_cast<size_t>(y) * width_;
   std::copy(src, src + count, row + x0);
-  cells_written_ += static_cast<uint64_t>(count);
 }
 
 // The clip intersection is computed once per operation: each banded clip
@@ -116,22 +113,9 @@ void Canvas::DrawBitmap(int x, int y, const Bitmap& bm, char on) {
     for (int cx = x0; cx < x1; ++cx) {
       if (bm.Get(cx - x, by)) {
         row[cx] = on;
-        ++cells_written_;
       }
     }
   });
-}
-
-void Canvas::CopyRectFrom(const Canvas& src, const Rect& r) {
-  Rect clamped = r.Intersection(Rect{0, 0, width_, height_})
-                     .Intersection(Rect{0, 0, src.width_, src.height_});
-  if (clamped.IsEmpty()) {
-    return;
-  }
-  for (int y = clamped.y; y < clamped.Bottom(); ++y) {
-    const char* from = src.cells_.data() + static_cast<size_t>(y) * src.width_;
-    CopyRowRaw(clamped.x, y, from + clamped.x, clamped.width);
-  }
 }
 
 std::string Canvas::ToString() const {

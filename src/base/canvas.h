@@ -8,14 +8,10 @@
 // Drawing is span-based: every operation precomputes its clip intersection
 // once (clip regions are y-x banded rect lists, so the intersection is a
 // handful of rectangles) and then writes whole rows with std::fill /
-// std::copy instead of testing bounds and clip per pixel.  `cells_written()`
-// counts the cells each operation actually touched, which is how tests and
-// benches assert that damage-clipped repaints cost what the damage covers
-// rather than what the window covers.
+// std::copy instead of testing bounds and clip per pixel.
 #ifndef SRC_BASE_CANVAS_H_
 #define SRC_BASE_CANVAS_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -47,21 +43,11 @@ class Canvas {
   // Text centered horizontally within [x, x+width).
   void DrawTextCentered(int x, int width, int y, const std::string& text);
   void DrawBitmap(int x, int y, const Bitmap& bm, char on = '#');
-  // Copies `r` (clamped to both canvases) out of `src` row-wise.  Ignores
-  // the clip: this is the parallel painter's copyback of finished worker
-  // tiles, not a drawing op.
-  void CopyRectFrom(const Canvas& src, const Rect& r);
 
   // Restricts all subsequent drawing to the region (canvas coordinates).
   // An empty clip means "no clipping".
   void SetClip(const Region& clip) { clip_ = clip; }
   void ClearClip() { clip_ = Region(); }
-
-  // Cells written by drawing operations since construction (or the last
-  // ResetCellsWritten).  A cell overdrawn by two ops counts twice: the
-  // counter measures raster work, not coverage.
-  uint64_t cells_written() const { return cells_written_; }
-  void ResetCellsWritten() { cells_written_ = 0; }
 
   std::string ToString() const;
 
@@ -78,7 +64,6 @@ class Canvas {
   int height_ = 0;
   std::vector<char> cells_;
   Region clip_;
-  uint64_t cells_written_ = 0;
 };
 
 }  // namespace xbase

@@ -222,7 +222,6 @@ bool WindowManager::Start() {
     }
   }
   started_ = true;
-  server_->SetPaintThreads(options_.paint_threads);
   for (int screen = 0; screen < display_.ScreenCount(); ++screen) {
     InitScreen(screen);
   }

@@ -164,10 +164,7 @@ class WindowManager {
     // amount of repeated work differs.  Used by the frame-pipeline bench
     // and the differential tests.
     bool immediate_render = false;
-    // Worker threads for the server-side painter (docs/RENDERING.md).
-    // <= 1 paints serially; higher values let independent damage bands and
-    // screens rasterize concurrently.  Output is byte-identical for any
-    // value — the pool only changes wall-clock, never pixels.
+    // Inert: nothing reads it; it goes once perfbench stops assigning it.
     int paint_threads = 1;
   };
 

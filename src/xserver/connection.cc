@@ -196,7 +196,6 @@ bool Connection::ReadInbound() {
     IoStatus status = channel_->Read(buf, sizeof(buf), &n);
     if (n > 0) {
       stats_.bytes_read += n;
-      idle_pumps_ = 0;
       std::span<const uint8_t> data(buf, n);
       if (faults_active_ && n > 1 && rng_.Roll(plan_.short_read_permille)) {
         // Deliver a slice now, stash the rest for the next pump.
@@ -354,7 +353,6 @@ ConnectionState Connection::Pump() {
     return state_;
   }
   ++stats_.pumps;
-  uint64_t read_before = stats_.bytes_read;
 
   if (state_ == ConnectionState::kEstablished) {
     if (!ReadInbound()) {
@@ -418,16 +416,6 @@ ConnectionState Connection::Pump() {
     }
   } else {
     stalled_pumps_ = 0;
-  }
-
-  // Read-idle deadline (opt-in): an established peer that never sends.
-  if (stats_.bytes_read == read_before) {
-    ++idle_pumps_;
-    ++stats_.idle_pumps;
-    if (limits_.read_idle_limit > 0 && idle_pumps_ >= limits_.read_idle_limit) {
-      ChargeMisbehavior();
-      Close(CloseReason::kReadIdle);
-    }
   }
   return state_;
 }

@@ -48,7 +48,7 @@ enum class CloseReason : uint8_t {
   kPeerClosed,     // Peer closed its end (EOF / EPIPE).
   kGracefulDrain,  // BeginDrain() completed.
   kWriteStalled,   // Peer stopped reading; outbound queue pinned over high water.
-  kReadIdle,       // Peer sent nothing for read_idle_limit pumps.
+  kReadIdle,       // Peer sent nothing for read_idle_ms (WireHost).
   kReadOverflow,   // Peer streamed an unbounded partial frame (reassembler cap).
   kProtocolError,  // A frame the wire codec rejected; the stream cannot resync.
   kTransportError, // Unrecoverable channel error.
@@ -65,15 +65,13 @@ struct ConnectionLimits {
   int stall_pump_limit = 4;
   // Reassembler buffer cap for inbound request bytes.
   size_t read_buffer_cap = 64 * 1024;
-  // Consecutive pumps with no inbound bytes before an established peer is
-  // declared dead.  0 disables (the default: quiet clients are legal).
-  int read_idle_limit = 0;
   // Wall-clock deadlines for readiness-driven hosts (WireHost): a peer that
   // sends nothing for read_idle_ms, or leaves our outbound queue non-empty
   // for write_stall_ms, is closed (kReadIdle / kWriteStalled).  Pump()-based
-  // harnesses ignore these — they count pumps, not time.  read_idle_ms == 0
-  // disables the idle deadline (quiet clients are legal); the resource
-  // database exposes both as swm.transport.idleMs / swm.transport.stallMs.
+  // harnesses ignore these: they have no read-idle deadline and count write
+  // stalls in pumps (stall_pump_limit).  read_idle_ms == 0 disables the idle
+  // deadline (quiet clients are legal); the resource database exposes both
+  // as swm.transport.idleMs / swm.transport.stallMs.
   int64_t read_idle_ms = 0;
   int64_t write_stall_ms = 5000;
   // Cost charged to the misbehavior hook per detection (matches the swm
@@ -93,7 +91,6 @@ class Connection {
     uint64_t events_queued = 0;
     uint64_t errors_queued = 0;
     uint64_t pumps = 0;
-    uint64_t idle_pumps = 0;
     size_t write_queue_peak = 0;
   };
 
@@ -202,7 +199,6 @@ class Connection {
   std::vector<uint8_t> outbox_;
   size_t outbox_sent_ = 0;
   int stalled_pumps_ = 0;
-  int idle_pumps_ = 0;
   bool died_mid_frame_ = false;
 
   bool faults_active_ = false;

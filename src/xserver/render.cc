@@ -109,142 +109,4 @@ xbase::Canvas Server::RenderScreen(int number) const {
   return canvas;
 }
 
-void Server::SetPaintThreads(int threads) {
-  threads = std::max(1, threads);
-  if (threads == paint_threads_) {
-    return;
-  }
-  paint_threads_ = threads;
-  paint_pool_.reset();
-  if (threads > 1) {
-    paint_pool_ = std::make_unique<xbase::ThreadPool>(threads);
-  }
-}
-
-void Server::RenderClipped(int number, const xbase::Region& clip,
-                           xbase::Canvas* canvas) const {
-  const ScreenInfo& info = screen(number);
-  // Damage cells no window covers must come out identical on every path
-  // (serial, parallel, any partition): clear them to background first.
-  canvas->SetClip(clip);
-  canvas->FillRect(clip.Bounds(), ' ');
-  canvas->ClearClip();
-  const WindowRec* root = Find(info.root);
-  if (root != nullptr) {
-    RenderWindow(*root, {0, 0}, clip, canvas);
-  }
-}
-
-void Server::RenderScreenInto(int number, const xbase::Region& damage,
-                              xbase::Canvas* canvas,
-                              std::vector<uint64_t>* worker_cells) const {
-  const ScreenInfo& info = screen(number);
-  const int workers = paint_pool_ != nullptr ? paint_pool_->thread_count() : 1;
-  if (worker_cells != nullptr) {
-    worker_cells->assign(static_cast<size_t>(workers), 0);
-  }
-  xbase::Region clip = damage;
-  clip.IntersectRect(xbase::Rect{0, 0, info.size.width, info.size.height});
-  if (clip.IsEmpty()) {
-    return;
-  }
-  if (paint_pool_ == nullptr || clip.RectCount() < 2) {
-    uint64_t before = canvas->cells_written();
-    RenderClipped(number, clip, canvas);
-    if (worker_cells != nullptr) {
-      (*worker_cells)[0] = canvas->cells_written() - before;
-    }
-    return;
-  }
-
-  // Partition the damage bands into contiguous, roughly equal-area chunks
-  // (one per worker at most).  The partition never affects output — only
-  // which worker rasterizes which band — so any chunking is deterministic.
-  const std::vector<xbase::Rect>& rects = clip.rects();
-  const int chunk_count = std::min(workers, static_cast<int>(rects.size()));
-  const int64_t total_area = clip.Area();
-  std::vector<xbase::Region> chunks;
-  chunks.reserve(static_cast<size_t>(chunk_count));
-  std::vector<xbase::Rect> bucket;
-  int64_t accumulated = 0;
-  size_t next_rect = 0;
-  for (int c = 0; c < chunk_count; ++c) {
-    bucket.clear();
-    const int64_t threshold = (total_area * (c + 1)) / chunk_count;
-    // Take bands until this chunk reaches its area share, always leaving at
-    // least one band for each chunk still to come.
-    while (next_rect < rects.size() &&
-           (bucket.empty() || accumulated < threshold) &&
-           rects.size() - next_rect > static_cast<size_t>(chunk_count - c - 1)) {
-      const xbase::Rect& r = rects[next_rect++];
-      accumulated += static_cast<int64_t>(r.width) * r.height;
-      bucket.push_back(r);
-    }
-    if (!bucket.empty()) {
-      chunks.emplace_back(bucket);
-    }
-  }
-
-  // Each worker paints its chunks into a private screen-sized tile; no two
-  // workers ever share a canvas, so the pixel path takes no locks.  The
-  // tiles are pooled across calls (only the caller thread touches the pool
-  // container); stale cells outside the current chunks are never read back.
-  std::vector<xbase::Canvas>& tiles = paint_tiles_;
-  if (tiles.size() < static_cast<size_t>(workers)) {
-    tiles.resize(static_cast<size_t>(workers));
-  }
-  for (int w = 0; w < workers; ++w) {
-    xbase::Canvas& tile = tiles[static_cast<size_t>(w)];
-    if (tile.width() != info.size.width || tile.height() != info.size.height) {
-      tile = xbase::Canvas(info.size.width, info.size.height, ' ');
-    }
-  }
-  std::vector<int> chunk_owner(chunks.size(), 0);
-  std::vector<uint64_t> cells_before(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    cells_before[static_cast<size_t>(w)] = tiles[static_cast<size_t>(w)].cells_written();
-  }
-  paint_pool_->ParallelFor(static_cast<int>(chunks.size()), [&](int task, int worker) {
-    chunk_owner[static_cast<size_t>(task)] = worker;
-    RenderClipped(number, chunks[static_cast<size_t>(task)], &tiles[static_cast<size_t>(worker)]);
-  });
-  // Serial copyback of the finished (disjoint) bands into the shared canvas.
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    const xbase::Canvas& tile = tiles[static_cast<size_t>(chunk_owner[c])];
-    for (const xbase::Rect& r : chunks[c].rects()) {
-      canvas->CopyRectFrom(tile, r);
-    }
-  }
-  if (worker_cells != nullptr) {
-    for (int w = 0; w < workers; ++w) {
-      (*worker_cells)[static_cast<size_t>(w)] =
-          tiles[static_cast<size_t>(w)].cells_written() - cells_before[static_cast<size_t>(w)];
-    }
-  }
-}
-
-std::vector<xbase::Canvas> Server::RenderAllScreens() const {
-  std::vector<xbase::Canvas> out(screens_.size());
-  auto render_one = [&](int task, int /*worker*/) {
-    const ScreenInfo& info = screens_[static_cast<size_t>(task)];
-    // Construction (the big background clear) happens inside the task so
-    // it parallelizes along with the painting; each task owns its slot.
-    out[static_cast<size_t>(task)] = xbase::Canvas(info.size.width, info.size.height, ' ');
-    const WindowRec* root = Find(info.root);
-    if (root != nullptr) {
-      RenderWindow(*root, {0, 0},
-                   xbase::Region(xbase::Rect{0, 0, info.size.width, info.size.height}),
-                   &out[static_cast<size_t>(task)]);
-    }
-  };
-  if (paint_pool_ != nullptr && screens_.size() > 1) {
-    paint_pool_->ParallelFor(static_cast<int>(screens_.size()), render_one);
-  } else {
-    for (size_t i = 0; i < screens_.size(); ++i) {
-      render_one(static_cast<int>(i), 0);
-    }
-  }
-  return out;
-}
-
 }  // namespace xserver

@@ -9,25 +9,21 @@
 // display-list renderer that paints a screen into an ASCII canvas so the
 // paper's figures can be regenerated deterministically.
 //
-// Single-threaded by design for requests: they are synchronous calls and
-// events are queued per client connection, exactly like a round-trip-free
-// Xlib stream.  The one concurrent subsystem is the painter: the const
-// render paths may fan damage bands / screens out over a worker pool
-// (SetPaintThreads), with every worker writing only its own canvas tile.
+// Single-threaded by design: requests are synchronous calls, events are
+// queued per client connection exactly like a round-trip-free Xlib stream,
+// and RenderScreen paints on the caller.
 #ifndef SRC_XSERVER_SERVER_H_
 #define SRC_XSERVER_SERVER_H_
 
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/base/canvas.h"
-#include "src/base/thread_pool.h"
 #include "src/xproto/error.h"
 #include "src/xproto/events.h"
 #include "src/xproto/trace.h"
@@ -289,31 +285,6 @@ class Server {
   bool Draw(xproto::ClientId client, xproto::WindowId window, DrawOp op);
   xbase::Canvas RenderScreen(int number) const;
 
-  // ---- Parallel painter (docs/RENDERING.md) -------------------------------
-  // Sizes the painter's worker pool.  `threads <= 1` paints serially on the
-  // caller (no OS threads are created); requests stay single-threaded
-  // either way — only the const render paths below ever run on workers.
-  void SetPaintThreads(int threads);
-  int paint_threads() const { return paint_threads_; }
-
-  // Incremental present: repaints exactly the cells of `canvas` covered by
-  // `damage` (screen coordinates, clipped to the screen); everything
-  // outside the damage keeps its prior contents.  `canvas` must be
-  // screen-sized.  With a worker pool, the damage bands are partitioned by
-  // area across workers, each painting its partition into a private
-  // screen-sized tile that is then copied back serially — disjoint bands,
-  // no locks on the pixel path, byte-identical output for any thread
-  // count.  When `worker_cells` is non-null it is resized to the worker
-  // count and filled with the cells each worker rasterized (work-balance
-  // telemetry for the benches).
-  void RenderScreenInto(int number, const xbase::Region& damage, xbase::Canvas* canvas,
-                        std::vector<uint64_t>* worker_cells = nullptr) const;
-
-  // Renders every screen from scratch.  With a worker pool, screens paint
-  // concurrently — each task owns its output canvas (per-root ownership),
-  // so no two workers ever share pixels.
-  std::vector<xbase::Canvas> RenderAllScreens() const;
-
   xproto::Timestamp CurrentTime() const { return time_; }
 
   // Test-only introspection (const view of internal records).
@@ -488,19 +459,6 @@ class Server {
   // ---- Render accounting -----------------------------------------------------
   void RecordDraw(const DrawOp& op);  // render.cc
   RenderStats render_stats_;
-
-  // ---- Parallel painter ------------------------------------------------------
-  // Renders the window tree of screen `number` into `canvas` under `clip`
-  // (already clipped to the screen); damage cells no window covers become
-  // background.  The core of both RenderScreenInto paths.
-  void RenderClipped(int number, const xbase::Region& clip, xbase::Canvas* canvas) const;
-  int paint_threads_ = 1;
-  std::unique_ptr<xbase::ThreadPool> paint_pool_;
-  // Per-worker tiles recycled across RenderScreenInto calls.  Mutable with
-  // a const render path for the same reason the fault RNG is: a pooled
-  // implementation detail, not observable server state.  Only the calling
-  // thread resizes the pool; workers each write one preallocated tile.
-  mutable std::vector<xbase::Canvas> paint_tiles_;
 };
 
 }  // namespace xserver

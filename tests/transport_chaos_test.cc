@@ -70,12 +70,9 @@ TEST_P(TransportChaosTest, SurvivesSeededTransportStorm) {
   plan.mutate_reply_permille = 120;
   server.InstallFaultPlan(plan);
 
-  // A third of the seeds run the parallel painter during the storm so TSan
-  // sees transport pumping interleaved with multi-threaded rendering.
+  // A third of the seeds also render the screen every 24 steps of the
+  // storm, so a repaint interleaves with transport pumping on one thread.
   const bool painted = seed % 3 == 0;
-  if (painted) {
-    server.SetPaintThreads(2);
-  }
 
   // Two framed connections share the storm; a protocol error or mid-frame
   // reset on one must never disturb the other beyond its own teardown.

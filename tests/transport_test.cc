@@ -368,24 +368,6 @@ TEST(Connection, WriteStallChargesLedgerAndCloses) {
   EXPECT_GT(conn.stats().write_queue_peak, limits.write_queue_high_water);
 }
 
-TEST(Connection, ReadIdleDeadlineClosesQuietPeer) {
-  Server server;
-  ChannelPair pair = MakeSocketPair();
-  ConnectionLimits limits;
-  limits.read_idle_limit = 5;
-  Connection conn(&server, std::move(pair.server), "quiet-peer", limits);
-  WireClientEndpoint ep(std::move(pair.client));
-  conn.Establish();
-  int charges = 0;
-  conn.SetMisbehaviorHook([&](xproto::ClientId, int) { ++charges; });
-  for (int i = 0; i < 8 && conn.state() != ConnectionState::kClosed; ++i) {
-    conn.Pump();
-  }
-  EXPECT_EQ(conn.state(), ConnectionState::kClosed);
-  EXPECT_EQ(conn.close_reason(), CloseReason::kReadIdle);
-  EXPECT_EQ(charges, 1);
-}
-
 // The acceptance-critical teardown test: a client killed mid-request frame.
 TEST(Connection, KillClientMidRequestSweepsWindowsAndSparesOthers) {
   Server server;

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Robustness gate: build everything under ASan+UBSan and run the full test
-# suite (including the seeded chaos tests), then rebuild the painter suites
-# under TSan and run the worker-pool tests.  Any sanitizer report fails the
-# run.  Usage: tools/check.sh [asan-build-dir] [tsan-build-dir]
+# suite (including the seeded chaos tests), then rebuild the transport and
+# render suites under TSan and run them with the transport-proc label.  Any
+# sanitizer report fails the run.  Usage: tools/check.sh [asan-build-dir] [tsan-build-dir]
 set -eu
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -82,28 +82,25 @@ UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
 ASAN_OPTIONS="detect_leaks=1" \
   "$BUILD/tools/fuzz_wire"
 
-# TSan stage: rebuild with -fsanitize=thread and run the suites that drive
-# the painter's worker pool — the parallel-vs-serial differential (including
-# its chaos-seed run with the pool enabled), the ThreadPool handshake test,
-# the render/multiscreen suites, and the transport chaos storm (every third
-# seed paints with two workers while the socketpair faults fire).  This is
-# the gate for the "no locks on the pixel path" claim: disjoint tiles or a
-# TSan report, nothing in between.
+# TSan stage: rebuild with -fsanitize=thread and run the transport suites
+# (the socketpair chaos storm and the xserver suite) with the render and
+# multiscreen suites, then the transport-proc label.  The server is
+# single-threaded; the stage guards the transport.
 TSAN_BUILD="${2:-$ROOT/build-tsan}"
 cmake -B "$TSAN_BUILD" -S "$ROOT" -DSWM_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_BUILD" -j "$(nproc)" \
-  --target parallel_paint_test --target swm_render_test \
+  --target swm_render_test \
   --target swm_multiscreen_test --target xserver_test \
   --target transport_chaos_test \
   --target poller_test --target transport_proc_test \
   --target transport_proc_chaos_test
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$(nproc)" \
-    -R 'parallel_paint_test|swm_render_test|swm_multiscreen_test|xserver_test|transport_chaos_test'
+    -R 'swm_render_test|swm_multiscreen_test|xserver_test|transport_chaos_test'
 # The transport-proc label again under TSan: epoll dispatch, the timer
 # wheel, and multi-process accept/close must be race-free too.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$(nproc)" -L transport-proc
 
-echo "check.sh: all tests passed under ASan+UBSan (including the chaos/fuzz and transport-proc labels) and the worker pool + out-of-process transport are TSan-clean"
+echo "check.sh: all tests passed under ASan+UBSan (including the chaos/fuzz and transport-proc labels) and the transport suites and transport-proc label are TSan-clean"

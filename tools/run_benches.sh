@@ -10,7 +10,8 @@
 #   BENCH_4.json   retained frame pipeline    (bench_frame_pipeline)
 #   BENCH_6.json   wire codec + trace replay  (bench_wire)
 #   BENCH_7.json   hot-path + parallel paint  (bench_frame_pipeline +
-#                                              bench_parallel_paint)
+#                                              bench_parallel_paint, since
+#                                              deleted: its rows are historical)
 #   BENCH_8.json   duplex transport           (bench_wire + bench_transport)
 #   BENCH_9.json   layout-policy engine       (bench_policy)
 #   BENCH_14.json  batched slot-policy reflow (bench_policy)
