@@ -1,9 +1,7 @@
-// Event-storm benchmark for the retained-mode frame pipeline (PR 4,
-// docs/RENDERING.md): N clients each emit M configure/property events per
-// ProcessEvents drain.  The retained pipeline coalesces the batch and paints
-// each damaged object once; the `immediate_render` ablation re-lays-out and
-// repaints the whole tree at every invalidation, which is what the toolkit
-// did before the dirty-flag refactor.
+// Event-storm benchmark for the retained-mode frame pipeline
+// (docs/RENDERING.md): N clients each emit M configure/property events per
+// ProcessEvents drain.  The pipeline coalesces the batch and paints each
+// damaged object once per flush.
 //
 // Counters (averaged per drain): objects painted, pixels the server was
 // asked to draw, events dispatched after coalescing.
@@ -17,11 +15,10 @@ namespace {
 constexpr int kClients = 8;
 constexpr int kEventsPerClient = 12;
 
-void RunEventStorm(benchmark::State& state, bool immediate_render) {
+void BM_FramePipeline_EventStorm_Retained(benchmark::State& state) {
   auto server = bench_util::MakeServer();
   swm::WindowManager::Options options;
   options.template_name = "openlook";
-  options.immediate_render = immediate_render;
   auto wm = std::make_unique<swm::WindowManager>(server.get(), options);
   wm->Start();
   auto apps = bench_util::SpawnClients(server.get(), kClients,
@@ -66,16 +63,7 @@ void RunEventStorm(benchmark::State& state, bool immediate_render) {
       static_cast<double>(wm->events_coalesced()));
   state.SetItemsProcessed(state.iterations() * kClients * kEventsPerClient);
 }
-
-void BM_FramePipeline_EventStorm_Retained(benchmark::State& state) {
-  RunEventStorm(state, /*immediate_render=*/false);
-}
 BENCHMARK(BM_FramePipeline_EventStorm_Retained);
-
-void BM_FramePipeline_EventStorm_Immediate(benchmark::State& state) {
-  RunEventStorm(state, /*immediate_render=*/true);
-}
-BENCHMARK(BM_FramePipeline_EventStorm_Immediate);
 
 }  // namespace
 

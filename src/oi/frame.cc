@@ -24,10 +24,6 @@ xbase::Point OffsetInTree(const Object* object) {
 
 void FrameScheduler::MarkDirty(Object* object, uint8_t kinds, Object* tree_root) {
   ++stats_.invalidations;
-  if (immediate_render_) {
-    ImmediateFlush(object, kinds, tree_root);
-    return;
-  }
   // Dirty bits double as queue membership: an object joins each queue at
   // most once between flushes, which is what makes "painted exactly once
   // per flush" hold under invalidation storms.
@@ -43,16 +39,6 @@ void FrameScheduler::MarkDirty(Object* object, uint8_t kinds, Object* tree_root)
 
 void FrameScheduler::AddExposeDamage(Object* object, const xbase::Rect& area) {
   ++stats_.expose_rects;
-  if (immediate_render_) {
-    if (immediate_depth_ > 0) {
-      return;
-    }
-    ++immediate_depth_;
-    object->Render();
-    ++stats_.frames;
-    --immediate_depth_;
-    return;
-  }
   expose_rects_.emplace_back(object, area);
   if ((object->dirty_kinds_ & kPaintDirty) == 0) {
     object->dirty_kinds_ |= kPaintDirty;
@@ -90,7 +76,7 @@ xbase::Region& FrameScheduler::DamageFor(Object* root) {
 }
 
 void FrameScheduler::FlushFrame() {
-  if (immediate_render_ || in_flush_ || !HasPendingWork()) {
+  if (in_flush_ || !HasPendingWork()) {
     return;
   }
   in_flush_ = true;
@@ -174,27 +160,6 @@ void FrameScheduler::FlushFrame() {
                            : stats_.damage_area + last_frame_damage_area_;
   ++stats_.frames;
   in_flush_ = false;
-}
-
-void FrameScheduler::ImmediateFlush(Object* object, uint8_t kinds, Object* tree_root) {
-  if (immediate_depth_ > 0) {
-    // Invalidation raised by the layout/paint running below: the outer
-    // eager pass re-renders the whole tree, so nothing is lost.
-    return;
-  }
-  ++immediate_depth_;
-  if ((kinds & kLayoutDirty) != 0) {
-    tree_root->Layout();
-    ++stats_.layouts;
-    if (layout_observer_) {
-      layout_observer_(tree_root);
-    }
-    tree_root->Render();
-  } else {
-    object->Render();
-  }
-  ++stats_.frames;
-  --immediate_depth_;
 }
 
 }  // namespace oi

@@ -15,11 +15,6 @@
 // tree root's bounds with a plain rect intersection before any region work
 // happens; an object that clips out entirely keeps its dirty bit and stays
 // queued (its draw list is not touched until it can produce pixels).
-//
-// An immediate mode bypasses the deferral for ablation benchmarks and A/B
-// correctness tests: every invalidation lays out and repaints its tree on
-// the spot, as the pre-pipeline code did.  Pixel output is identical in
-// both modes; only the amount of repeated work differs.
 #ifndef SRC_OI_FRAME_H_
 #define SRC_OI_FRAME_H_
 
@@ -39,7 +34,7 @@ class FrameScheduler {
  public:
   // Cumulative instrumentation since the last ResetStats.
   struct Stats {
-    uint64_t frames = 0;           // Flushes (or eager renders) that did work.
+    uint64_t frames = 0;           // Flushes that did work.
     uint64_t layouts = 0;          // Subtree layout passes.
     uint64_t objects_painted = 0;  // Draw lists reissued, via any paint path.
     uint64_t invalidations = 0;    // Invalidate() calls reaching the scheduler.
@@ -48,14 +43,14 @@ class FrameScheduler {
                                    // (clipped to tree bounds; saturating).
   };
 
-  // Called after each dirty root's layout pass (both modes); swm uses it to
-  // pin floating resize-corner handles to the frame edges.
+  // Called after each dirty root's layout pass; swm uses it to pin floating
+  // resize-corner handles to the frame edges.
   using LayoutObserver = std::function<void(Object* tree_root)>;
 
   // ---- Invalidation intake (called via Object::Invalidate) -----------------
   void MarkDirty(Object* object, uint8_t kinds, Object* tree_root);
   // Expose handling: the window-relative rectangle joins the damage region
-  // and the object repaints at the next flush (immediately when eager).
+  // and the object repaints at the next flush.
   void AddExposeDamage(Object* object, const xbase::Rect& area);
   // Object destruction: drop every pending reference.
   void ForgetObject(Object* object);
@@ -63,7 +58,7 @@ class FrameScheduler {
   // ---- Frame flush ---------------------------------------------------------
   // Lays out every dirty subtree root (a layout pass may invalidate further
   // paint or layout; it joins the same frame), then paints each damaged
-  // object exactly once.  No-op in immediate mode or with nothing pending.
+  // object exactly once.  No-op with nothing pending or while flushing.
   void FlushFrame();
   bool HasPendingWork() const {
     return !layout_roots_.empty() || !paint_objects_.empty() || !expose_rects_.empty();
@@ -71,12 +66,8 @@ class FrameScheduler {
 
   void SetLayoutObserver(LayoutObserver observer) { layout_observer_ = std::move(observer); }
 
-  // Ablation escape hatch: eager per-invalidation layout + paint.
-  void SetImmediateRender(bool immediate) { immediate_render_ = immediate; }
-  bool immediate_render() const { return immediate_render_; }
-
   // Every draw-list reissue funnels through Object::Paint, which reports
-  // here, so `objects_painted` is comparable across modes.
+  // here, so `objects_painted` counts repaints from any caller.
   void NoteObjectPainted() { ++stats_.objects_painted; }
 
   const Stats& stats() const { return stats_; }
@@ -92,7 +83,6 @@ class FrameScheduler {
     xbase::Region damage;
   };
 
-  void ImmediateFlush(Object* object, uint8_t kinds, Object* tree_root);
   xbase::Region& DamageFor(Object* root);
 
   std::vector<Object*> layout_roots_;
@@ -104,9 +94,7 @@ class FrameScheduler {
   std::vector<RootDamage> damage_slots_;
   size_t damage_slots_used_ = 0;
   LayoutObserver layout_observer_;
-  bool immediate_render_ = false;
   bool in_flush_ = false;
-  int immediate_depth_ = 0;
   Stats stats_;
   uint64_t last_frame_damage_area_ = 0;
 };

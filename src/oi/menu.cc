@@ -68,13 +68,6 @@ void Menu::Popdown() {
   popped_up_ = false;
 }
 
-void Menu::Render() {
-  Paint();
-  for (const std::unique_ptr<Button>& item : items_) {
-    item->Render();
-  }
-}
-
 void Menu::RenderSelf() {
   xlib::Display& dpy = toolkit_->display();
   dpy.ClearWindow(window_);

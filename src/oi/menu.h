@@ -31,7 +31,6 @@ class Menu : public Object {
   void Popdown();
   bool popped_up() const { return popped_up_; }
 
-  void Render() override;
   void RenderSelf() override;
   void InvalidateTree(uint8_t kinds) override;
   void Layout() override { DoLayout(); }

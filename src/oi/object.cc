@@ -99,8 +99,6 @@ void Object::Paint() {
   RenderSelf();
 }
 
-void Object::Render() { Paint(); }
-
 void Object::ApplyShape() {
   std::optional<std::string> mask_name = Attribute("shapeMask");
   if (mask_name.has_value()) {

@@ -90,9 +90,9 @@ class Object {
 
   // ---- Invalidation (retained-mode frame pipeline; docs/RENDERING.md) -----
   // Records that this object needs the given work and registers it with the
-  // toolkit's FrameScheduler (or lays out and repaints on the spot when the
-  // scheduler runs in immediate mode).  Attribute setters self-invalidate;
-  // callers outside src/oi never invoke layout or painting directly.
+  // toolkit's FrameScheduler, which lays out and repaints at the next flush.
+  // Attribute setters self-invalidate; callers outside src/oi never invoke
+  // layout or painting directly.
   void Invalidate(uint8_t kinds);
   // Invalidates this object and, for containers, every descendant.
   virtual void InvalidateTree(uint8_t kinds) { Invalidate(kinds); }
@@ -105,10 +105,6 @@ class Object {
   virtual void Layout() {}
 
   // ---- Appearance ------------------------------------------------------------
-  // Re-issues this object's draw list (and children's, for panels).  The
-  // legacy recursive entry, still used by immediate mode and Expose
-  // fallback paths inside the toolkit.
-  virtual void Render();
   // This object's own draw list only, no recursion: the unit the frame
   // scheduler repaints.
   virtual void RenderSelf() {}

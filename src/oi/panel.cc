@@ -23,10 +23,8 @@ Panel::~Panel() {
 Object* Panel::AddChild(std::unique_ptr<Object> child) {
   children_.push_back(std::move(child));
   Object* added = children_.back().get();
-  // The child is fully constructed here, so this is the safe place to seed
-  // its dirty bits (a constructor-time Invalidate would lay out a tree with
-  // half-built members in immediate mode).  The layout bit bubbles to the
-  // tree root and covers this panel too.
+  // Attached now, so the layout bit reaches the tree root and covers this
+  // panel; the paint bit is usually already queued by the child's factory.
   added->Invalidate(kLayoutDirty | kPaintDirty);
   return added;
 }
@@ -174,14 +172,6 @@ void Panel::DoLayout(const xbase::Size* forced) {
       xbase::Size assigned = child->geometry().size();
       static_cast<Panel*>(child.get())->DoLayout(&assigned);
     }
-  }
-}
-
-void Panel::Render() {
-  Paint();
-  for (const std::unique_ptr<Object>& child : children_) {
-    child->Show();
-    child->Render();
   }
 }
 

@@ -35,7 +35,6 @@ class Panel : public Object {
   void DoLayout(const xbase::Size* forced = nullptr);
   void Layout() override { DoLayout(); }
 
-  void Render() override;
   // Panels issue no draw ops of their own; RenderSelf stays empty.
   void InvalidateTree(uint8_t kinds) override;
   void ApplyShape() override;

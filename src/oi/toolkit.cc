@@ -52,9 +52,8 @@ void Toolkit::InvalidateQueryCaches() const {
 std::unique_ptr<Panel> Toolkit::CreatePanel(Panel* parent, xproto::WindowId parent_window,
                                             const std::string& name) {
   auto panel = std::make_unique<Panel>(this, parent, parent_window, name);
-  // Factories seed the dirty bits once the object is fully constructed;
-  // doing it from the Object constructor would let an immediate-mode
-  // layout reach a half-built derived class.
+  // Seeded here, once the object is fully built: the call order fixes the
+  // paint queue's order, and so the order of draw requests on the wire.
   panel->Invalidate(kLayoutDirty | kPaintDirty);
   return panel;
 }
@@ -306,7 +305,7 @@ bool Toolkit::DispatchEvent(const xproto::Event& event) {
     context.modifiers = motion->modifiers;
   } else if (const auto* expose = std::get_if<xproto::ExposeEvent>(&event)) {
     // The exposed rectangle joins the damage region; the object repaints
-    // once at the next FlushFrame (immediately in immediate mode).
+    // once at the next FlushFrame.
     frame_scheduler_.AddExposeDamage(object, expose->area);
     return true;
   } else {

@@ -255,7 +255,6 @@ void WindowManager::InitScreen(int screen) {
       [this](const xtb::FunctionCall& function, const oi::ActionContext& context) {
         ExecuteFunction(function, context);
       });
-  state.toolkit->frame_scheduler().SetImmediateRender(options_.immediate_render);
   state.toolkit->frame_scheduler().SetLayoutObserver(
       [this](oi::Object* root) { OnTreeLaidOut(root); });
 
@@ -756,6 +755,14 @@ void WindowManager::RefreshAll() {
     }
     for (const auto& icon : state.root_icons) {
       icon->InvalidateTree(oi::kPaintDirty);
+    }
+    for (const auto& tree : state.root_panel_trees) {
+      tree->InvalidateTree(oi::kPaintDirty);
+    }
+    for (const auto& [name, menu] : state.menus) {
+      if (menu->popped_up()) {
+        menu->InvalidateTree(oi::kPaintDirty);
+      }
     }
   }
   MaybeFlushFrames();

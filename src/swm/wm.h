@@ -158,12 +158,6 @@ class WindowManager {
     // that unmanages clients whose windows died without a DestroyNotify.
     // Disable only to demonstrate the failure modes it prevents.
     bool self_heal = true;
-    // Ablation escape hatch (docs/RENDERING.md): bypass the retained-mode
-    // frame scheduler and lay out/repaint eagerly at every invalidation,
-    // as the pre-pipeline code did.  Pixel output is identical; only the
-    // amount of repeated work differs.  Used by the frame-pipeline bench
-    // and the differential tests.
-    bool immediate_render = false;
     // Inert: nothing reads it; it goes once perfbench stops assigning it.
     int paint_threads = 1;
   };
@@ -319,7 +313,7 @@ class WindowManager {
   // The text produced by the most recent f.places execution.
   const std::string& last_places() const { return last_places_; }
 
-  // Re-renders every frame/icon and the panner (f.refresh).
+  // Repaints every frame, shown icon, root panel, popped-up menu and the panner (f.refresh).
   void RefreshAll();
 
   // Lays out and paints every pending invalidation on all screens: one

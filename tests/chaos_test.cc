@@ -42,18 +42,11 @@ class ChaosControlTest : public SwmTest {
 };
 
 class ChaosTest : public ChaosControlTest,
-                  public ::testing::WithParamInterface<uint64_t> {
- protected:
-  // The seeded fault workload, shared by the retained-pipeline run and the
-  // immediate-render ablation run (docs/RENDERING.md).
-  void RunSeededFaults(uint64_t seed, bool immediate_render);
-};
+                  public ::testing::WithParamInterface<uint64_t> {};
 
-void ChaosTest::RunSeededFaults(uint64_t seed, bool immediate_render) {
-  swm::WindowManager::Options options;
-  options.template_name = "openlook";
-  options.immediate_render = immediate_render;
-  StartWm(options);
+TEST_P(ChaosTest, SurvivesSeededFaults) {
+  const uint64_t seed = GetParam();
+  StartWm();
 
   xserver::FaultPlan plan;
   plan.seed = seed;
@@ -134,16 +127,6 @@ void ChaosTest::RunSeededFaults(uint64_t seed, bool immediate_render) {
   ManagedClient* client = Managed(*survivor);
   ASSERT_NE(client, nullptr);
   EXPECT_TRUE(server_->IsViewable(survivor->window()));
-}
-
-TEST_P(ChaosTest, SurvivesSeededFaults) {
-  RunSeededFaults(GetParam(), /*immediate_render=*/false);
-}
-
-// The immediate-render ablation must be equally crash-proof: it is the
-// pipeline the original chaos suite hardened, kept for A/B comparison.
-TEST_P(ChaosTest, SurvivesSeededFaultsImmediateRender) {
-  RunSeededFaults(GetParam(), /*immediate_render=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest,

@@ -1,9 +1,10 @@
 // Differential property test for the retained-mode frame pipeline
 // (docs/RENDERING.md): seeded random operation sequences run against two
-// otherwise-identical WM stacks — retained vs `Options::immediate_render` —
-// and after every operation the rendered framebuffers must be
-// byte-identical, while the retained stack must never paint more objects
-// or pixels than the eager one (and strictly fewer over the whole run).
+// identical WM stacks.  After every operation the oracle stack also runs an
+// "invalidate everything, then flush" pass, which lays out and repaints
+// every toolkit object anew, and the two rendered framebuffers must
+// be byte-identical.  Over the whole run the retained stack must paint
+// strictly fewer objects and pixels than the oracle passes alone did.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "src/base/logging.h"
+#include "src/oi/object.h"
 #include "src/swm/wm.h"
 #include "src/xlib/client_app.h"
 #include "src/xlib/icccm.h"
@@ -26,16 +28,52 @@ struct Stack {
   std::vector<std::unique_ptr<xlib::ClientApp>> apps;
 };
 
-Stack StartStack(bool immediate_render) {
+Stack StartStack(int width = 200, int height = 100) {
   Stack stack;
   stack.server = std::make_unique<xserver::Server>(
-      std::vector<xserver::ScreenConfig>{xserver::ScreenConfig{200, 100, false}});
+      std::vector<xserver::ScreenConfig>{xserver::ScreenConfig{width, height, false}});
   swm::WindowManager::Options options;
   options.template_name = "openlook";
-  options.immediate_render = immediate_render;
   stack.wm = std::make_unique<swm::WindowManager>(stack.server.get(), options);
   EXPECT_TRUE(stack.wm->Start());
   return stack;
+}
+
+// Work done by one oracle pass.
+struct PassCost {
+  uint64_t objects_painted = 0;
+  int64_t pixels_drawn = 0;
+};
+
+void InvalidateWindowTree(Stack* stack, xproto::WindowId window) {
+  if (oi::Object* object = stack->wm->toolkit(0).FindObject(window)) {
+    object->TreeRoot()->InvalidateTree(oi::kLayoutDirty | oi::kPaintDirty);
+  }
+  auto tree = stack->server->QueryTree(window);
+  if (tree.has_value()) {
+    for (xproto::WindowId child : tree->children) {
+      InvalidateWindowTree(stack, child);
+    }
+  }
+}
+
+// The oracle: every toolkit object reachable from the root is laid out and
+// repainted, whatever the retained pipeline thinks is dirty.
+PassCost InvalidateEverythingAndFlush(Stack* stack) {
+  uint64_t painted_before = stack->wm->toolkit(0).frame_stats().objects_painted;
+  int64_t pixels_before = stack->server->render_stats().pixels_drawn;
+  InvalidateWindowTree(stack, stack->server->RootWindow(0));
+  stack->wm->FlushFrames();
+  return PassCost{stack->wm->toolkit(0).frame_stats().objects_painted - painted_before,
+                  stack->server->render_stats().pixels_drawn - pixels_before};
+}
+
+void SettleEvents(Stack* stack) {
+  stack->wm->ProcessEvents();
+  for (std::unique_ptr<xlib::ClientApp>& app : stack->apps) {
+    app->ProcessEvents();
+  }
+  stack->wm->ProcessEvents();
 }
 
 // One random operation, applied identically to both stacks.  `op`, `target`
@@ -71,28 +109,24 @@ void ApplyOp(Stack* stack, int op, int target, const xbase::Rect& geometry,
         break;
     }
   }
-  stack->wm->ProcessEvents();
-  for (std::unique_ptr<xlib::ClientApp>& app : apps) {
-    app->ProcessEvents();
-  }
-  stack->wm->ProcessEvents();
+  SettleEvents(stack);
 }
 
-TEST(FrameDifferentialTest, RetainedMatchesImmediatePixelForPixel) {
+TEST(FrameDifferentialTest, RetainedMatchesFullRepaintPixelForPixel) {
   xbase::SetMinLogSeverity(xbase::LogSeverity::kError);
   constexpr int kSequences = 100;
   constexpr int kOpsPerSequence = 12;
   int64_t total_retained_pixels = 0;
-  int64_t total_immediate_pixels = 0;
+  int64_t total_oracle_pixels = 0;
   uint64_t total_retained_painted = 0;
-  uint64_t total_immediate_painted = 0;
+  uint64_t total_oracle_painted = 0;
 
   for (int sequence = 0; sequence < kSequences; ++sequence) {
     std::mt19937_64 rng(0xf00dULL + sequence);
-    Stack retained = StartStack(/*immediate_render=*/false);
-    Stack immediate = StartStack(/*immediate_render=*/true);
+    Stack retained = StartStack();
+    Stack oracle = StartStack();
     int spawned_retained = 0;
-    int spawned_immediate = 0;
+    int spawned_oracle = 0;
 
     for (int step = 0; step < kOpsPerSequence; ++step) {
       SCOPED_TRACE("sequence " + std::to_string(sequence) + " step " +
@@ -106,32 +140,63 @@ TEST(FrameDifferentialTest, RetainedMatchesImmediatePixelForPixel) {
       std::string name = "name" + std::to_string(rng() % 12);
 
       ApplyOp(&retained, op, target, geometry, name, &spawned_retained);
-      ApplyOp(&immediate, op, target, geometry, name, &spawned_immediate);
+      ApplyOp(&oracle, op, target, geometry, name, &spawned_oracle);
+      PassCost pass = InvalidateEverythingAndFlush(&oracle);
+      total_oracle_painted += pass.objects_painted;
+      total_oracle_pixels += pass.pixels_drawn;
 
       ASSERT_EQ(retained.server->RenderScreen(0).ToString(),
-                immediate.server->RenderScreen(0).ToString());
+                oracle.server->RenderScreen(0).ToString());
     }
 
-    const xserver::Server::RenderStats& retained_render =
-        retained.server->render_stats();
-    const xserver::Server::RenderStats& immediate_render =
-        immediate.server->render_stats();
-    EXPECT_LE(retained_render.pixels_drawn, immediate_render.pixels_drawn);
-    uint64_t retained_painted =
-        retained.wm->toolkit(0).frame_stats().objects_painted;
-    uint64_t immediate_painted =
-        immediate.wm->toolkit(0).frame_stats().objects_painted;
-    EXPECT_LE(retained_painted, immediate_painted);
-    total_retained_pixels += retained_render.pixels_drawn;
-    total_immediate_pixels += immediate_render.pixels_drawn;
-    total_retained_painted += retained_painted;
-    total_immediate_painted += immediate_painted;
+    total_retained_pixels += retained.server->render_stats().pixels_drawn;
+    total_retained_painted += retained.wm->toolkit(0).frame_stats().objects_painted;
   }
 
-  // Over the whole run the reduction must be real, not just non-negative.
-  EXPECT_LT(total_retained_pixels, total_immediate_pixels);
-  EXPECT_LT(total_retained_painted, total_immediate_painted);
+  // Everything the retained stack painted, start-up included, stays below
+  // what the full repaints alone cost.
+  EXPECT_LT(total_retained_pixels, total_oracle_pixels);
+  EXPECT_LT(total_retained_painted, total_oracle_painted);
   xbase::SetMinLogSeverity(xbase::LogSeverity::kWarning);
+}
+
+// Event storm: 4 clients each get 8 move/resize + retitle pairs per batch,
+// and one ProcessEvents drains the batch.  After every batch the retained
+// framebuffer must equal a full repaint of the same state.
+TEST(FrameDifferentialTest, EventStormMatchesFullRepaint) {
+  Stack retained = StartStack(300, 200);
+  Stack oracle = StartStack(300, 200);
+  for (Stack* stack : {&retained, &oracle}) {
+    for (int i = 0; i < 4; ++i) {
+      xlib::ClientAppConfig config;
+      config.name = "storm" + std::to_string(i);
+      config.wm_class = {config.name, "Storm"};
+      config.command = {config.name};
+      config.geometry = {10 + i * 40, 10 + i * 20, 40, 20};
+      stack->apps.push_back(std::make_unique<xlib::ClientApp>(stack->server.get(), config));
+      stack->apps.back()->Map();
+    }
+    stack->wm->ProcessEvents();
+  }
+
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("batch " + std::to_string(round));
+    for (Stack* stack : {&retained, &oracle}) {
+      for (int e = 0; e < 8; ++e) {
+        for (size_t i = 0; i < stack->apps.size(); ++i) {
+          xlib::ClientApp& app = *stack->apps[i];
+          app.RequestMoveResize({static_cast<int>(i) * 30 + e * 4, round * 10 + e,
+                                 40 + (e % 3) * 6, 20 + (e % 2) * 4});
+          xlib::SetWmName(&app.display(), app.window(),
+                          "w" + std::to_string((e + round) % 5));
+        }
+      }
+      stack->wm->ProcessEvents();
+    }
+    InvalidateEverythingAndFlush(&oracle);
+    ASSERT_EQ(retained.server->RenderScreen(0).ToString(),
+              oracle.server->RenderScreen(0).ToString());
+  }
 }
 
 }  // namespace

@@ -388,11 +388,47 @@ TEST_F(FunctionsTest, DynamicButtonLabelFunction) {
 }
 
 TEST_F(FunctionsTest, RefreshRedrawsEverything) {
-  StartWm();
+  StartWm("swm*rootPanels: RootPanel\n");
   auto app = Spawn("xterm", {"xterm", "XTerm"});
   Execute("f.refresh");  // Mostly: must not crash and keeps draw lists.
   EXPECT_FALSE(server_->FindWindowForTest(Managed(*app)->name_object->window())
                    ->draw_ops.empty());
+
+  // A popped-up menu is on screen too.
+  server_->SimulateMotion({120, 60});
+  Execute("f.menu(windowMenu)");
+  oi::Object* quit = nullptr;
+  oi::Object* menu_item = nullptr;
+  for (xproto::WindowId wid = 1; wid < 4000; ++wid) {
+    oi::Object* candidate = wm_->toolkit(0).FindObject(wid);
+    if (candidate == nullptr) {
+      continue;
+    }
+    if (candidate->name() == "quit") {
+      quit = candidate;
+    }
+    if (candidate->type() == oi::ObjectType::kButton &&
+        static_cast<oi::Button*>(candidate)->label() == "Close" &&
+        server_->IsViewable(candidate->window())) {
+      menu_item = candidate;
+    }
+  }
+  ASSERT_NE(quit, nullptr);
+  ASSERT_NE(menu_item, nullptr) << "window menu did not pop up";
+  const std::string before = server_->RenderScreen(0).ToString();
+
+  // A foreign client wipes a decoration button, a root panel button and a
+  // menu item, each visibly; f.refresh must bring every one of them back.
+  xlib::Display vandal(server_.get(), "vandal");
+  std::string shown = before;
+  for (oi::Object* victim : {Managed(*app)->name_object, quit, menu_item}) {
+    ASSERT_TRUE(vandal.ClearWindow(victim->window()));
+    std::string cleared = server_->RenderScreen(0).ToString();
+    ASSERT_NE(cleared, shown) << victim->name();
+    shown = cleared;
+  }
+  Execute("f.refresh");
+  EXPECT_EQ(server_->RenderScreen(0).ToString(), before);
 }
 
 TEST_F(FunctionsTest, PlacesWritesXinitrcReplacement) {

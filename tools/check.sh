@@ -17,11 +17,12 @@ UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
 ASAN_OPTIONS="detect_leaks=1" \
   ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
-# The retained-pipeline gate, explicitly: the retained-vs-immediate
-# differential property test, the frame scheduler tests, and the 24-seed
-# chaos suite (which runs the retained pipeline by default plus the
-# immediate-render ablation).  These are part of the full ctest run above;
-# naming them keeps the gate honest if the suite list ever changes.
+# The retained-pipeline gate, explicitly: the differential property test
+# (after every operation the retained framebuffer must equal an oracle
+# stack's "invalidate everything, then flush" repaint, and the retained
+# stack must paint less overall), the frame scheduler tests, and the
+# 24-seed chaos suite.  These are part of the full ctest run above; naming
+# them keeps the gate honest if the suite list ever changes.
 UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
 ASAN_OPTIONS="detect_leaks=1" \
   ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" \

@@ -4,7 +4,8 @@
 # counters as {"BenchmarkName/counter": value}.  Medians of several
 # repetitions are recorded: the harness machines are noisy and single runs
 # swing by 2x.  One change records one file; earlier files are left as they
-# were measured.
+# were measured.  The `_Immediate` rows in BENCH_4/BENCH_7 are historical:
+# the immediate-render mode they measured has been deleted.
 #
 #   BENCH_2.json   resource-query fast path   (bench_eval_resource_db)
 #   BENCH_4.json   retained frame pipeline    (bench_frame_pipeline)
