@@ -8,6 +8,11 @@
 //   BM_TraceReplay           replay a recorded session (honest traffic,
 //                            input, a mutated hostile stream) into a fresh
 //                            server per iteration.
+//   BM_Display_DirectRequests a fixed request mix through an in-process
+//                            Display outside wire mode (no bytes encoded);
+//                            one iteration is requests_per_iteration
+//                            requests, so ns per request is the time per
+//                            iteration divided by that.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -182,6 +187,53 @@ void BM_TraceReplay(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(trace.records.size()));
 }
 BENCHMARK(BM_TraceReplay);
+
+// A mix of what swm's own Display sends while managing and decorating:
+// configure, text and fill draws, a title property, unmap/map.  The clear
+// keeps each window's display list from growing across iterations.
+void BM_Display_DirectRequests(benchmark::State& state) {
+  xbase::SetMinLogSeverity(xbase::LogSeverity::kFatal);
+  xserver::Server server;
+  xlib::Display display(&server, "bench-direct");
+  xproto::AtomId name = server.InternAtom("WM_NAME");
+  xproto::AtomId string_type = server.InternAtom("STRING");
+  constexpr int kWindows = 16;
+  std::vector<xproto::WindowId> windows;
+  for (int i = 0; i < kWindows; ++i) {
+    windows.push_back(
+        display.CreateWindow(display.RootWindow(0), {i * 8, i * 6, 120, 80}));
+    display.MapWindow(windows.back());
+  }
+  const std::string title = "xterm: ~/src/swm";
+  const std::vector<uint8_t> title_bytes(title.begin(), title.end());
+  xserver::DrawOp text;
+  text.kind = xserver::DrawOp::Kind::kTextCentered;
+  text.rect = {0, 0, 120, 1};
+  text.text = title;
+  xserver::DrawOp fill;
+  fill.kind = xserver::DrawOp::Kind::kFillRect;
+  fill.rect = {0, 1, 120, 3};
+  fill.fill = '#';
+  constexpr int kRequestsPerIteration = 7;
+  int i = 0;
+  for (auto _ : state) {
+    xproto::WindowId window = windows[i % kWindows];
+    benchmark::DoNotOptimize(display.MoveWindow(window, {i % 200, i % 150}));
+    benchmark::DoNotOptimize(display.Draw(window, text));
+    benchmark::DoNotOptimize(display.Draw(window, fill));
+    benchmark::DoNotOptimize(display.ChangeProperty(
+        window, name, string_type, 8, xserver::PropMode::kReplace, title_bytes));
+    benchmark::DoNotOptimize(display.UnmapWindow(window));
+    benchmark::DoNotOptimize(display.MapWindow(window));
+    benchmark::DoNotOptimize(display.ClearWindow(window));
+    ++i;
+  }
+  if (display.ErrorCount() != 0) {
+    state.SkipWithError("a benchmark request raised an X error");
+  }
+  state.counters["requests_per_iteration"] = kRequestsPerIteration;
+}
+BENCHMARK(BM_Display_DirectRequests);
 
 }  // namespace
 

@@ -13,6 +13,24 @@ Bitmap::Bitmap(int width, int height) : width_(width), height_(height) {
   bits_.assign(static_cast<size_t>(width) * height, 0);
 }
 
+Bitmap::Bitmap(int width, int height, std::vector<uint8_t> cells)
+    : width_(width), height_(height), bits_(std::move(cells)) {
+  XB_CHECK_GE(width, 0);
+  XB_CHECK_GE(height, 0);
+  XB_CHECK_EQ(bits_.size(), static_cast<size_t>(width) * height);
+  for (uint8_t& bit : bits_) {
+    bit = bit != 0 ? 1 : 0;
+  }
+}
+
+std::vector<uint8_t> Bitmap::TakeCells() {
+  std::vector<uint8_t> cells;
+  cells.swap(bits_);
+  width_ = 0;
+  height_ = 0;
+  return cells;
+}
+
 bool Bitmap::Get(int x, int y) const {
   if (x < 0 || y < 0 || x >= width_ || y >= height_) {
     return false;

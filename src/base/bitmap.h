@@ -14,6 +14,9 @@ class Bitmap {
  public:
   Bitmap() = default;
   Bitmap(int width, int height);
+  // Adopts row-major cells, one byte per pixel, width * height of them; any
+  // nonzero byte is a set pixel.  The wire form of a bitmap draw.
+  Bitmap(int width, int height, std::vector<uint8_t> cells);
 
   int width() const { return width_; }
   int height() const { return height_; }
@@ -36,6 +39,9 @@ class Bitmap {
   // separated by '\n'; all rows must have equal length.
   static std::optional<Bitmap> FromAscii(const std::string& art);
   std::string ToAscii() const;
+
+  // Gives up the row-major cells (0 or 1 each) and leaves the bitmap empty.
+  std::vector<uint8_t> TakeCells();
 
   friend bool operator==(const Bitmap&, const Bitmap&) = default;
 

@@ -220,9 +220,10 @@ bool Display::Issue(xproto::Request request) {
   if (remote()) {
     return RemoteIssue(request);
   }
-  ++wire_stats_.wire_requests;
-  xserver::Server::DispatchResult result =
-      server_->DispatchBytes(client_, xproto::EncodeRequestBytes(request));
+  if (!wire_mode_) {
+    return server_->ApplyRequest(client_, std::move(request), nullptr);
+  }
+  xserver::Server::DispatchResult result = DispatchWire(request);
   return result.requests_dispatched == 1 && result.requests_failed == 0 &&
          result.parse_errors == 0;
 }
@@ -231,19 +232,24 @@ xproto::WindowId Display::IssueCreate(xproto::CreateWindowRequest request) {
   if (remote()) {
     return RemoteCreate(request);
   }
+  if (!wire_mode_) {
+    xserver::Server::DispatchResult result;
+    server_->ApplyRequest(client_, std::move(request), &result);
+    return result.last_created_window;
+  }
+  return DispatchWire(request).last_created_window;
+}
+
+xserver::Server::DispatchResult Display::DispatchWire(const xproto::Request& request) const {
   ++wire_stats_.wire_requests;
-  xserver::Server::DispatchResult result =
-      server_->DispatchBytes(client_, xproto::EncodeRequestBytes(request));
-  return result.last_created_window;
+  return server_->DispatchBytes(client_, xproto::EncodeRequestBytes(request));
 }
 
 std::optional<xproto::Reply> Display::RoundTrip(xproto::Request request) const {
   if (remote()) {
     return const_cast<Display*>(this)->RemoteRoundTrip(request);
   }
-  ++wire_stats_.wire_requests;
-  xserver::Server::DispatchResult result =
-      server_->DispatchBytes(client_, xproto::EncodeRequestBytes(request));
+  xserver::Server::DispatchResult result = DispatchWire(request);
   if (result.reply_bytes.empty()) {
     return std::nullopt;  // The server raised an X error instead of replying.
   }
@@ -287,137 +293,89 @@ Display::~Display() {
 
 WindowId Display::CreateWindow(WindowId parent, const xbase::Rect& geometry, int border_width,
                                bool override_redirect, xproto::WindowClass window_class) {
-  if (wire_mode_) {
-    return IssueCreate({.parent = parent,
-                        .geometry = geometry,
-                        .border_width = border_width,
-                        .window_class = window_class,
-                        .override_redirect = override_redirect});
-  }
-  return server_->CreateWindow(client_, parent, geometry, border_width, window_class,
-                               override_redirect);
+  return IssueCreate({.parent = parent,
+                      .geometry = geometry,
+                      .border_width = border_width,
+                      .window_class = window_class,
+                      .override_redirect = override_redirect});
 }
 
 bool Display::DestroyWindow(WindowId window) {
-  if (wire_mode_) {
-    return Issue(xproto::DestroyWindowRequest{.window = window});
-  }
-  return server_->DestroyWindow(client_, window);
+  return Issue(xproto::DestroyWindowRequest{.window = window});
 }
 
 bool Display::MapWindow(WindowId window) {
-  if (wire_mode_) {
-    return Issue(xproto::MapWindowRequest{.window = window});
-  }
-  return server_->MapWindow(client_, window);
+  return Issue(xproto::MapWindowRequest{.window = window});
 }
 
 bool Display::MapRaised(WindowId window) {
-  if (wire_mode_) {
-    RaiseWindow(window);
-    return MapWindow(window);
-  }
-  server_->RaiseWindow(client_, window);
-  return server_->MapWindow(client_, window);
+  RaiseWindow(window);
+  return MapWindow(window);
 }
 
 bool Display::UnmapWindow(WindowId window) {
-  if (wire_mode_) {
-    return Issue(xproto::UnmapWindowRequest{.window = window});
-  }
-  return server_->UnmapWindow(client_, window);
+  return Issue(xproto::UnmapWindowRequest{.window = window});
 }
 
 bool Display::ReparentWindow(WindowId window, WindowId parent, const xbase::Point& position) {
-  if (wire_mode_) {
-    return Issue(
-        xproto::ReparentWindowRequest{.window = window, .parent = parent, .position = position});
-  }
-  return server_->ReparentWindow(client_, window, parent, position);
+  return Issue(
+      xproto::ReparentWindowRequest{.window = window, .parent = parent, .position = position});
 }
 
 bool Display::ConfigureWindow(WindowId window, uint16_t value_mask,
                               const xserver::ConfigureValues& values) {
-  if (wire_mode_) {
-    return Issue(xproto::ConfigureWindowRequest{.window = window,
-                                                .value_mask = value_mask,
-                                                .geometry = values.geometry,
-                                                .border_width = values.border_width,
-                                                .sibling = values.sibling,
-                                                .stack_mode = values.stack_mode});
-  }
-  return server_->ConfigureWindow(client_, window, value_mask, values);
+  return Issue(xproto::ConfigureWindowRequest{.window = window,
+                                              .value_mask = value_mask,
+                                              .geometry = values.geometry,
+                                              .border_width = values.border_width,
+                                              .sibling = values.sibling,
+                                              .stack_mode = values.stack_mode});
 }
 
 bool Display::MoveWindow(WindowId window, const xbase::Point& position) {
-  if (wire_mode_) {
-    xserver::ConfigureValues values;
-    values.geometry.x = position.x;
-    values.geometry.y = position.y;
-    return ConfigureWindow(window, xproto::kConfigX | xproto::kConfigY, values);
-  }
-  return server_->MoveWindow(client_, window, position);
+  xserver::ConfigureValues values;
+  values.geometry.x = position.x;
+  values.geometry.y = position.y;
+  return ConfigureWindow(window, xproto::kConfigX | xproto::kConfigY, values);
 }
 
 bool Display::ResizeWindow(WindowId window, const xbase::Size& size) {
-  if (wire_mode_) {
-    xserver::ConfigureValues values;
-    values.geometry.width = size.width;
-    values.geometry.height = size.height;
-    return ConfigureWindow(window, xproto::kConfigWidth | xproto::kConfigHeight, values);
-  }
-  return server_->ResizeWindow(client_, window, size);
+  xserver::ConfigureValues values;
+  values.geometry.width = size.width;
+  values.geometry.height = size.height;
+  return ConfigureWindow(window, xproto::kConfigWidth | xproto::kConfigHeight, values);
 }
 
 bool Display::MoveResizeWindow(WindowId window, const xbase::Rect& geometry) {
-  if (wire_mode_) {
-    xserver::ConfigureValues values;
-    values.geometry = geometry;
-    return ConfigureWindow(window,
-                           xproto::kConfigX | xproto::kConfigY | xproto::kConfigWidth |
-                               xproto::kConfigHeight,
-                           values);
-  }
-  return server_->MoveResizeWindow(client_, window, geometry);
+  xserver::ConfigureValues values;
+  values.geometry = geometry;
+  return ConfigureWindow(
+      window, xproto::kConfigX | xproto::kConfigY | xproto::kConfigWidth | xproto::kConfigHeight,
+      values);
 }
 
 bool Display::RaiseWindow(WindowId window) {
-  if (wire_mode_) {
-    xserver::ConfigureValues values;
-    values.stack_mode = xproto::StackMode::kAbove;
-    return ConfigureWindow(window, xproto::kConfigStackMode, values);
-  }
-  return server_->RaiseWindow(client_, window);
+  xserver::ConfigureValues values;
+  values.stack_mode = xproto::StackMode::kAbove;
+  return ConfigureWindow(window, xproto::kConfigStackMode, values);
 }
 
 bool Display::LowerWindow(WindowId window) {
-  if (wire_mode_) {
-    xserver::ConfigureValues values;
-    values.stack_mode = xproto::StackMode::kBelow;
-    return ConfigureWindow(window, xproto::kConfigStackMode, values);
-  }
-  return server_->LowerWindow(client_, window);
+  xserver::ConfigureValues values;
+  values.stack_mode = xproto::StackMode::kBelow;
+  return ConfigureWindow(window, xproto::kConfigStackMode, values);
 }
 
 bool Display::SelectInput(WindowId window, uint32_t event_mask) {
-  if (wire_mode_) {
-    return Issue(xproto::SelectInputRequest{.window = window, .event_mask = event_mask});
-  }
-  return server_->SelectInput(client_, window, event_mask);
+  return Issue(xproto::SelectInputRequest{.window = window, .event_mask = event_mask});
 }
 
 bool Display::AddToSaveSet(WindowId window) {
-  if (wire_mode_) {
-    return Issue(xproto::ChangeSaveSetRequest{.window = window, .add = true});
-  }
-  return server_->ChangeSaveSet(client_, window, /*add=*/true);
+  return Issue(xproto::ChangeSaveSetRequest{.window = window, .add = true});
 }
 
 bool Display::RemoveFromSaveSet(WindowId window) {
-  if (wire_mode_) {
-    return Issue(xproto::ChangeSaveSetRequest{.window = window, .add = false});
-  }
-  return server_->ChangeSaveSet(client_, window, /*add=*/false);
+  return Issue(xproto::ChangeSaveSetRequest{.window = window, .add = false});
 }
 
 std::optional<xserver::WindowAttributes> Display::GetWindowAttributes(WindowId window) const {
@@ -514,17 +472,13 @@ std::optional<std::string> Display::GetAtomName(AtomId atom) const {
 }
 
 bool Display::ChangeProperty(WindowId window, AtomId property, AtomId type, int format,
-                             xserver::PropMode mode, const std::vector<uint8_t>& data) {
-  if (wire_mode_) {
-    return Issue(xproto::ChangePropertyRequest{
-        .window = window,
-        .property = property,
-        .type = type,
-        .format = format,
-        .mode = static_cast<uint8_t>(mode),
-        .data = data});
-  }
-  return server_->ChangeProperty(client_, window, property, type, format, mode, data);
+                             xserver::PropMode mode, std::vector<uint8_t> data) {
+  return Issue(xproto::ChangePropertyRequest{.window = window,
+                                             .property = property,
+                                             .type = type,
+                                             .format = format,
+                                             .mode = static_cast<uint8_t>(mode),
+                                             .data = std::move(data)});
 }
 
 std::optional<xserver::PropertyRec> Display::GetProperty(WindowId window,
@@ -549,10 +503,7 @@ std::optional<xserver::PropertyRec> Display::GetProperty(WindowId window,
 }
 
 bool Display::DeleteProperty(WindowId window, AtomId property) {
-  if (wire_mode_) {
-    return Issue(xproto::DeletePropertyRequest{.window = window, .property = property});
-  }
-  return server_->DeleteProperty(client_, window, property);
+  return Issue(xproto::DeletePropertyRequest{.window = window, .property = property});
 }
 
 bool Display::SetStringProperty(WindowId window, const std::string& name,
@@ -560,7 +511,7 @@ bool Display::SetStringProperty(WindowId window, const std::string& name,
   AtomId prop = InternAtom(name);
   AtomId type = InternAtom("STRING");
   std::vector<uint8_t> data(value.begin(), value.end());
-  return ChangeProperty(window, prop, type, 8, xserver::PropMode::kReplace, data);
+  return ChangeProperty(window, prop, type, 8, xserver::PropMode::kReplace, std::move(data));
 }
 
 std::optional<std::string> Display::GetStringProperty(WindowId window,
@@ -579,7 +530,7 @@ bool Display::AppendStringProperty(WindowId window, const std::string& name,
   AtomId prop = InternAtom(name);
   AtomId type = InternAtom("STRING");
   std::vector<uint8_t> data(value.begin(), value.end());
-  return ChangeProperty(window, prop, type, 8, xserver::PropMode::kAppend, data);
+  return ChangeProperty(window, prop, type, 8, xserver::PropMode::kAppend, std::move(data));
 }
 
 namespace {
@@ -615,7 +566,7 @@ bool Display::SetCardinalProperty(WindowId window, const std::string& name,
   for (uint32_t v : values) {
     PutU32(&data, v);
   }
-  return ChangeProperty(window, prop, type, 32, xserver::PropMode::kReplace, data);
+  return ChangeProperty(window, prop, type, 32, xserver::PropMode::kReplace, std::move(data));
 }
 
 std::optional<std::vector<uint32_t>> Display::GetCardinalProperty(
@@ -632,7 +583,7 @@ bool Display::SetWindowIdProperty(WindowId window, const std::string& name, Wind
   AtomId type = InternAtom("WINDOW");
   std::vector<uint8_t> data;
   PutU32(&data, value);
-  return ChangeProperty(window, prop, type, 32, xserver::PropMode::kReplace, data);
+  return ChangeProperty(window, prop, type, 32, xserver::PropMode::kReplace, std::move(data));
 }
 
 std::optional<WindowId> Display::GetWindowIdProperty(WindowId window,
@@ -649,18 +600,12 @@ std::optional<WindowId> Display::GetWindowIdProperty(WindowId window,
 }
 
 bool Display::SendEvent(WindowId destination, uint32_t event_mask, xproto::Event event) {
-  if (wire_mode_) {
-    return Issue(xproto::SendEventRequest{
-        .destination = destination, .event_mask = event_mask, .event = std::move(event)});
-  }
-  return server_->SendEvent(client_, destination, event_mask, std::move(event));
+  return Issue(xproto::SendEventRequest{
+      .destination = destination, .event_mask = event_mask, .event = std::move(event)});
 }
 
 bool Display::SetInputFocus(WindowId window) {
-  if (wire_mode_) {
-    return Issue(xproto::SetInputFocusRequest{.window = window});
-  }
-  return server_->SetInputFocus(client_, window);
+  return Issue(xproto::SetInputFocusRequest{.window = window});
 }
 
 std::optional<xproto::Event> Display::NextEvent() {
@@ -686,21 +631,13 @@ size_t Display::Pending() const {
 
 bool Display::GrabButton(WindowId window, int button, uint32_t modifiers,
                          uint32_t event_mask) {
-  if (wire_mode_) {
-    return Issue(xproto::GrabButtonRequest{.window = window,
-                                           .button = button,
-                                           .modifiers = modifiers,
-                                           .event_mask = event_mask});
-  }
-  return server_->GrabButton(client_, window, button, modifiers, event_mask);
+  return Issue(xproto::GrabButtonRequest{
+      .window = window, .button = button, .modifiers = modifiers, .event_mask = event_mask});
 }
 
 bool Display::UngrabButton(WindowId window, int button, uint32_t modifiers) {
-  if (wire_mode_) {
-    return Issue(xproto::UngrabButtonRequest{
-        .window = window, .button = button, .modifiers = modifiers});
-  }
-  return server_->UngrabButton(client_, window, button, modifiers);
+  return Issue(
+      xproto::UngrabButtonRequest{.window = window, .button = button, .modifiers = modifiers});
 }
 
 xproto::WindowId Display::GetInputFocus() const {
@@ -723,70 +660,50 @@ bool Display::ShapeSetMask(WindowId window, const xbase::Bitmap& mask) {
   return server_ != nullptr && server_->ShapeSetMask(client_, window, mask);
 }
 
-bool Display::ShapeSetRegion(WindowId window, xbase::Region region) {
-  if (wire_mode_) {
-    return Issue(xproto::ShapeRegionRequest{.window = window, .rects = region.rects()});
+void Display::WarpPointer(int screen, const xbase::Point& root_pos) {
+  WireFallback("WarpPointer");
+  if (server_ != nullptr) {
+    server_->WarpPointer(screen, root_pos);
   }
-  return server_->ShapeSetRegion(client_, window, std::move(region));
+}
+
+bool Display::ShapeSetRegion(WindowId window, xbase::Region region) {
+  return Issue(xproto::ShapeRegionRequest{.window = window, .rects = region.rects()});
 }
 
 bool Display::ShapeClear(WindowId window) {
-  if (wire_mode_) {
-    return Issue(xproto::ShapeClearRequest{.window = window});
-  }
-  return server_->ShapeClear(client_, window);
+  return Issue(xproto::ShapeClearRequest{.window = window});
 }
 
 bool Display::ShapeSelect(WindowId window, bool enable) {
-  if (wire_mode_) {
-    return Issue(xproto::ShapeSelectRequest{.window = window, .enable = enable});
-  }
-  return server_->ShapeSelect(client_, window, enable);
+  return Issue(xproto::ShapeSelectRequest{.window = window, .enable = enable});
 }
 
 bool Display::SetWindowBackground(WindowId window, char background) {
-  if (wire_mode_) {
-    return Issue(xproto::SetWindowBackgroundRequest{.window = window, .background = background});
-  }
-  return server_->SetWindowBackground(client_, window, background);
+  return Issue(xproto::SetWindowBackgroundRequest{.window = window, .background = background});
 }
 
 bool Display::SetCursor(WindowId window, const std::string& name) {
-  if (wire_mode_) {
-    return Issue(xproto::SetCursorRequest{.window = window, .name = name});
-  }
-  return server_->SetCursor(client_, window, name);
+  return Issue(xproto::SetCursorRequest{.window = window, .name = name});
 }
 
 bool Display::ClearWindow(WindowId window) {
-  if (wire_mode_) {
-    return Issue(xproto::ClearWindowRequest{.window = window});
-  }
-  return server_->ClearWindow(client_, window);
+  return Issue(xproto::ClearWindowRequest{.window = window});
 }
 
 bool Display::Draw(WindowId window, xserver::DrawOp op) {
-  if (wire_mode_) {
-    xproto::DrawRequest request;
-    request.window = window;
-    request.kind = static_cast<uint8_t>(op.kind);
-    request.rect = op.rect;
-    request.fill = op.fill;
-    request.text = op.text;
-    if (!op.bitmap.IsEmpty()) {
-      request.bitmap_width = op.bitmap.width();
-      request.bitmap_height = op.bitmap.height();
-      request.bitmap_cells.reserve(static_cast<size_t>(request.bitmap_width) *
-                                   request.bitmap_height);
-      for (int y = 0; y < request.bitmap_height; ++y) {
-        for (int x = 0; x < request.bitmap_width; ++x) {
-          request.bitmap_cells.push_back(op.bitmap.Get(x, y) ? 1 : 0);
-        }
-      }
-    }
-    return Issue(std::move(request));
+  xproto::DrawRequest request;
+  request.window = window;
+  request.kind = static_cast<uint8_t>(op.kind);
+  request.rect = op.rect;
+  request.fill = op.fill;
+  request.text = std::move(op.text);
+  if (!op.bitmap.IsEmpty()) {
+    request.bitmap_width = op.bitmap.width();
+    request.bitmap_height = op.bitmap.height();
+    request.bitmap_cells = op.bitmap.TakeCells();
   }
-  return server_->Draw(client_, window, std::move(op));
+  return Issue(std::move(request));
 }
 
 }  // namespace xlib

@@ -1,10 +1,12 @@
 // Client-side library over the server simulator — the Xlib substitute.
 //
-// A Display is one client connection: it owns a client id, forwards requests
-// to the in-process server, and drains its own event queue.  The call
-// surface intentionally mirrors Xlib (CreateSimpleWindow, SelectInput,
-// InternAtom, ChangeProperty, NextEvent, ...) so the window-manager code
-// above reads like real X client code.
+// A Display is one client connection: it owns a client id, sends requests
+// to the server — in-process or over a socket — and drains its own event
+// queue.  Every void request is built once as an xproto::Request and goes
+// through one funnel (Issue), which picks the transport; see "Wire mode"
+// below.  The call surface intentionally mirrors Xlib (CreateSimpleWindow,
+// SelectInput, InternAtom, ChangeProperty, NextEvent, ...) so the
+// window-manager code above reads like real X client code.
 #ifndef SRC_XLIB_DISPLAY_H_
 #define SRC_XLIB_DISPLAY_H_
 
@@ -36,8 +38,8 @@ class Display {
   // (docs/PROTOCOL.md "Out-of-process operation"; '@'-prefixed paths name
   // the abstract namespace).  The constructor performs the QueryScreens
   // handshake; check Connected() before use.  Every request travels the
-  // wire — there is no direct-call fast path and no Server pointer, so
-  // server() must not be called on a remote display.
+  // wire — there is no Server pointer, so server() must not be called on a
+  // remote display.
   explicit Display(const std::string& socket_path, std::string client_machine = "remote");
 
   // Remote display from $SWM_SOCKET (the conventional handoff from a server
@@ -83,16 +85,20 @@ class Display {
   const std::optional<xproto::XError>& LastError() const { return last_error_; }
 
   // ---- Wire mode (docs/PROTOCOL.md) ----------------------------------------
-  // When enabled, every request this Display issues — void requests *and*
-  // reply-bearing queries (GetGeometry, QueryTree, InternAtom, GetProperty,
-  // ...) — is encoded to X11 wire bytes, routed through
-  // Server::DispatchBytes, and for queries the answer is decoded back out
-  // of the reply frame the dispatch emitted: the full serialize → parse →
+  // Every void request is built once as an xproto::Request and handed to
+  // Issue, whatever the mode.  An in-process Display applies it with
+  // Server::ApplyRequest, the typed dispatch DispatchBytes runs after
+  // decoding; no bytes are encoded.  Wire mode adds only the codec: the
+  // request is encoded to X11 wire bytes and routed through
+  // Server::DispatchBytes, and reply-bearing queries (GetGeometry,
+  // QueryTree, InternAtom, GetProperty, ...) decode their answer out of the
+  // reply frame the dispatch emitted — the full serialize → parse →
   // dispatch → encode-reply → decode-reply round trip an out-of-process
-  // client exercises.  The handful of calls with no wire encoding
-  // (ShapeSetMask, pointer/focus introspection) fall back to direct calls
-  // and are counted in wire_stats().wire_fallbacks.  Off by default:
-  // direct calls are the fast path.
+  // client exercises.  Outside wire mode queries read the server directly
+  // and take no sequence slot.  The handful of calls with no wire encoding
+  // (ShapeSetMask, WarpPointer, pointer/focus/shape introspection) always
+  // call the server directly and, in wire mode, are counted in
+  // wire_stats().wire_fallbacks.  Off by default.
   void set_wire_mode(bool enable) { wire_mode_ = enable; }
   bool wire_mode() const { return wire_mode_; }
 
@@ -168,7 +174,7 @@ class Display {
   std::optional<std::string> GetAtomName(xproto::AtomId atom) const;
 
   bool ChangeProperty(xproto::WindowId window, xproto::AtomId property, xproto::AtomId type,
-                      int format, xserver::PropMode mode, const std::vector<uint8_t>& data);
+                      int format, xserver::PropMode mode, std::vector<uint8_t> data);
   std::optional<xserver::PropertyRec> GetProperty(xproto::WindowId window,
                                                   xproto::AtomId property) const;
   bool DeleteProperty(xproto::WindowId window, xproto::AtomId property);
@@ -209,13 +215,7 @@ class Display {
   xproto::WindowId GetInputFocus() const;
 
   // ---- Pointer -------------------------------------------------------------
-  void WarpPointer(int screen, const xbase::Point& root_pos) {
-    if (server_ == nullptr) {
-      WireFallback("WarpPointer");
-      return;
-    }
-    server_->WarpPointer(screen, root_pos);
-  }
+  void WarpPointer(int screen, const xbase::Point& root_pos);
   xserver::PointerState QueryPointer() const;
   bool GrabButton(xproto::WindowId window, int button, uint32_t modifiers,
                   uint32_t event_mask);
@@ -235,11 +235,15 @@ class Display {
   bool Draw(xproto::WindowId window, xserver::DrawOp op);
 
  private:
-  // Wire-mode funnel: encodes `request` and dispatches the bytes.  Returns
-  // true when the one frame parsed and executed cleanly.
+  // The void-request funnel: sends `request` over the socket (remote),
+  // encodes and dispatches its bytes (wire mode) or applies it with
+  // Server::ApplyRequest (in-process).  Returns true when the request
+  // executed cleanly (remote: when it was sent).
   bool Issue(xproto::Request request);
-  // Same funnel for CreateWindow (the id comes back via DispatchResult).
+  // Same funnel for CreateWindow; returns the new window's id.
   xproto::WindowId IssueCreate(xproto::CreateWindowRequest request);
+  // In-process wire mode: encodes `request` and dispatches the bytes.
+  xserver::Server::DispatchResult DispatchWire(const xproto::Request& request) const;
   // Query funnel: dispatches the encoded request and decodes the reply frame
   // it produced.  nullopt when the server raised an X error instead.
   std::optional<xproto::Reply> RoundTrip(xproto::Request request) const;

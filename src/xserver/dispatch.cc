@@ -1,12 +1,12 @@
 // Byte-level request dispatch (docs/PROTOCOL.md).
 //
 // DispatchBytes is where a hostile or corrupted client stream first touches
-// the server: frames are parsed by the hardened wire codec and applied
-// through the exact same request paths as direct calls, so sequence numbers,
-// the error channel and the fault hooks behave identically no matter how a
-// request arrived.  A frame the codec rejects raises a typed X error on the
-// connection and aborts the rest of the buffer — after a framing error the
-// stream cannot be resynchronized.
+// the server: frames are parsed by the hardened wire codec and applied by
+// ApplyRequest, the same typed dispatch an in-process xlib::Display uses, so
+// sequence numbers, the error channel and the fault hooks behave identically
+// no matter how a request arrived.  A frame the codec rejects raises a typed
+// X error on the connection and aborts the rest of the buffer — after a
+// framing error the stream cannot be resynchronized.
 //
 // This file also implements the byte-level fault mutations (bit flips,
 // length-field lies, mid-message truncation, opcode scrambling): they run
@@ -183,7 +183,7 @@ Server::DispatchResult Server::DispatchBytes(ClientId client,
     }
     offset += consumed;
     ++result.requests_dispatched;
-    if (!ApplyRequest(client, request, &result)) {
+    if (!ApplyRequest(client, std::move(request), &result)) {
       ++result.requests_failed;
     }
   }
@@ -225,10 +225,10 @@ void Server::EmitReply(ClientId client, const xproto::Reply& reply) {
   }
 }
 
-bool Server::ApplyRequest(ClientId client, const Request& request,
+bool Server::ApplyRequest(ClientId client, Request&& request,
                           DispatchResult* result) {
   return std::visit(
-      [&](const auto& r) -> bool {
+      [&](auto& r) -> bool {
         using T = std::decay_t<decltype(r)>;
         if constexpr (std::is_same_v<T, xproto::CreateWindowRequest>) {
           WindowId created = CreateWindow(client, r.parent, r.geometry, r.border_width,
@@ -264,11 +264,11 @@ bool Server::ApplyRequest(ClientId client, const Request& request,
                           : r.mode == 2 ? PropMode::kPrepend
                                         : PropMode::kReplace;
           return ChangeProperty(client, r.window, r.property, r.type, r.format, mode,
-                                r.data);
+                                std::move(r.data));
         } else if constexpr (std::is_same_v<T, xproto::DeletePropertyRequest>) {
           return DeleteProperty(client, r.window, r.property);
         } else if constexpr (std::is_same_v<T, xproto::SendEventRequest>) {
-          return SendEvent(client, r.destination, r.event_mask, r.event);
+          return SendEvent(client, r.destination, r.event_mask, std::move(r.event));
         } else if constexpr (std::is_same_v<T, xproto::SetInputFocusRequest>) {
           return SetInputFocus(client, r.window);
         } else if constexpr (std::is_same_v<T, xproto::GrabButtonRequest>) {
@@ -286,21 +286,15 @@ bool Server::ApplyRequest(ClientId client, const Request& request,
           op.kind = static_cast<DrawOp::Kind>(r.kind);
           op.rect = r.rect;
           op.fill = r.fill;
-          op.text = r.text;
+          op.text = std::move(r.text);
           if (op.kind == DrawOp::Kind::kBitmap && r.bitmap_width > 0 &&
               r.bitmap_height > 0) {
-            xbase::Bitmap bitmap(r.bitmap_width, r.bitmap_height);
-            for (int y = 0; y < r.bitmap_height; ++y) {
-              for (int x = 0; x < r.bitmap_width; ++x) {
-                size_t index = static_cast<size_t>(y) * r.bitmap_width + x;
-                bitmap.Set(x, y, r.bitmap_cells[index] != 0);
-              }
-            }
-            op.bitmap = std::move(bitmap);
+            op.bitmap =
+                xbase::Bitmap(r.bitmap_width, r.bitmap_height, std::move(r.bitmap_cells));
           }
           return Draw(client, r.window, std::move(op));
         } else if constexpr (std::is_same_v<T, xproto::ShapeRegionRequest>) {
-          return ShapeSetRegion(client, r.window, xbase::Region(r.rects));
+          return ShapeSetRegion(client, r.window, xbase::Region(std::move(r.rects)));
         } else if constexpr (std::is_same_v<T, xproto::ShapeClearRequest>) {
           return ShapeClear(client, r.window);
         } else if constexpr (std::is_same_v<T, xproto::ShapeSelectRequest>) {

@@ -980,7 +980,7 @@ bool Server::IsAncestorOrSelf(WindowId ancestor, WindowId descendant) const {
 // ---- Properties -------------------------------------------------------------
 
 bool Server::ChangeProperty(ClientId client, WindowId window, AtomId property, AtomId type,
-                            int format, PropMode mode, const std::vector<uint8_t>& data) {
+                            int format, PropMode mode, std::vector<uint8_t> data) {
   RequestGuard req(this, client, RequestCode::kChangeProperty);
   if (!req.ok()) {
     return false;
@@ -1000,7 +1000,7 @@ bool Server::ChangeProperty(ClientId client, WindowId window, AtomId property, A
     case PropMode::kReplace:
       rec.type = type;
       rec.format = format;
-      rec.data = data;
+      rec.data = std::move(data);
       break;
     case PropMode::kAppend:
       if (!rec.data.empty() && (rec.type != type || rec.format != format)) {

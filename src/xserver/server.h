@@ -114,7 +114,7 @@ class Server {
 
   // ---- Wire dispatch (docs/PROTOCOL.md) ----------------------------------
   // Requests arriving as bytes.  Parses frame after frame out of `bytes`
-  // and applies each through the same request paths as the direct calls, so
+  // and applies each with ApplyRequest, as an in-process Display does, so
   // the error channel, fault hooks and sequence numbers behave identically.
   // Malformed input raises a typed X error (BadRequest / BadLength /
   // BadValue) on the connection and aborts the rest of the buffer — after a
@@ -138,9 +138,13 @@ class Server {
     size_t replies = 0;
   };
   DispatchResult DispatchBytes(xproto::ClientId client, std::span<const uint8_t> bytes);
-  // Applies one already-decoded request (the replayer and wire-mode clients
-  // share this with DispatchBytes).  Returns false if the request failed.
-  bool ApplyRequest(xproto::ClientId client, const xproto::Request& request,
+  // Applies one typed request.  DispatchBytes runs it on every frame it
+  // decodes (wire-mode and remote clients, the replayer), and an in-process
+  // xlib::Display runs it on every void request it builds, so both reach
+  // the server through this one dispatch.  The request is consumed: its
+  // strings, lists and event move into the server.  Returns false if the
+  // request failed.
+  bool ApplyRequest(xproto::ClientId client, xproto::Request&& request,
                     DispatchResult* result);
   // Wire frames rejected across all connections (parser health metric).
   uint64_t wire_parse_errors() const { return wire_parse_errors_; }
@@ -236,7 +240,7 @@ class Server {
   // ---- Properties --------------------------------------------------------
   bool ChangeProperty(xproto::ClientId client, xproto::WindowId window, xproto::AtomId property,
                       xproto::AtomId type, int format, PropMode mode,
-                      const std::vector<uint8_t>& data);
+                      std::vector<uint8_t> data);
   bool DeleteProperty(xproto::ClientId client, xproto::WindowId window,
                       xproto::AtomId property);
   std::optional<PropertyRec> GetProperty(xproto::WindowId window,

@@ -17,11 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "src/base/bitmap.h"
+#include "src/base/region.h"
 #include "src/swm/quarantine.h"
 #include "src/xlib/display.h"
 #include "src/xproto/transport.h"
 #include "src/xproto/wire.h"
 #include "src/xserver/connection.h"
+#include "src/xserver/replay.h"
 #include "src/xserver/server.h"
 
 namespace xserver {
@@ -615,9 +618,176 @@ TEST(DisplayDuplex, FallbacksAreCountedForUnwiredCalls) {
   Server server;
   xlib::Display wired(&server, "wired");
   wired.set_wire_mode(true);
+  WindowId window = wired.CreateWindow(server.RootWindow(0), {0, 0, 8, 8});
   (void)wired.GetInputFocus();
   (void)wired.QueryPointer();
-  EXPECT_EQ(wired.wire_stats().wire_fallbacks, 2u);
+  (void)wired.IsShaped(window);
+  wired.ShapeSetMask(window, xbase::Bitmap(8, 8));
+  wired.WarpPointer(0, {4, 4});
+  EXPECT_EQ(wired.wire_stats().wire_fallbacks, 5u);
+}
+
+// Calls every void wrapper at least once — successes, mode variants and
+// requests that fail on a destroyed window — using only atoms interned
+// ahead of time, so no query takes a sequence slot in either mode.
+// Returns each call's result.
+std::vector<bool> RunVoidRequestScript(xlib::Display& d, xproto::AtomId name_atom,
+                                       xproto::AtomId string_atom) {
+  std::vector<bool> ok;
+  WindowId root = d.RootWindow(0);
+  WindowId a = d.CreateWindow(root, {10, 10, 60, 40}, 1);
+  WindowId b = d.CreateWindow(root, {80, 20, 50, 30});
+  WindowId c = d.CreateWindow(root, {5, 5, 20, 10}, 0, /*override_redirect=*/true);
+  ok.push_back(a != xproto::kNone && b != xproto::kNone && c != xproto::kNone);
+
+  ok.push_back(d.SelectInput(a, xproto::kStructureNotifyMask | xproto::kExposureMask |
+                                    xproto::kPropertyChangeMask));
+  ok.push_back(d.SetWindowBackground(a, '.'));
+  ok.push_back(d.SetCursor(a, "left_ptr"));
+  ok.push_back(d.MapWindow(a));
+  ok.push_back(d.MapRaised(b));
+  ok.push_back(d.ReparentWindow(c, a, {3, 4}));
+  ok.push_back(d.MapWindow(c));
+  xserver::ConfigureValues values;
+  values.geometry = {12, 14, 64, 44};
+  values.border_width = 2;
+  ok.push_back(d.ConfigureWindow(a,
+                                 xproto::kConfigX | xproto::kConfigY | xproto::kConfigWidth |
+                                     xproto::kConfigHeight | xproto::kConfigBorderWidth,
+                                 values));
+  ok.push_back(d.MoveWindow(b, {90, 25}));
+  ok.push_back(d.ResizeWindow(b, {55, 35}));
+  ok.push_back(d.MoveResizeWindow(b, {70, 30, 40, 20}));
+  ok.push_back(d.LowerWindow(b));
+  ok.push_back(d.RaiseWindow(b));
+
+  std::string title = "xterm: ~/src/swm";
+  ok.push_back(d.ChangeProperty(a, name_atom, string_atom, 8, xserver::PropMode::kReplace,
+                                std::vector<uint8_t>(title.begin(), title.end())));
+  ok.push_back(d.ChangeProperty(a, name_atom, string_atom, 8, xserver::PropMode::kAppend,
+                                {'!', '!'}));
+  ok.push_back(d.ChangeProperty(a, name_atom, string_atom, 8, xserver::PropMode::kPrepend,
+                                {'>', ' '}));
+  ok.push_back(d.DeleteProperty(b, name_atom));
+
+  xproto::ClientMessageEvent message;
+  message.window = a;
+  message.message_type = name_atom;
+  message.data = {1, 2, 3, 4, 5};
+  ok.push_back(d.SendEvent(a, 0, xproto::Event{message}));
+  ok.push_back(d.SendEvent(root, xproto::kSubstructureNotifyMask, xproto::Event{message}));
+  ok.push_back(d.SetInputFocus(a));
+  ok.push_back(d.GrabButton(a, 1, 0, xproto::kButtonPressMask));
+  ok.push_back(d.UngrabButton(a, 1, 0));
+  ok.push_back(d.AddToSaveSet(b));
+  ok.push_back(d.RemoveFromSaveSet(b));
+
+  ok.push_back(d.ShapeSelect(b, true));
+  ok.push_back(d.ShapeSetRegion(b, xbase::Region(std::vector<xbase::Rect>{{0, 0, 20, 10},
+                                                                         {10, 10, 30, 10}})));
+  ok.push_back(d.ShapeClear(b));
+
+  xserver::DrawOp text;
+  text.kind = xserver::DrawOp::Kind::kText;
+  text.rect = {1, 1, 50, 1};
+  text.text = title;
+  ok.push_back(d.Draw(a, text));
+  xserver::DrawOp fill;
+  fill.kind = xserver::DrawOp::Kind::kFillRect;
+  fill.rect = {0, 2, 30, 5};
+  fill.fill = '#';
+  ok.push_back(d.Draw(a, fill));
+  xserver::DrawOp bitmap;
+  bitmap.kind = xserver::DrawOp::Kind::kBitmap;
+  bitmap.rect = {2, 2, 8, 4};
+  bitmap.bitmap = *xbase::Bitmap::FromAscii("#..#\n.##.\n#..#\n");
+  ok.push_back(d.Draw(b, bitmap));
+  ok.push_back(d.ClearWindow(b));
+  ok.push_back(d.Draw(b, fill));
+  ok.push_back(d.UnmapWindow(b));
+  ok.push_back(d.MapWindow(b));
+
+  // Every request below names a window that no longer exists.
+  ok.push_back(d.DestroyWindow(c));
+  ok.push_back(d.MapWindow(c));
+  ok.push_back(d.MoveWindow(c, {1, 1}));
+  ok.push_back(d.ChangeProperty(c, name_atom, string_atom, 8, xserver::PropMode::kReplace,
+                                {'x'}));
+  ok.push_back(d.Draw(c, fill));
+  ok.push_back(d.ShapeSetRegion(c, xbase::Region(xbase::Rect{0, 0, 4, 4})));
+  ok.push_back(d.SendEvent(c, 0, xproto::Event{message}));
+  ok.push_back(d.DestroyWindow(c));
+  return ok;
+}
+
+struct VoidScriptOutcome {
+  std::vector<bool> results;
+  ServerFingerprint fingerprint;
+  uint64_t requests = 0;
+  uint64_t errors = 0;
+  std::optional<xproto::XError> last_error;
+  std::vector<xproto::Event> own_events;
+  std::vector<xproto::Event> observed_events;
+  uint64_t observer_requests = 0;
+  uint64_t wire_requests = 0;
+};
+
+VoidScriptOutcome RunVoidRequestScriptOn(bool wire_mode) {
+  Server server;
+  xproto::AtomId name_atom = server.InternAtom("WM_NAME");
+  xproto::AtomId string_atom = server.InternAtom("STRING");
+  xlib::Display observer(&server, "observer");
+  observer.SetErrorHandler([](const xproto::XError&) {});
+  observer.SelectInput(server.RootWindow(0),
+                       xproto::kSubstructureNotifyMask | xproto::kPropertyChangeMask);
+  xlib::Display d(&server, wire_mode ? "wired" : "direct");
+  d.set_wire_mode(wire_mode);
+  d.SetErrorHandler([](const xproto::XError&) {});
+
+  VoidScriptOutcome out;
+  out.results = RunVoidRequestScript(d, name_atom, string_atom);
+  out.fingerprint = FingerprintServer(server);
+  out.requests = d.RequestCount();
+  out.errors = d.ErrorCount();
+  out.last_error = d.LastError();
+  d.DrainEvents([&](const xproto::Event& e) { out.own_events.push_back(e); });
+  observer.DrainEvents([&](const xproto::Event& e) { out.observed_events.push_back(e); });
+  out.observer_requests = observer.RequestCount();
+  out.wire_requests = d.wire_stats().wire_requests;
+  return out;
+}
+
+TEST(DisplayDuplex, VoidRequestsMatchAcrossModes) {
+  VoidScriptOutcome direct = RunVoidRequestScriptOn(/*wire_mode=*/false);
+  VoidScriptOutcome wired = RunVoidRequestScriptOn(/*wire_mode=*/true);
+
+  EXPECT_EQ(direct.results, wired.results);
+  EXPECT_EQ(direct.fingerprint.total_requests, wired.fingerprint.total_requests);
+  EXPECT_EQ(direct.fingerprint.draw_ops, wired.fingerprint.draw_ops);
+  EXPECT_EQ(direct.fingerprint.pixels_drawn, wired.fingerprint.pixels_drawn);
+  EXPECT_EQ(direct.fingerprint.screen_hash, wired.fingerprint.screen_hash);
+  EXPECT_EQ(direct.requests, wired.requests);
+  EXPECT_EQ(direct.errors, wired.errors);
+  EXPECT_EQ(direct.observer_requests, wired.observer_requests);
+  ASSERT_TRUE(direct.last_error.has_value());
+  ASSERT_TRUE(wired.last_error.has_value());
+  EXPECT_EQ(direct.last_error->code, wired.last_error->code);
+  EXPECT_EQ(direct.last_error->request, wired.last_error->request);
+  EXPECT_EQ(direct.last_error->resource_id, wired.last_error->resource_id);
+  EXPECT_EQ(direct.last_error->sequence, wired.last_error->sequence);
+  EXPECT_EQ(direct.own_events, wired.own_events);
+  EXPECT_EQ(direct.observed_events, wired.observed_events);
+
+  // The script exercised what it claims: failures on the destroyed window,
+  // drawing, and events for both the client and the observer.
+  EXPECT_GE(direct.errors, 7u);
+  EXPECT_GT(direct.fingerprint.draw_ops, 0u);
+  EXPECT_FALSE(direct.own_events.empty());
+  EXPECT_FALSE(direct.observed_events.empty());
+
+  // Only wire mode encodes; the in-process direct funnel sends no bytes.
+  EXPECT_EQ(direct.wire_requests, 0u);
+  EXPECT_EQ(wired.wire_requests, direct.requests);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #   BENCH_9.json   layout-policy engine       (bench_policy)
 #   BENCH_14.json  batched slot-policy reflow (bench_policy)
 #   BENCH_15.json  per-client window index    (bench_eval_toolkit_overhead)
+#   BENCH_18.json  one request funnel         (bench_wire)
 #
 # Usage: tools/run_benches.sh <bench_binary_name> <BENCH_n.json>
 #   e.g. tools/run_benches.sh bench_policy BENCH_14.json
