@@ -138,9 +138,9 @@ void BM_ObjectAttributeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ObjectAttributeQuery);
 
-// Same query with the toolkit's attribute/path caches dropped every
-// iteration: the price of the first query after a database mutation
-// (interned-path rebuild + trie walk, no memoized value).
+// Same query with the toolkit's search lists dropped every iteration:
+// InvalidateQueryCaches rebinds every object of the session, then the query
+// rebuilds its path's search list (a walk from the trie root) and probes it.
 void BM_ObjectAttributeQueryCold(benchmark::State& state) {
   auto server = bench_util::MakeServer();
   auto wm = bench_util::MakeSwm(server.get(), "swm*panner: False\n");
@@ -162,7 +162,8 @@ BENCHMARK(BM_ObjectAttributeQueryCold);
 // A decoration attribute storm: every frame object of every managed client
 // re-queried for the attributes decoration construction reads.  This is
 // what f.restart or a template reload costs per redecoration pass; the
-// cache-hit counters show how much of the storm the memoized layer absorbs.
+// cache-hit counter shows how much of the storm already-built search lists
+// answer.
 void BM_DecorationAttributeStorm(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
   auto server = bench_util::MakeServer();

@@ -15,6 +15,7 @@
 //                            iteration divided by that.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -114,10 +115,16 @@ void BM_DispatchBytesStream(benchmark::State& state) {
   xbase::SetMinLogSeverity(xbase::LogSeverity::kFatal);
   size_t frames = 0;
   std::vector<uint8_t> stream = BuildStream(600, &frames);
-  auto server = bench_util::MakeServer();
-  xproto::ClientId client = server->Connect("bench");
+  std::unique_ptr<xserver::Server> server;
   size_t dispatched = 0;
   for (auto _ : state) {
+    // Every pass creates windows, so each one gets a fresh server (built,
+    // and its predecessor destroyed, untimed): the time per iteration must
+    // not depend on how many iterations the harness picks.
+    state.PauseTiming();
+    server = bench_util::MakeServer();
+    xproto::ClientId client = server->Connect("bench");
+    state.ResumeTiming();
     xserver::Server::DispatchResult result = server->DispatchBytes(client, stream);
     dispatched += result.requests_dispatched;
   }

@@ -11,13 +11,14 @@ Object::Object(Toolkit* toolkit, Panel* parent, xproto::WindowId parent_window,
                std::string name, ObjectType type_for_path)
     : toolkit_(toolkit), parent_(parent), name_(std::move(name)), parent_window_(parent_window) {
   if (parent != nullptr) {
-    path_names_ = parent->path_names();
-    path_classes_ = parent->path_classes();
+    path_ = parent->path_;
   }
-  path_names_.push_back(ObjectTypeName(type_for_path));
-  path_names_.push_back(name_);
-  path_classes_.push_back(ObjectTypeClass(type_for_path));
-  path_classes_.push_back(name_);
+  xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
+  xbase::Symbol name_symbol = interner.Intern(name_);
+  path_.names.push_back(interner.Intern(ObjectTypeName(type_for_path)));
+  path_.names.push_back(name_symbol);
+  path_.classes.push_back(interner.Intern(ObjectTypeClass(type_for_path)));
+  path_.classes.push_back(name_symbol);
 
   geometry_ = xbase::Rect{0, 0, 1, 1};
   window_ = toolkit_->display().CreateWindow(parent_window, geometry_);

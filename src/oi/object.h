@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/base/geometry.h"
+#include "src/base/interner.h"
 #include "src/oi/panel_def.h"
 #include "src/xproto/events.h"
 #include "src/xtb/bindings.h"
@@ -26,6 +27,14 @@ namespace oi {
 class Toolkit;
 class Panel;
 class FrameScheduler;
+struct SearchPath;
+
+// An interned resource path: parallel name and class symbols from
+// xbase::SymbolInterner::Global().
+struct ResourcePath {
+  std::vector<xbase::Symbol> names;
+  std::vector<xbase::Symbol> classes;
+};
 
 // Dirty bits for the retained-mode frame pipeline (docs/RENDERING.md).
 // kLayoutDirty bubbles to the subtree root — row layout is computed
@@ -51,13 +60,6 @@ class Object {
   const std::string& name() const { return name_; }
   virtual ObjectType type() const = 0;
   Panel* parent() const { return parent_; }
-
-  // Resource path of this object within its tree, as alternating
-  // (type-keyword, object-name) components — e.g. for button "name" inside
-  // panel "openLook": names {"panel","openLook","button","name"} and
-  // classes {"Panel","openLook","Button","name"}.
-  const std::vector<std::string>& path_names() const { return path_names_; }
-  const std::vector<std::string>& path_classes() const { return path_classes_; }
 
   // Queries the resource database for `attribute` on this object, using the
   // tree's resource context.  Generic: works identically for any derived
@@ -148,13 +150,24 @@ class Object {
   bool floating_ = false;
   std::optional<xbase::Size> size_override_;
   std::vector<xtb::Binding> bindings_;
-  std::vector<std::string> path_names_;
-  std::vector<std::string> path_classes_;
 
  private:
   // Owned by the FrameScheduler: bits double as pending-queue membership.
   friend class FrameScheduler;
   uint8_t dirty_kinds_ = 0;
+
+  // Resource state, read and bound by the Toolkit.
+  friend class Toolkit;
+  // This object's resource path within its tree, interned when the object
+  // is built, as alternating (type-keyword, object-name) components — e.g.
+  // for button "name" inside panel "openLook": names {panel, openLook,
+  // button, name}, classes {Panel, openLook, Button, name}.
+  ResourcePath path_;
+  // Components between the session prefix and every object path of this
+  // tree (specific resources); set on tree roots by Toolkit::SetTreePrefix.
+  ResourcePath tree_prefix_;
+  // The toolkit's shared entry for this object's full path.
+  SearchPath* search_path_ = nullptr;
 };
 
 }  // namespace oi

@@ -17,6 +17,16 @@ std::string Capitalized(const std::string& s) {
   return out;
 }
 
+std::vector<xbase::Symbol> InternAll(const std::vector<std::string>& components) {
+  xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
+  std::vector<xbase::Symbol> symbols;
+  symbols.reserve(components.size());
+  for (const std::string& component : components) {
+    symbols.push_back(interner.Intern(component));
+  }
+  return symbols;
+}
+
 }  // namespace
 
 Toolkit::Toolkit(xlib::Display* display, const xrdb::ResourceDatabase* resources, int screen)
@@ -26,27 +36,52 @@ Toolkit::Toolkit(xlib::Display* display, const xrdb::ResourceDatabase* resources
 
 Toolkit::~Toolkit() = default;
 
-void Toolkit::SetResourcePrefix(std::vector<std::string> names,
-                                std::vector<std::string> classes) {
+void Toolkit::SetResourcePrefix(const std::vector<std::string>& names,
+                                const std::vector<std::string>& classes) {
   XB_CHECK_EQ(names.size(), classes.size());
-  prefix_names_ = std::move(names);
-  prefix_classes_ = std::move(classes);
-  xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
-  prefix_name_symbols_.clear();
-  prefix_class_symbols_.clear();
-  for (const std::string& name : prefix_names_) {
-    prefix_name_symbols_.push_back(interner.Intern(name));
-  }
-  for (const std::string& clazz : prefix_classes_) {
-    prefix_class_symbols_.push_back(interner.Intern(clazz));
-  }
+  prefix_ = {InternAll(names), InternAll(classes)};
   InvalidateQueryCaches();
 }
 
 void Toolkit::InvalidateQueryCaches() const {
-  path_cache_.clear();
-  attribute_cache_.clear();
-  seen_generation_ = resources_ != nullptr ? resources_->generation() : 0;
+  search_paths_.clear();
+  for (const auto& [window, object] : registry_) {
+    Bind(object);
+  }
+}
+
+size_t Toolkit::SymbolPathHash::operator()(const std::vector<xbase::Symbol>& path) const {
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over whole symbols.
+  for (xbase::Symbol symbol : path) {
+    hash = (hash ^ symbol) * 0x100000001b3ull;
+  }
+  return static_cast<size_t>(hash ^ (hash >> 32));
+}
+
+void Toolkit::Bind(Object* object) const {
+  const ResourcePath& tree_prefix = object->TreeRoot()->tree_prefix_;
+  const ResourcePath& path = object->path_;
+  key_scratch_.clear();
+  for (const ResourcePath* part : {&prefix_, &tree_prefix, &path}) {
+    key_scratch_.insert(key_scratch_.end(), part->names.begin(), part->names.end());
+  }
+  for (const ResourcePath* part : {&prefix_, &tree_prefix, &path}) {
+    key_scratch_.insert(key_scratch_.end(), part->classes.begin(), part->classes.end());
+  }
+  auto [it, inserted] = search_paths_.try_emplace(key_scratch_);
+  if (inserted) {
+    it->second.key = &it->first;
+  }
+  object->search_path_ = &it->second;
+}
+
+void Toolkit::BindTree(Object* object) const {
+  Bind(object);
+  if (object->type() == ObjectType::kPanel) {
+    for (const std::unique_ptr<Object>& child : static_cast<Panel*>(object)->children()) {
+      BindTree(child.get());
+    }
+  }
 }
 
 std::unique_ptr<Panel> Toolkit::CreatePanel(Panel* parent, xproto::WindowId parent_window,
@@ -79,17 +114,14 @@ std::unique_ptr<Menu> Toolkit::CreateMenu(xproto::WindowId parent_window,
   return menu;
 }
 
-void Toolkit::Register(Object* object) { registry_[object->window()] = object; }
+void Toolkit::Register(Object* object) {
+  registry_[object->window()] = object;
+  Bind(object);
+}
 
 void Toolkit::Unregister(Object* object) {
   frame_scheduler_.ForgetObject(object);
   registry_.erase(object->window());
-  tree_prefixes_.erase(object);
-  // Drop the object's cache entries: a later object may reuse the address.
-  path_cache_.erase(object);
-  attribute_cache_.erase(
-      attribute_cache_.lower_bound(std::make_pair(object, xbase::Symbol{0})),
-      attribute_cache_.upper_bound(std::make_pair(object, xbase::kNoSymbol)));
 }
 
 Object* Toolkit::FindObject(xproto::WindowId window) const {
@@ -97,100 +129,53 @@ Object* Toolkit::FindObject(xproto::WindowId window) const {
   return it == registry_.end() ? nullptr : it->second;
 }
 
-Object* Toolkit::TreeRootOf(const Object& object) const {
-  const Object* cur = &object;
-  while (cur->parent() != nullptr) {
-    cur = cur->parent();
-  }
-  return const_cast<Object*>(cur);
-}
-
-void Toolkit::SetTreePrefix(const Object* tree_root, std::vector<std::string> names,
-                            std::vector<std::string> classes) {
+void Toolkit::SetTreePrefix(Object* tree_root, const std::vector<std::string>& names,
+                            const std::vector<std::string>& classes) {
   XB_CHECK_EQ(names.size(), classes.size());
-  tree_prefixes_[tree_root] = {std::move(names), std::move(classes)};
-  // The whole tree's query paths changed; prefix changes are rare (one per
-  // decoration build / stickiness toggle), so a full drop keeps this simple.
-  InvalidateQueryCaches();
-}
-
-const std::pair<std::vector<std::string>, std::vector<std::string>>* Toolkit::TreePrefix(
-    const Object* tree_root) const {
-  auto it = tree_prefixes_.find(tree_root);
-  return it == tree_prefixes_.end() ? nullptr : &it->second;
-}
-
-const Toolkit::InternedPath& Toolkit::PathFor(const Object& object) const {
-  auto it = path_cache_.find(&object);
-  if (it != path_cache_.end()) {
-    return it->second;
-  }
-  xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
-  InternedPath path;
-  path.names = prefix_name_symbols_;
-  path.classes = prefix_class_symbols_;
-  const auto* tree_prefix = TreePrefix(TreeRootOf(object));
-  if (tree_prefix != nullptr) {
-    for (const std::string& name : tree_prefix->first) {
-      path.names.push_back(interner.Intern(name));
-    }
-    for (const std::string& clazz : tree_prefix->second) {
-      path.classes.push_back(interner.Intern(clazz));
-    }
-  }
-  for (const std::string& name : object.path_names()) {
-    path.names.push_back(interner.Intern(name));
-  }
-  for (const std::string& clazz : object.path_classes()) {
-    path.classes.push_back(interner.Intern(clazz));
-  }
-  return path_cache_.emplace(&object, std::move(path)).first->second;
+  tree_root->tree_prefix_ = {InternAll(names), InternAll(classes)};
+  BindTree(tree_root);
 }
 
 xbase::Symbol Toolkit::CapitalizedSymbol(xbase::Symbol attribute) const {
-  auto it = capitalized_.find(attribute);
-  if (it != capitalized_.end()) {
-    return it->second;
+  if (attribute >= capitalized_.size()) {
+    capitalized_.resize(attribute + 1, xbase::kNoSymbol);
   }
-  xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
-  xbase::Symbol result = interner.Intern(Capitalized(interner.NameOf(attribute)));
-  capitalized_.emplace(attribute, result);
-  return result;
+  if (capitalized_[attribute] == xbase::kNoSymbol) {
+    xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
+    capitalized_[attribute] = interner.Intern(Capitalized(interner.NameOf(attribute)));
+  }
+  return capitalized_[attribute];
 }
 
 std::optional<std::string> Toolkit::QueryAttribute(const Object& object,
                                                    const std::string& attribute) const {
   ++query_stats_.queries;
-  // Any database mutation moved the generation; stale memo entries go.
-  // (Interned paths only depend on prefixes, which invalidate eagerly.)
-  if (resources_->generation() != seen_generation_) {
-    attribute_cache_.clear();
-    seen_generation_ = resources_->generation();
+  SearchPath& path = *object.search_path_;
+  // Node pointers in a list stay valid until the database changes, and
+  // every change moves the generation.
+  if (path.generation != resources_->generation()) {
+    std::span<const xbase::Symbol> key(*path.key);
+    const size_t depth = key.size() / 2;
+    path.list = resources_->GetSearchList(key.first(depth), key.subspan(depth));
+    path.generation = resources_->generation();
+    ++query_stats_.trie_lookups;
+  } else {
+    ++query_stats_.cache_hits;
   }
   xbase::Symbol attr = xbase::SymbolInterner::Global().Intern(attribute);
-  const auto key = std::make_pair(&object, attr);
-  if (auto it = attribute_cache_.find(key); it != attribute_cache_.end()) {
-    ++query_stats_.cache_hits;
-    return it->second;
+  const std::string* value =
+      resources_->GetSearchResource(path.list, attr, CapitalizedSymbol(attr));
+  if (value == nullptr) {
+    return std::nullopt;
   }
-  const InternedPath& path = PathFor(object);
-  scratch_names_.assign(path.names.begin(), path.names.end());
-  scratch_classes_.assign(path.classes.begin(), path.classes.end());
-  scratch_names_.push_back(attr);
-  scratch_classes_.push_back(CapitalizedSymbol(attr));
-  ++query_stats_.trie_lookups;
-  std::optional<std::string> value =
-      resources_->Get(std::span<const xbase::Symbol>(scratch_names_),
-                      std::span<const xbase::Symbol>(scratch_classes_));
-  attribute_cache_.emplace(key, value);
-  return value;
+  return *value;
 }
 
 std::unique_ptr<Panel> Toolkit::BuildPanelTree(const std::string& panel_name,
                                                xproto::WindowId parent_window,
                                                const DefinitionLookup& definition_lookup,
-                                               std::vector<std::string> prefix_names,
-                                               std::vector<std::string> prefix_classes) {
+                                               const std::vector<std::string>& prefix_names,
+                                               const std::vector<std::string>& prefix_classes) {
   std::optional<std::string> definition = definition_lookup(panel_name);
   if (!definition.has_value()) {
     XB_LOG(Warning) << "no panel definition for '" << panel_name << "'";
@@ -206,7 +191,7 @@ std::unique_ptr<Panel> Toolkit::BuildPanelTree(const std::string& panel_name,
     // Install the prefix before populating children so their construction-
     // time attribute reads already see specific resources; the root itself
     // re-reads below.
-    SetTreePrefix(root.get(), std::move(prefix_names), std::move(prefix_classes));
+    SetTreePrefix(root.get(), prefix_names, prefix_classes);
     root->RefreshAttributes();
   }
   build_stack_.push_back(panel_name);

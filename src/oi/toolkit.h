@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/interner.h"
@@ -36,11 +37,20 @@ struct ActionContext {
 // Invoked once per function call of a matched binding.
 using ActionHandler = std::function<void(const xtb::FunctionCall&, const ActionContext&)>;
 
+// One distinct full resource path — session prefix + tree prefix + object
+// path, interned — and its Xrm search list.  Every object on that path is
+// bound to the same entry, so the second decoration of a WM_CLASS answers
+// its attribute queries from the list the first one built.
+struct SearchPath {
+  const std::vector<xbase::Symbol>* key = nullptr;  // Names, then classes.
+  // Database generation `list` was built at; 0, which no database has,
+  // until the first build.
+  uint64_t generation = 0;
+  xrdb::ResourceDatabase::SearchList list;
+};
+
 class Toolkit {
  public:
-  // `resource_prefix_names` / `_classes` are prepended to every attribute
-  // query of every object (swm passes e.g. {"swm","color","screen0"} /
-  // {"Swm","Color","Screen0"}).
   Toolkit(xlib::Display* display, const xrdb::ResourceDatabase* resources, int screen);
   ~Toolkit();
 
@@ -55,9 +65,10 @@ class Toolkit {
   }
   int screen() const { return screen_; }
 
-  void SetResourcePrefix(std::vector<std::string> names, std::vector<std::string> classes);
-  const std::vector<std::string>& prefix_names() const { return prefix_names_; }
-  const std::vector<std::string>& prefix_classes() const { return prefix_classes_; }
+  // The session prefix, prepended to every attribute query of every object
+  // (swm passes e.g. {"swm","color","screen0"} / {"Swm","Color","Screen0"}).
+  void SetResourcePrefix(const std::vector<std::string>& names,
+                         const std::vector<std::string>& classes);
 
   void SetActionHandler(ActionHandler handler) { action_handler_ = std::move(handler); }
 
@@ -82,16 +93,15 @@ class Toolkit {
   std::unique_ptr<Panel> BuildPanelTree(const std::string& panel_name,
                                         xproto::WindowId parent_window,
                                         const DefinitionLookup& definition_lookup,
-                                        std::vector<std::string> prefix_names = {},
-                                        std::vector<std::string> prefix_classes = {});
+                                        const std::vector<std::string>& prefix_names = {},
+                                        const std::vector<std::string>& prefix_classes = {});
 
   // Per-tree extra resource prefix (between the toolkit prefix and the
   // object path).  Used for specific resources: class + instance of the
   // client a decoration tree belongs to, and the "sticky"/"shaped" markers.
-  void SetTreePrefix(const Object* tree_root, std::vector<std::string> names,
-                     std::vector<std::string> classes);
-  const std::pair<std::vector<std::string>, std::vector<std::string>>* TreePrefix(
-      const Object* tree_root) const;
+  // Rebinds the objects of that tree only.
+  void SetTreePrefix(Object* tree_root, const std::vector<std::string>& names,
+                     const std::vector<std::string>& classes);
 
   // ---- Event dispatch ----------------------------------------------------------
   // Routes an event to the owning object's bindings; returns true if the
@@ -103,21 +113,22 @@ class Toolkit {
   // Full attribute query for an object (toolkit prefix + tree prefix +
   // object path + attribute).
   //
-  // Fast path: the object's full interned query path (session prefix + tree
-  // prefix + object path) is computed once and reused, and results —
-  // including misses — are memoized per (object, attribute).  The memo is
-  // dropped automatically when the database generation() moves, and
-  // explicitly when a prefix changes, so repeated reads (decoration
-  // construction, LoadBindings, ApplyStandardAttributes) cost one map probe
-  // instead of a trie walk.
+  // Each object is bound to the SearchPath of its full interned path when
+  // it is built (docs/RESOURCES.md).  A query walks the trie from the root
+  // only when that path's search list is missing or older than the
+  // database generation(); otherwise it probes the list's levels for the
+  // attribute.  Objects on one path share one list.
   std::optional<std::string> QueryAttribute(const Object& object,
                                             const std::string& attribute) const;
 
-  // Drops the memoized attribute values and interned paths.  Called
-  // internally on prefix/database changes; exposed for cold-path
-  // measurements and for callers that mutate the database behind a
-  // const pointer without going through ResourceDatabase (none today).
+  // Drops every search list and rebinds every object.  Called on
+  // SetResources and SetResourcePrefix; exposed for cold-path measurements
+  // and for callers that mutate the database behind a const pointer
+  // without going through ResourceDatabase (none today).
   void InvalidateQueryCaches() const;
+  // Distinct full paths bound so far (objects share entries; dead paths
+  // stay until the next InvalidateQueryCaches).
+  size_t search_path_count() const { return search_paths_.size(); }
 
   // ---- Frame pipeline ------------------------------------------------------
   // The retained-mode scheduler every object of this toolkit reports its
@@ -132,51 +143,47 @@ class Toolkit {
 
   // Query-path instrumentation (benchmarks, tests).
   struct QueryStats {
-    uint64_t queries = 0;      // QueryAttribute calls.
-    uint64_t cache_hits = 0;   // Served from the attribute memo.
-    uint64_t trie_lookups = 0; // Fell through to a database walk.
+    uint64_t queries = 0;       // QueryAttribute calls.
+    uint64_t cache_hits = 0;    // Answered from an already-built search list.
+    uint64_t trie_lookups = 0;  // Search-list builds (walks from the trie root).
   };
   const QueryStats& query_stats() const { return query_stats_; }
   void ResetQueryStats() const { query_stats_ = {}; }
 
-  // Registry maintenance (called from Object's ctor/dtor).
+  // Registry maintenance (called from Object's ctor/dtor).  Register also
+  // binds the object to its SearchPath.
   void Register(Object* object);
   void Unregister(Object* object);
 
  private:
-  struct InternedPath {
-    std::vector<xbase::Symbol> names;
-    std::vector<xbase::Symbol> classes;
+  struct SymbolPathHash {
+    size_t operator()(const std::vector<xbase::Symbol>& path) const;
   };
 
-  Object* TreeRootOf(const Object& object) const;
-  // The object's cached full interned path, minus the attribute component.
-  const InternedPath& PathFor(const Object& object) const;
+  // Points the object at the SearchPath of its full path, adding the entry
+  // if the path is new.  BindTree does so for a whole (sub)tree.
+  void Bind(Object* object) const;
+  void BindTree(Object* object) const;
   // Interned capitalized form of an attribute symbol ("bindings"→"Bindings").
   xbase::Symbol CapitalizedSymbol(xbase::Symbol attribute) const;
 
   xlib::Display* display_;
   const xrdb::ResourceDatabase* resources_;
   int screen_;
-  std::vector<std::string> prefix_names_;
-  std::vector<std::string> prefix_classes_;
-  std::vector<xbase::Symbol> prefix_name_symbols_;
-  std::vector<xbase::Symbol> prefix_class_symbols_;
+  ResourcePath prefix_;  // The session prefix.
   std::map<xproto::WindowId, Object*> registry_;
-  std::map<const Object*, std::pair<std::vector<std::string>, std::vector<std::string>>>
-      tree_prefixes_;
   ActionHandler action_handler_;
   std::vector<std::string> build_stack_;  // Cycle detection during BuildPanelTree.
   FrameScheduler frame_scheduler_;
 
-  // ---- Query fast-path state (logically const: pure memoization) -------------
-  mutable uint64_t seen_generation_ = 0;
-  mutable std::map<const Object*, InternedPath> path_cache_;
-  mutable std::map<std::pair<const Object*, xbase::Symbol>, std::optional<std::string>>
-      attribute_cache_;
-  mutable std::map<xbase::Symbol, xbase::Symbol> capitalized_;
-  mutable std::vector<xbase::Symbol> scratch_names_;
-  mutable std::vector<xbase::Symbol> scratch_classes_;
+  // ---- Query state (logically const: pure memoization) ------------------------
+  // Keyed by the full path, names then classes.  Node-based, so the
+  // SearchPath pointers objects hold survive rehashing.
+  mutable std::unordered_map<std::vector<xbase::Symbol>, SearchPath, SymbolPathHash>
+      search_paths_;
+  mutable std::vector<xbase::Symbol> key_scratch_;
+  // Indexed by attribute symbol (symbols are dense); kNoSymbol = not yet seen.
+  mutable std::vector<xbase::Symbol> capitalized_;
   mutable QueryStats query_stats_;
 };
 

@@ -184,8 +184,8 @@ class WindowManager {
   xlib::Display& display_aux() { return aux_display_; }
   const xrdb::ResourceDatabase& resources() const { return db_; }
   // Runtime mutation hook (swmcmd experiments, tests).  Every Put bumps the
-  // database generation, which invalidates the toolkits' attribute caches —
-  // see docs/RESOURCES.md "Lookup precedence, interning, and caching".
+  // database generation, which makes the toolkits rebuild their search
+  // lists — see docs/RESOURCES.md "Lookup precedence, interning, and caching".
   xrdb::ResourceDatabase& mutable_resources() { return db_; }
   oi::Toolkit& toolkit(int screen);
   VirtualDesktop* vdesk(int screen);

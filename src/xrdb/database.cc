@@ -24,6 +24,40 @@ xbase::Symbol EdgeKeySymbol(uint64_t key) {
   return static_cast<xbase::Symbol>(key >> 1);
 }
 
+// Visits the children of `node` that match one query level (name, clazz),
+// in precedence order (see the header): tight name, loose name, tight
+// class, loose class, tight ?, loose ?.  Each distinct edge is visited once
+// — name == class, or either being "?", would otherwise repeat a subtree —
+// and after a skip (`loose_only`) tight edges are not eligible.  Stops at
+// the first visit that returns true, and returns whether one did.
+template <typename NodeT, typename Visit>
+bool VisitCandidates(const NodeT& node, xbase::Symbol name, xbase::Symbol clazz,
+                     xbase::Symbol question, bool loose_only, Visit visit) {
+  const xbase::Symbol symbols[] = {name, clazz, question};
+  for (int i = 0; i < 3; ++i) {
+    const xbase::Symbol symbol = symbols[i];
+    if (symbol == xbase::kNoSymbol || (i > 0 && symbol == symbols[0]) ||
+        (i > 1 && symbol == symbols[1])) {
+      continue;  // Never interned (matches nothing), or already visited.
+    }
+    // EdgeKey puts the binding in the low bit, so the tight and the loose
+    // edge of one symbol are adjacent: one search finds both.
+    const uint64_t tight = EdgeKey(/*loose=*/false, symbol);
+    auto it = std::lower_bound(node.keys.begin(), node.keys.end(), tight);
+    if (it != node.keys.end() && *it == tight) {
+      if (!loose_only && visit(*node.children[it - node.keys.begin()])) {
+        return true;
+      }
+      ++it;
+    }
+    if (it != node.keys.end() && *it == tight + 1 &&
+        visit(*node.children[it - node.keys.begin()])) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // Process-global, monotonic: no two mutations anywhere ever produce the
 // same generation value (see generation() in the header).
 uint64_t g_generation_counter = 0;
@@ -107,7 +141,9 @@ struct ResourceDatabase::Node {
 
 ResourceDatabase::ResourceDatabase()
     : root_(std::make_unique<Node>()),
-      question_(xbase::SymbolInterner::Global().Intern("?")) {}
+      question_(xbase::SymbolInterner::Global().Intern("?")) {
+  Touch();  // Even an empty database has a generation of its own.
+}
 ResourceDatabase::~ResourceDatabase() = default;
 ResourceDatabase::ResourceDatabase(ResourceDatabase&&) noexcept = default;
 ResourceDatabase& ResourceDatabase::operator=(ResourceDatabase&&) noexcept = default;
@@ -290,6 +326,66 @@ std::optional<std::string> ResourceDatabase::Get(const std::vector<std::string>&
 std::optional<std::string> ResourceDatabase::Get(const std::string& dotted_names,
                                                  const std::string& dotted_classes) const {
   return Get(xbase::Split(dotted_names, '.'), xbase::Split(dotted_classes, '.'));
+}
+
+ResourceDatabase::SearchList ResourceDatabase::GetSearchList(
+    std::span<const xbase::Symbol> names, std::span<const xbase::Symbol> classes) const {
+  SearchList list;
+  if (names.size() != classes.size()) {
+    return list;
+  }
+  std::vector<SearchState> visited;
+  CollectSearchLevels(*root_, names, classes, 0, /*loose_only=*/false, &visited, &list);
+  return list;
+}
+
+void ResourceDatabase::CollectSearchLevels(const Node& node,
+                                           std::span<const xbase::Symbol> names,
+                                           std::span<const xbase::Symbol> classes,
+                                           size_t level, bool loose_only,
+                                           std::vector<SearchState>* visited,
+                                           SearchList* list) const {
+  if (level == names.size()) {
+    SearchLevel reached{&node, loose_only};
+    if (std::find(list->begin(), list->end(), reached) == list->end()) {
+      list->push_back(reached);
+    }
+    return;
+  }
+  SearchState state{&node, level, loose_only};
+  if (std::find(visited->begin(), visited->end(), state) != visited->end()) {
+    return;
+  }
+  visited->push_back(state);
+  // Match's DFS, without its early exit: every candidate is followed.
+  VisitCandidates(node, names[level], classes[level], question_, loose_only,
+                  [&](const Node& child) {
+                    CollectSearchLevels(child, names, classes, level + 1,
+                                        /*loose_only=*/false, visited, list);
+                    return false;
+                  });
+  // Lowest precedence: skip this component.  Every prefix component may be
+  // skipped; the final one, which may not, is not part of the prefix.
+  if (node.has_loose_child) {
+    CollectSearchLevels(node, names, classes, level + 1, /*loose_only=*/true, visited, list);
+  }
+}
+
+const std::string* ResourceDatabase::GetSearchResource(const SearchList& list,
+                                                       xbase::Symbol name,
+                                                       xbase::Symbol clazz) const {
+  const std::string* found = nullptr;
+  for (const SearchLevel& level : list) {
+    // The final component: a matching child must itself hold the value.
+    if (VisitCandidates(*level.node, name, clazz, question_, level.loose_only,
+                        [&found](const Node& child) {
+                          found = child.value.has_value() ? &*child.value : nullptr;
+                          return found != nullptr;
+                        })) {
+      return found;
+    }
+  }
+  return nullptr;
 }
 
 int ResourceDatabase::LoadFromString(const std::string& text) {

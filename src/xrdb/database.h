@@ -17,8 +17,8 @@
 // Internally the trie is keyed on interned symbols (xbase::SymbolInterner),
 // so a Match probe is an integer binary search with zero allocations; the
 // string API interns at the boundary.  A monotonic generation() counter is
-// bumped by every mutation so callers (the OI toolkit) can memoize query
-// results and invalidate them when the database changes.
+// bumped by every mutation so callers (the OI toolkit) can keep search
+// lists (GetSearchList) and rebuild them when the database changes.
 #ifndef SRC_XRDB_DATABASE_H_
 #define SRC_XRDB_DATABASE_H_
 
@@ -48,6 +48,8 @@ std::vector<ResourceComponent> ParseResourceName(const std::string& text);
 std::string FormatResourceName(const std::vector<ResourceComponent>& components);
 
 class ResourceDatabase {
+  struct Node;  // Trie node (private; SearchLevel only points at one).
+
  public:
   ResourceDatabase();
   ~ResourceDatabase();
@@ -75,6 +77,29 @@ class ResourceDatabase {
   std::optional<std::string> Get(const std::string& dotted_names,
                                  const std::string& dotted_classes) const;
 
+  // XrmQGetSearchList / XrmQGetSearchResource: split a query into its
+  // prefix (every component but the last) and its final component, so
+  // callers that ask many final components under one prefix walk the trie
+  // from the root once.  A level is a trie node the prefix can reach, with
+  // `loose_only` set when it was reached by skipping the last prefix
+  // component (only loose edges may follow a skip).  Levels are listed in
+  // Match's precedence order, each once.  A list holds node pointers: it is
+  // valid until the next mutation, i.e. while generation() is unchanged.
+  struct SearchLevel {
+    const Node* node;
+    bool loose_only;
+
+    friend bool operator==(const SearchLevel&, const SearchLevel&) = default;
+  };
+  using SearchList = std::vector<SearchLevel>;
+  SearchList GetSearchList(std::span<const xbase::Symbol> names,
+                           std::span<const xbase::Symbol> classes) const;
+  // The value for final component (name, clazz) under the list's prefix:
+  // equal to Get(prefix + name, prefix + clazz).  nullptr on a miss; the
+  // pointer is valid while the list is.
+  const std::string* GetSearchResource(const SearchList& list, xbase::Symbol name,
+                                       xbase::Symbol clazz) const;
+
   // Loads "key: value" lines.  Supports '!' comment lines, '#' directives
   // (ignored), backslash line-continuation and the \n escape in values.
   // Returns the number of entries loaded; malformed lines are skipped with
@@ -93,15 +118,13 @@ class ResourceDatabase {
   size_t size() const { return entry_count_; }
   bool empty() const { return entry_count_ == 0; }
 
-  // Changes with every successful Put/Merge/Load.  Drawn from a counter
-  // global to the process, so two databases never share a non-zero
-  // generation — a cache keyed on it stays correct across SetResources
-  // swaps and whole-database reloads.
+  // Set at construction and changed by every successful Put/Merge/Load.
+  // Drawn from a counter global to the process, so no two databases, empty
+  // ones included, ever share a generation — a search list keyed on it
+  // stays correct across SetResources swaps and whole-database reloads.
   uint64_t generation() const { return generation_; }
 
  private:
-  struct Node;
-
   // Templated on the query representation: eager symbol spans (the toolkit
   // fast path) or lazily-interned strings (the class symbol of a level is
   // only resolved if its name probes fail — a fully specific hit interns
@@ -109,6 +132,20 @@ class ResourceDatabase {
   template <typename QueryT>
   std::optional<std::string> Match(const Node& node, const QueryT& query, size_t level,
                                    bool loose_only) const;
+  // GetSearchList's DFS: appends every level reachable from (node, level,
+  // loose_only).  `visited` holds the prefix states already expanded; a
+  // second visit could only append levels already listed.
+  struct SearchState {
+    const Node* node;
+    size_t level;
+    bool loose_only;
+
+    friend bool operator==(const SearchState&, const SearchState&) = default;
+  };
+  void CollectSearchLevels(const Node& node, std::span<const xbase::Symbol> names,
+                           std::span<const xbase::Symbol> classes, size_t level,
+                           bool loose_only, std::vector<SearchState>* visited,
+                           SearchList* list) const;
   // Iterative walk of the all-tight-name path.  That path is the first leaf
   // the Match DFS would explore, so when it ends on a value the value is the
   // overall highest-precedence match and the backtracking search is skipped.

@@ -785,41 +785,6 @@ bool Server::ConfigureWindow(ClientId client, WindowId window, uint16_t value_ma
   return true;
 }
 
-bool Server::MoveWindow(ClientId client, WindowId window, const xbase::Point& pos) {
-  ConfigureValues values;
-  values.geometry.x = pos.x;
-  values.geometry.y = pos.y;
-  return ConfigureWindow(client, window, xproto::kConfigX | xproto::kConfigY, values);
-}
-
-bool Server::ResizeWindow(ClientId client, WindowId window, const xbase::Size& size) {
-  ConfigureValues values;
-  values.geometry.width = size.width;
-  values.geometry.height = size.height;
-  return ConfigureWindow(client, window, xproto::kConfigWidth | xproto::kConfigHeight, values);
-}
-
-bool Server::MoveResizeWindow(ClientId client, WindowId window, const xbase::Rect& r) {
-  ConfigureValues values;
-  values.geometry = r;
-  return ConfigureWindow(
-      client, window,
-      xproto::kConfigX | xproto::kConfigY | xproto::kConfigWidth | xproto::kConfigHeight,
-      values);
-}
-
-bool Server::RaiseWindow(ClientId client, WindowId window) {
-  ConfigureValues values;
-  values.stack_mode = xproto::StackMode::kAbove;
-  return ConfigureWindow(client, window, xproto::kConfigStackMode, values);
-}
-
-bool Server::LowerWindow(ClientId client, WindowId window) {
-  ConfigureValues values;
-  values.stack_mode = xproto::StackMode::kBelow;
-  return ConfigureWindow(client, window, xproto::kConfigStackMode, values);
-}
-
 bool Server::SelectInput(ClientId client, WindowId window, uint32_t event_mask) {
   RequestGuard req(this, client, RequestCode::kSelectInput);
   if (!req.ok()) {

@@ -208,13 +208,6 @@ class Server {
   bool ConfigureWindow(xproto::ClientId client, xproto::WindowId window, uint16_t value_mask,
                        const ConfigureValues& values);
 
-  // Convenience wrappers over ConfigureWindow.
-  bool MoveWindow(xproto::ClientId client, xproto::WindowId window, const xbase::Point& pos);
-  bool ResizeWindow(xproto::ClientId client, xproto::WindowId window, const xbase::Size& size);
-  bool MoveResizeWindow(xproto::ClientId client, xproto::WindowId window, const xbase::Rect& r);
-  bool RaiseWindow(xproto::ClientId client, xproto::WindowId window);
-  bool LowerWindow(xproto::ClientId client, xproto::WindowId window);
-
   // Fails (returns false) when another client already holds
   // SubstructureRedirect on the window — "another WM is running".
   bool SelectInput(xproto::ClientId client, xproto::WindowId window, uint32_t event_mask);

@@ -3,6 +3,7 @@
 #include "src/base/logging.h"
 #include "src/oi/toolkit.h"
 #include "src/xserver/server.h"
+#include "tests/swm_test_util.h"
 
 namespace oi {
 namespace {
@@ -343,29 +344,29 @@ TEST_F(ToolkitTest, ObjectDestructionUnregisters) {
 }
 
 TEST_F(ToolkitTest, AttributeCacheInvalidatedByRuntimePut) {
-  // The memoized attribute layer must never serve a value older than the
-  // database: a Put bumps the generation and the next query re-walks.
+  // A search list must never serve a value older than the database: a Put
+  // bumps the generation and the next query rebuilds the list.
   db_.Put("swm*button.live.label", "before");
   auto button = toolkit_->CreateButton(nullptr, dpy_.RootWindow(0), "live");
   EXPECT_EQ(button->Attribute("label"), "before");
-  EXPECT_EQ(button->Attribute("label"), "before");  // Cached probe.
+  EXPECT_EQ(button->Attribute("label"), "before");  // From the built list.
   db_.Put("swm*button.live.label", "after");
   EXPECT_EQ(button->Attribute("label"), "after");
 }
 
 TEST_F(ToolkitTest, NegativeCacheInvalidatedByRuntimePut) {
-  // Misses are memoized too; a Put that makes a previously-absent
-  // attribute appear must be visible immediately.
+  // A Put that makes a previously-absent attribute appear must be visible
+  // immediately, even though the path's list was already built.
   auto button = toolkit_->CreateButton(nullptr, dpy_.RootWindow(0), "late");
   EXPECT_FALSE(button->Attribute("tooltip").has_value());
-  EXPECT_FALSE(button->Attribute("tooltip").has_value());  // Cached miss.
+  EXPECT_FALSE(button->Attribute("tooltip").has_value());  // Miss from the built list.
   db_.Put("swm*button.late.tooltip", "appeared");
   EXPECT_EQ(button->Attribute("tooltip"), "appeared");
 }
 
 TEST_F(ToolkitTest, AttributeCacheInvalidatedBySetTreePrefix) {
-  // Installing a tree prefix changes every cached path under that root, so
-  // stale pre-prefix answers must not survive.
+  // Installing a tree prefix rebinds every object under that root to its
+  // new path, so stale pre-prefix answers must not survive.
   db_.Put("swm*button.name.label", "generic");
   db_.Put("swm*XTerm*button.name.label", "terminal");
   db_.Put("swm*panel.deco", "button name +C+0");
@@ -379,8 +380,8 @@ TEST_F(ToolkitTest, AttributeCacheInvalidatedBySetTreePrefix) {
 }
 
 TEST_F(ToolkitTest, AttributeCacheInvalidatedBySetResources) {
-  // Pointing the toolkit at a different database drops everything cached
-  // from the old one, even though the object paths are unchanged.
+  // Pointing the toolkit at a different database drops every search list
+  // built from the old one, even though the object paths are unchanged.
   db_.Put("swm*button.swap.label", "old-db");
   auto button = toolkit_->CreateButton(nullptr, dpy_.RootWindow(0), "swap");
   EXPECT_EQ(button->Attribute("label"), "old-db");
@@ -392,11 +393,59 @@ TEST_F(ToolkitTest, AttributeCacheInvalidatedBySetResources) {
   EXPECT_EQ(button->Attribute("label"), "old-db");
 }
 
+TEST_F(ToolkitTest, DecorationsOfOneClassShareSearchLists) {
+  // Objects on the same full resource path share one search list, so the
+  // trie is walked once per distinct path however many trees are built.
+  db_.Put("swm*panel.deco", "button name +C+0 panel client +0+1");
+  db_.Put("swm*button.name.label", "generic");
+  db_.Put("swm*XTerm*button.name.label", "terminal");
+  auto build = [this]() {
+    return toolkit_->BuildPanelTree(
+        "deco", dpy_.RootWindow(0),
+        [this](const std::string& name) { return Definition(name); }, {"XTerm", "xterm"},
+        {"XTerm", "xterm"});
+  };
+  toolkit_->ResetQueryStats();
+  const Toolkit::QueryStats& stats = toolkit_->query_stats();
+  std::vector<std::unique_ptr<Panel>> trees;
+  trees.push_back(build());
+  // Root before and after its tree prefix, the name button, the client panel.
+  EXPECT_EQ(toolkit_->search_path_count(), 4u);
+  EXPECT_EQ(stats.trie_lookups, 4u);
+  const uint64_t queries_per_tree = stats.queries;
+  for (int i = 0; i < 7; ++i) {
+    trees.push_back(build());
+  }
+  EXPECT_EQ(toolkit_->search_path_count(), 4u);
+  EXPECT_EQ(stats.trie_lookups, 4u);
+  EXPECT_EQ(stats.queries, 8 * queries_per_tree);
+  EXPECT_EQ(stats.cache_hits, stats.queries - stats.trie_lookups);
+  for (const std::unique_ptr<Panel>& tree : trees) {
+    EXPECT_EQ(static_cast<Button*>(tree->FindDescendant("name"))->label(), "terminal");
+  }
+}
+
+TEST_F(ToolkitTest, SetTreePrefixRebindsOnlyThatTree) {
+  db_.Put("swm*panel.deco", "button name +C+0");
+  db_.Put("swm*button.name.label", "generic");
+  db_.Put("swm*sticky*button.name.label", "stuck");
+  auto lookup = [this](const std::string& name) { return Definition(name); };
+  auto stuck = toolkit_->BuildPanelTree("deco", dpy_.RootWindow(0), lookup);
+  auto plain = toolkit_->BuildPanelTree("deco", dpy_.RootWindow(0), lookup);
+  Object* stuck_name = stuck->FindDescendant("name");
+  Object* plain_name = plain->FindDescendant("name");
+  toolkit_->SetTreePrefix(stuck.get(), {"sticky"}, {"Sticky"});
+  EXPECT_EQ(stuck_name->Attribute("label"), "stuck");
+  EXPECT_EQ(plain_name->Attribute("label"), "generic");
+  toolkit_->SetTreePrefix(stuck.get(), {}, {});
+  EXPECT_EQ(stuck_name->Attribute("label"), "generic");
+}
+
 TEST_F(ToolkitTest, QueryStatsCountCacheHits) {
   db_.Put("swm*button.stat.label", "x");
   auto button = toolkit_->CreateButton(nullptr, dpy_.RootWindow(0), "stat");
-  // Construction itself queried "label"; start from a cold cache so the
-  // hit/lookup split below is deterministic.
+  // Construction itself built the path's list; drop it so the first query
+  // below builds it again and the next two are answered from it.
   toolkit_->InvalidateQueryCaches();
   toolkit_->ResetQueryStats();
   button->Attribute("label");
@@ -424,6 +473,60 @@ TEST_F(ToolkitTest, ExposeTriggersRender) {
   toolkit_->FlushFrame();
   // The render produced draw ops (border + label).
   EXPECT_FALSE(server_.FindWindowForTest(button->window())->draw_ops.empty());
+}
+
+// ---- Search lists under the window manager ----------------------------------------
+
+class SearchListWmTest : public swm_test::SwmTest {
+ protected:
+  oi::Object* NameObject(const xlib::ClientApp& app) {
+    swm::ManagedClient* client = Managed(app);
+    return client == nullptr ? nullptr : client->name_object;
+  }
+};
+
+TEST_F(SearchListWmTest, RemanagingAClassReusesItsSearchLists) {
+  StartWm();
+  const Toolkit& toolkit = wm_->toolkit(0);
+  auto first = Spawn("xterm", {"xterm", "XTerm"});
+  first.reset();  // Disconnects: the window goes, and swm unmanages it.
+  wm_->ProcessEvents();
+  ASSERT_EQ(wm_->ClientCount(), 0u);
+  const size_t paths = toolkit.search_path_count();
+  const uint64_t lookups = toolkit.query_stats().trie_lookups;
+  const uint64_t queries = toolkit.query_stats().queries;
+  auto second = Spawn("xterm", {"xterm", "XTerm"});
+  ASSERT_NE(NameObject(*second), nullptr);
+  EXPECT_GT(toolkit.query_stats().queries, queries);
+  EXPECT_EQ(toolkit.search_path_count(), paths);
+  EXPECT_EQ(toolkit.query_stats().trie_lookups, lookups);
+}
+
+TEST_F(SearchListWmTest, PutStickyToggleAndRestart) {
+  StartWm(
+      "swm*button.name.myMarker: generic\n"
+      "swm*sticky*button.name.myMarker: stuck\n");
+  auto app = Spawn("xterm", {"xterm", "XTerm"});
+  ASSERT_NE(NameObject(*app), nullptr);
+  EXPECT_EQ(NameObject(*app)->Attribute("myMarker"), "generic");
+  // A runtime Put moves the database generation: the next query rebuilds
+  // the path's list and sees it.
+  wm_->mutable_resources().Put("swm*XTerm*button.name.myMarker", "runtime");
+  EXPECT_EQ(NameObject(*app)->Attribute("myMarker"), "runtime");
+  // Sticking rebuilds the decoration under the "sticky" tree prefix, whose
+  // level comes before the class level.
+  ASSERT_TRUE(wm_->ExecuteCommandString("f.stick(XTerm)", 0));
+  wm_->ProcessEvents();
+  ASSERT_TRUE(Managed(*app)->sticky);
+  EXPECT_EQ(NameObject(*app)->Attribute("myMarker"), "stuck");
+  ASSERT_TRUE(wm_->ExecuteCommandString("f.stick(XTerm)", 0));
+  wm_->ProcessEvents();
+  ASSERT_FALSE(Managed(*app)->sticky);
+  EXPECT_EQ(NameObject(*app)->Attribute("myMarker"), "runtime");
+  // f.restart reloads the database from template + user resources.
+  ASSERT_TRUE(wm_->ExecuteCommandString("f.restart", 0));
+  wm_->ProcessEvents();
+  EXPECT_EQ(NameObject(*app)->Attribute("myMarker"), "generic");
 }
 
 }  // namespace

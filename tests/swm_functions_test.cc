@@ -311,8 +311,8 @@ TEST_F(FunctionsTest, RuntimePutIsLiveAndRestartRevertsIt) {
   ASSERT_NE(name, nullptr);
   EXPECT_EQ(name->Attribute("myMarker"), "from-user");
   // A runtime Put (the swmcmd configuration channel) is visible on the
-  // very next query: the toolkit's attribute cache keys on the database
-  // generation, which the Put bumps.
+  // very next query: the toolkit's search lists are rebuilt when the
+  // database generation moves, which the Put does.
   wm_->mutable_resources().Put("swm*button.name.myMarker", "runtime");
   EXPECT_EQ(name->Attribute("myMarker"), "runtime");
   // f.restart rebuilds the database from template + user resources once

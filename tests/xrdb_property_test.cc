@@ -99,6 +99,41 @@ std::string RandomComponent(std::mt19937* rng) {
   return kPool[pick(*rng)];
 }
 
+// A random database of 1..max_entries entries of 1..max_components
+// components over the RandomComponent alphabet, with random tight and
+// loose bindings.  `entries` mirrors it for ReferenceGet: a later Put of an
+// identical specifier replaces the earlier value.
+void RandomDatabase(std::mt19937* rng, int max_entries, int max_components,
+                    ResourceDatabase* db,
+                    std::vector<std::pair<std::string, std::string>>* entries) {
+  std::uniform_int_distribution<int> entry_count(1, max_entries);
+  std::uniform_int_distribution<int> component_count(1, max_components);
+  std::uniform_int_distribution<int> coin(0, 1);
+  int n = entry_count(*rng);
+  for (int i = 0; i < n; ++i) {
+    std::string specifier;
+    int m = component_count(*rng);
+    for (int c = 0; c < m; ++c) {
+      specifier += (c == 0 ? (coin(*rng) ? "*" : "") : (coin(*rng) ? "*" : "."));
+      specifier += RandomComponent(rng);
+    }
+    std::string value = "v" + std::to_string(i);
+    if (db->Put(specifier, value)) {
+      std::string canonical = FormatResourceName(ParseResourceName(specifier));
+      bool replaced = false;
+      for (auto& entry : *entries) {
+        if (FormatResourceName(ParseResourceName(entry.first)) == canonical) {
+          entry.second = value;
+          replaced = true;
+        }
+      }
+      if (!replaced) {
+        entries->emplace_back(specifier, value);
+      }
+    }
+  }
+}
+
 class XrdbDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(XrdbDifferentialTest, MatchesBruteForceReference) {
@@ -185,36 +220,12 @@ class XrdbCollisionDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(XrdbCollisionDifferentialTest, DedupedMatcherTracksReference) {
   std::mt19937 rng(GetParam() * 7919);
-  std::uniform_int_distribution<int> entry_count(1, 10);
-  std::uniform_int_distribution<int> component_count(1, 5);
   std::uniform_int_distribution<int> coin(0, 1);
 
   for (int round = 0; round < 30; ++round) {
     ResourceDatabase db;
     std::vector<std::pair<std::string, std::string>> entries;
-    int n = entry_count(rng);
-    for (int i = 0; i < n; ++i) {
-      std::string specifier;
-      int m = component_count(rng);
-      for (int c = 0; c < m; ++c) {
-        specifier += (c == 0 ? (coin(rng) ? "*" : "") : (coin(rng) ? "*" : "."));
-        specifier += RandomComponent(&rng);
-      }
-      std::string value = "v" + std::to_string(i);
-      if (db.Put(specifier, value)) {
-        std::string canonical = FormatResourceName(ParseResourceName(specifier));
-        bool replaced = false;
-        for (auto& entry : entries) {
-          if (FormatResourceName(ParseResourceName(entry.first)) == canonical) {
-            entry.second = value;
-            replaced = true;
-          }
-        }
-        if (!replaced) {
-          entries.emplace_back(specifier, value);
-        }
-      }
-    }
+    RandomDatabase(&rng, 10, 5, &db, &entries);
     // Query components drawn from the entry alphabet so name == class (and
     // name == "?") happens often; half the levels are forced identical.
     static const char* kQueryPool[] = {"a", "b", "A", "B", "?"};
@@ -237,6 +248,75 @@ TEST_P(XrdbCollisionDifferentialTest, DedupedMatcherTracksReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XrdbCollisionDifferentialTest, ::testing::Range(1, 16));
+
+// Search lists (the toolkit's query path): GetSearchResource over
+// GetSearchList(prefix) must equal Get and the brute-force reference on the
+// whole query.  Each random prefix gets one list, and several final
+// components are asked under it, the way objects sharing one resource path
+// ask for many attributes.  Name == class (and "?") collisions are as
+// frequent as in the collision test above, and prefixes may be empty.
+class XrdbSearchListDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(XrdbSearchListDifferentialTest, SearchResourceMatchesGetAndReference) {
+  std::mt19937 rng(GetParam() * 104729);
+  std::uniform_int_distribution<int> coin(0, 1);
+  std::uniform_int_distribution<int> prefix_depth(0, 5);
+  static const char* kQueryPool[] = {"a", "b", "A", "B", "?"};
+  std::uniform_int_distribution<int> pool_pick(0, 4);
+  xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
+  auto component = [&](std::vector<std::string>* names, std::vector<std::string>* classes) {
+    names->push_back(kQueryPool[pool_pick(rng)]);
+    classes->push_back(coin(rng) ? names->back() : kQueryPool[pool_pick(rng)]);
+  };
+  auto intern_all = [&](const std::vector<std::string>& strings) {
+    std::vector<xbase::Symbol> symbols;
+    for (const std::string& text : strings) {
+      symbols.push_back(interner.Intern(text));
+    }
+    return symbols;
+  };
+
+  for (int round = 0; round < 40; ++round) {
+    ResourceDatabase db;
+    std::vector<std::pair<std::string, std::string>> entries;
+    RandomDatabase(&rng, 12, 5, &db, &entries);
+    for (int prefix_round = 0; prefix_round < 6; ++prefix_round) {
+      std::vector<std::string> names;
+      std::vector<std::string> classes;
+      int depth = prefix_depth(rng);
+      for (int d = 0; d < depth; ++d) {
+        component(&names, &classes);
+      }
+      std::vector<xbase::Symbol> name_symbols = intern_all(names);
+      std::vector<xbase::Symbol> class_symbols = intern_all(classes);
+      ResourceDatabase::SearchList list = db.GetSearchList(name_symbols, class_symbols);
+      for (size_t i = 0; i < list.size(); ++i) {
+        for (size_t j = i + 1; j < list.size(); ++j) {
+          ASSERT_FALSE(list[i] == list[j]) << "level listed twice";
+        }
+      }
+      for (int last = 0; last < 4; ++last) {
+        component(&names, &classes);
+        const std::string* found = db.GetSearchResource(
+            list, interner.Intern(names.back()), interner.Intern(classes.back()));
+        std::optional<std::string> via_list;
+        if (found != nullptr) {
+          via_list = *found;
+        }
+        ASSERT_EQ(via_list, db.Get(names, classes))
+            << "round " << round << " prefix depth " << depth << "\ndb:\n"
+            << db.Serialize();
+        ASSERT_EQ(via_list, ReferenceGet(entries, names, classes))
+            << "round " << round << " prefix depth " << depth << "\ndb:\n"
+            << db.Serialize();
+        names.pop_back();
+        classes.pop_back();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, XrdbSearchListDifferentialTest, ::testing::Range(1, 31));
 
 }  // namespace
 }  // namespace xrdb

@@ -299,6 +299,13 @@ TEST(XrdbGenerationTest, DistinctDatabasesNeverShareGenerations) {
   a = ResourceDatabase();
   a.Put("swm*x", "1");
   EXPECT_NE(a.generation(), before_reload);
+  // Empty databases too: a search list built on one is not valid for
+  // another that replaces it.
+  ResourceDatabase empty;
+  uint64_t before_replace = empty.generation();
+  EXPECT_NE(before_replace, ResourceDatabase().generation());
+  empty = ResourceDatabase();
+  EXPECT_NE(empty.generation(), before_replace);
 }
 
 TEST_F(XrmMatchTest, NameEqualToClassQueriesOnce) {

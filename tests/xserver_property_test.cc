@@ -130,20 +130,33 @@ TEST_P(ServerFuzzTest, RandomOperationsPreserveInvariants) {
                                RandomWindow(&rng), {coord(rng) / 4, coord(rng) / 4});
         break;
       }
-      case 6:
-        server_.MoveWindow(RandomClient(&rng), RandomWindow(&rng),
-                           {coord(rng), coord(rng)});
+      // Cases 6-9 draw geometry, then window, then client.
+      case 6: {  // Move.
+        ConfigureValues values;
+        values.geometry.x = coord(rng);
+        values.geometry.y = coord(rng);
+        WindowId window = RandomWindow(&rng);
+        server_.ConfigureWindow(RandomClient(&rng), window, xproto::kConfigX | xproto::kConfigY,
+                                values);
         break;
-      case 7:
-        server_.ResizeWindow(RandomClient(&rng), RandomWindow(&rng),
-                             {extent(rng), extent(rng)});
+      }
+      case 7: {  // Resize.
+        ConfigureValues values;
+        values.geometry.width = extent(rng);
+        values.geometry.height = extent(rng);
+        WindowId window = RandomWindow(&rng);
+        server_.ConfigureWindow(RandomClient(&rng), window,
+                                xproto::kConfigWidth | xproto::kConfigHeight, values);
         break;
+      }
       case 8:
-        server_.RaiseWindow(RandomClient(&rng), RandomWindow(&rng));
+      case 9: {  // Raise, lower.
+        ConfigureValues values;
+        values.stack_mode = op == 8 ? xproto::StackMode::kAbove : xproto::StackMode::kBelow;
+        WindowId window = RandomWindow(&rng);
+        server_.ConfigureWindow(RandomClient(&rng), window, xproto::kConfigStackMode, values);
         break;
-      case 9:
-        server_.LowerWindow(RandomClient(&rng), RandomWindow(&rng));
-        break;
+      }
       case 10:
         server_.SimulateMotion({coord(rng), coord(rng)});
         break;

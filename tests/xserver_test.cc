@@ -9,6 +9,9 @@ using xproto::Event;
 using xproto::kNone;
 using xproto::WindowId;
 
+constexpr uint16_t kMoveResize =
+    xproto::kConfigX | xproto::kConfigY | xproto::kConfigWidth | xproto::kConfigHeight;
+
 class ServerTest : public ::testing::Test {
  protected:
   ServerTest() : server_({ScreenConfig{200, 100, false}}) {
@@ -168,7 +171,9 @@ TEST_F(ServerTest, ConfigureRequestRedirected) {
   server_.SelectInput(wm_, server_.RootWindow(0), xproto::kSubstructureRedirectMask);
   WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
-  server_.MoveResizeWindow(client_, win, {5, 6, 70, 80});
+  ConfigureValues values;
+  values.geometry = {5, 6, 70, 80};
+  server_.ConfigureWindow(client_, win, kMoveResize, values);
   EXPECT_EQ(server_.GetGeometry(win), (xbase::Rect{0, 0, 10, 10}));  // Unchanged.
   auto requests = DrainOf<xproto::ConfigureRequestEvent>(wm_);
   ASSERT_EQ(requests.size(), 1u);
@@ -181,7 +186,9 @@ TEST_F(ServerTest, ConfigureMovesResizesNotifies) {
   WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, win, xproto::kStructureNotifyMask);
-  server_.MoveResizeWindow(client_, win, {30, 40, 50, 60});
+  ConfigureValues values;
+  values.geometry = {30, 40, 50, 60};
+  server_.ConfigureWindow(client_, win, kMoveResize, values);
   EXPECT_EQ(server_.GetGeometry(win), (xbase::Rect{30, 40, 50, 60}));
   auto notifies = DrainOf<xproto::ConfigureNotifyEvent>(client_);
   ASSERT_FALSE(notifies.empty());
@@ -199,12 +206,14 @@ TEST_F(ServerTest, StackingOrderRaiseLower) {
                                     xproto::WindowClass::kInputOutput, false);
   auto order = [&]() { return server_.QueryTree(root)->children; };
   EXPECT_EQ(order(), (std::vector<WindowId>{a, b, c}));
-  server_.RaiseWindow(client_, a);
+  ConfigureValues values;
+  values.stack_mode = xproto::StackMode::kAbove;
+  server_.ConfigureWindow(client_, a, xproto::kConfigStackMode, values);
   EXPECT_EQ(order(), (std::vector<WindowId>{b, c, a}));
-  server_.LowerWindow(client_, c);
+  values.stack_mode = xproto::StackMode::kBelow;
+  server_.ConfigureWindow(client_, c, xproto::kConfigStackMode, values);
   EXPECT_EQ(order(), (std::vector<WindowId>{c, b, a}));
   // Stack above a specific sibling.
-  ConfigureValues values;
   values.sibling = c;
   values.stack_mode = xproto::StackMode::kAbove;
   server_.ConfigureWindow(client_, a, xproto::kConfigSibling | xproto::kConfigStackMode,
@@ -389,7 +398,10 @@ TEST_F(ServerTest, SendEventWithMaskZeroGoesToOwner) {
 TEST_F(ServerTest, ClampToProtocolLimit) {
   WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
-  server_.ResizeWindow(client_, win, {100000, 5});
+  ConfigureValues values;
+  values.geometry.width = 100000;
+  values.geometry.height = 5;
+  server_.ConfigureWindow(client_, win, xproto::kConfigWidth | xproto::kConfigHeight, values);
   EXPECT_EQ(server_.GetGeometry(win)->width, xproto::kMaxCoordinate);
 }
 
@@ -625,7 +637,9 @@ TEST_F(ServerTest, RenderRespectsStackingAndClipping) {
   EXPECT_EQ(canvas.At(15, 15), 'a');  // Above wins in the overlap.
   EXPECT_EQ(canvas.At(50, 50), '.');  // Root background elsewhere.
 
-  server_.RaiseWindow(client_, below);
+  ConfigureValues raise;
+  raise.stack_mode = xproto::StackMode::kAbove;
+  server_.ConfigureWindow(client_, below, xproto::kConfigStackMode, raise);
   canvas = server_.RenderScreen(0);
   EXPECT_EQ(canvas.At(15, 15), 'b');
 }

@@ -18,6 +18,7 @@
 #   BENCH_14.json  batched slot-policy reflow (bench_policy)
 #   BENCH_15.json  per-client window index    (bench_eval_toolkit_overhead)
 #   BENCH_18.json  one request funnel         (bench_wire)
+#   BENCH_19.json  per-path search lists      (bench_eval_resource_db)
 #
 # Usage: tools/run_benches.sh <bench_binary_name> <BENCH_n.json>
 #   e.g. tools/run_benches.sh bench_policy BENCH_14.json
