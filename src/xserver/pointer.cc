@@ -15,6 +15,7 @@ using xproto::WindowId;
 WindowId Server::DeepestInWindow(const WindowRec& win, const xbase::Point& local) const {
   // Children are bottom-most first; hit-test from the top of the stack.
   for (auto it = win.children.rbegin(); it != win.children.rend(); ++it) {
+    ++hit_test_visits_;
     const WindowRec* child = Find(*it);
     if (child == nullptr || !child->mapped) {
       continue;
@@ -52,6 +53,23 @@ WindowId Server::ChildTowards(WindowId ancestor, WindowId descendant) const {
     cur = win->parent;
   }
   return cur == ancestor ? prev : kNone;
+}
+
+bool Server::CoversPointer(const WindowRec& win) const {
+  // Translate the pointer into `win`'s coordinates on the way up to its
+  // root, which also names the screen `win` is on.
+  xbase::Point local = pointer_.root_pos;
+  const WindowRec* cur = &win;
+  while (cur->parent != kNone) {
+    local.x -= cur->geometry.x;
+    local.y -= cur->geometry.y;
+    cur = Find(cur->parent);
+    XB_CHECK(cur != nullptr) << "window " << win.id << " has a dead ancestor";
+  }
+  if (cur->id != screens_[pointer_.screen].root) {
+    return false;
+  }
+  return xbase::Rect{0, 0, win.geometry.width, win.geometry.height}.Contains(local);
 }
 
 void Server::UpdatePointerWindow() {

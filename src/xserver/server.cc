@@ -295,11 +295,14 @@ void Server::InjectDestroy(WindowId window) {
   }
   in_fault_ = true;
   ++fault_counters_.destroyed_windows;
+  bool covered = CoversPointer(*win);
   if (IsViewable(window)) {
     UnmapWindow(win->owner, window);
   }
   DestroyRecursive(window, /*notify_parent=*/true);
-  UpdatePointerWindow();
+  if (covered) {
+    UpdatePointerWindow();
+  }
   in_fault_ = false;
 }
 
@@ -414,9 +417,8 @@ WindowId Server::CreateWindow(ClientId client, WindowId parent, const xbase::Rec
   win.override_redirect = override_redirect;
   win.owner = client;
   WindowId id = win.id;
-  windows_[id] = std::move(win);
+  windows_.emplace(id, std::move(win));
   FindClient(client)->owned.insert(id);
-  parent_rec = Find(parent);  // Map may have rehashed.
   parent_rec->children.push_back(id);
   Tick();
 
@@ -444,10 +446,6 @@ void Server::DestroyRecursive(WindowId window, bool notify_parent) {
   std::vector<WindowId> children = win->children;
   for (WindowId child : children) {
     DestroyRecursive(child, /*notify_parent=*/false);
-  }
-  win = Find(window);  // Children destruction does not rehash parents, but be safe.
-  if (win == nullptr) {
-    return;
   }
   Tick();
   xproto::DestroyNotifyEvent notify;
@@ -511,12 +509,14 @@ bool Server::DestroyWindow(ClientId client, WindowId window) {
   if (win->parent == kNone) {
     return RaiseError(client, ErrorCode::kBadMatch, window);  // Roots cannot be destroyed.
   }
-  bool was_viewable = IsViewable(window);
-  if (was_viewable) {
+  bool covered = CoversPointer(*win);
+  if (IsViewable(window)) {
     UnmapWindow(client, window);
   }
   DestroyRecursive(window, /*notify_parent=*/true);
-  UpdatePointerWindow();
+  if (covered) {
+    UpdatePointerWindow();
+  }
   return true;
 }
 
@@ -558,7 +558,9 @@ void Server::MapApplied(WindowRec* win) {
   if (IsViewable(win->id)) {
     SendExpose(win);
   }
-  UpdatePointerWindow();
+  if (CoversPointer(*win)) {
+    UpdatePointerWindow();
+  }
 }
 
 bool Server::MapWindow(ClientId client, WindowId window) {
@@ -614,7 +616,9 @@ bool Server::UnmapWindow(ClientId client, WindowId window) {
     notify.event_window = win->parent;
     DeliverToSelecting(win->parent, xproto::kSubstructureNotifyMask, Event{notify});
   }
-  UpdatePointerWindow();
+  if (CoversPointer(*win)) {
+    UpdatePointerWindow();
+  }
   return true;
 }
 
@@ -712,6 +716,7 @@ bool Server::ConfigureWindow(ClientId client, WindowId window, uint16_t value_ma
   }
 
   xbase::Rect old_geometry = win->geometry;
+  bool covered = CoversPointer(*win);
   if (value_mask & xproto::kConfigX) {
     win->geometry.x = values.geometry.x;
   }
@@ -775,7 +780,9 @@ bool Server::ConfigureWindow(ClientId client, WindowId window, uint16_t value_ma
   if (resized && IsViewable(window)) {
     SendExpose(win);
   }
-  UpdatePointerWindow();
+  if (covered || CoversPointer(*win)) {
+    UpdatePointerWindow();
+  }
   // Move/resize-in-progress death: the client gives up on a window the WM is
   // actively configuring.
   if (fault_plan_active_ && !in_fault_ && client != win->owner &&

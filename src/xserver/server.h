@@ -21,6 +21,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/canvas.h"
@@ -185,6 +186,13 @@ class Server {
   const RenderStats& render_stats() const { return render_stats_; }
   void ResetRenderStats() { render_stats_ = {}; }
 
+  // ---- Pointer accounting ------------------------------------------------
+  // Windows the pointer hit test has examined, summed over every recompute
+  // of the window under the pointer: a deterministic measure of how the
+  // hit test scales with the window count.  Not part of the replay
+  // fingerprint.
+  uint64_t hit_test_visits() const { return hit_test_visits_; }
+
   // ---- Screens -----------------------------------------------------------
   int ScreenCount() const { return static_cast<int>(screens_.size()); }
   const ScreenInfo& screen(int number) const;
@@ -286,6 +294,9 @@ class Server {
 
   // Test-only introspection (const view of internal records).
   const WindowRec* FindWindowForTest(xproto::WindowId window) const { return Find(window); }
+  // Test-only: the deepest viewable window under the pointer, hit-tested
+  // afresh rather than read from the cached QueryPointer().window.
+  xproto::WindowId HitTestPointerForTest() const { return DeepestViewableAt(pointer_.root_pos); }
   // Test-only: a client's save set (insertion order) and the windows it
   // holds state on (ascending), or nullopt for unknown clients.
   struct ClientIndex {
@@ -395,6 +406,11 @@ class Server {
   xproto::WindowId DeepestViewableAt(const xbase::Point& root_pos) const;
   xproto::WindowId DeepestInWindow(const WindowRec& win, const xbase::Point& local) const;
   void UpdatePointerWindow();
+  // True when the pointer lies inside `win`'s interior on `win`'s screen.
+  // The hit test descends only into children whose {0,0,w,h} holds the
+  // point, so a change confined to `win`'s subtree can move the pointer
+  // window only then; requests run UpdatePointerWindow only in that case.
+  bool CoversPointer(const WindowRec& win) const;
   // Child of `ancestor` on the path toward `descendant` (kNone if none).
   xproto::WindowId ChildTowards(xproto::WindowId ancestor, xproto::WindowId descendant) const;
   bool IsAncestorOrSelf(xproto::WindowId ancestor, xproto::WindowId descendant) const;
@@ -406,7 +422,10 @@ class Server {
                     const xbase::Region& clip, xbase::Canvas* canvas) const;
 
   std::vector<ScreenInfo> screens_;
-  std::map<xproto::WindowId, WindowRec> windows_;
+  // Every live window, hashed by id.  Only looked up, never walked in id
+  // order; nodes do not move on rehash, so a WindowRec* stays valid until
+  // its own window is erased.
+  std::unordered_map<xproto::WindowId, WindowRec> windows_;
   std::map<xproto::ClientId, ClientRec> clients_;
   std::map<std::string, xproto::AtomId> atoms_;
   std::vector<std::string> atom_names_;  // atom id - 1 -> name.
@@ -416,6 +435,7 @@ class Server {
   xproto::Timestamp time_ = 0;
 
   PointerState pointer_;
+  mutable uint64_t hit_test_visits_ = 0;  // Bumped by the const hit test.
   ActiveGrab grab_;
   xproto::WindowId focus_window_ = xproto::kNone;  // kNone = pointer-root.
 

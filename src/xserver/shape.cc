@@ -23,6 +23,11 @@ void Server::SetShapeInternal(ClientId client, WindowRec* win,
       Enqueue(cid, Event{notify});
     }
   }
+  // Input follows the bounding shape, so the shape may have moved the
+  // pointer into or out of the window.
+  if (CoversPointer(*win)) {
+    UpdatePointerWindow();
+  }
 }
 
 bool Server::ShapeSetMask(ClientId client, WindowId window, const xbase::Bitmap& mask) {

@@ -1,6 +1,8 @@
 // Randomized operation sequences against the server, checking structural
 // invariants after every step: tree consistency, stacking-order membership,
-// coordinate arithmetic, save-set hygiene and pointer-window validity.
+// coordinate arithmetic, save-set hygiene and pointer-window validity.  The
+// cached pointer window is checked against a fresh hit test after every step:
+// requests recompute it only when the changed window covers the pointer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +34,15 @@ class ServerFuzzTest : public ::testing::TestWithParam<int> {
   ClientId RandomClient(std::mt19937* rng) {
     std::uniform_int_distribution<size_t> pick(0, clients_.size() - 1);
     return clients_[pick(*rng)];
+  }
+
+  // Half the time the window under the pointer, so shape changes do move
+  // the pointer in and out of windows.
+  WindowId ShapeTarget(std::mt19937* rng) {
+    if (std::bernoulli_distribution(0.5)(*rng)) {
+      return server_.QueryPointer().window;
+    }
+    return RandomWindow(rng);
   }
 
   void PruneDeadWindows() {
@@ -94,7 +105,7 @@ class ServerFuzzTest : public ::testing::TestWithParam<int> {
 
 TEST_P(ServerFuzzTest, RandomOperationsPreserveInvariants) {
   std::mt19937 rng(GetParam());
-  std::uniform_int_distribution<int> op_dist(0, 11);
+  std::uniform_int_distribution<int> op_dist(0, 13);
   std::uniform_int_distribution<int> coord(-20, 280);
   std::uniform_int_distribution<int> extent(1, 120);
 
@@ -168,7 +179,20 @@ TEST_P(ServerFuzzTest, RandomOperationsPreserveInvariants) {
                                {'x'});
         break;
       }
+      case 12: {  // Shape set: a rectangle in window coordinates.
+        WindowId target = ShapeTarget(&rng);
+        xbase::Rect rect{coord(rng) / 4, coord(rng) / 4, extent(rng), extent(rng)};
+        server_.ShapeSetRegion(RandomClient(&rng), target, xbase::Region(rect));
+        break;
+      }
+      case 13: {  // Shape clear.
+        WindowId target = ShapeTarget(&rng);
+        server_.ShapeClear(RandomClient(&rng), target);
+        break;
+      }
     }
+    EXPECT_EQ(server_.QueryPointer().window, server_.HitTestPointerForTest())
+        << "stale pointer window after op " << op << " at step " << step;
     // Drain queues so they do not grow unboundedly.
     for (ClientId client : clients_) {
       while (server_.NextEvent(client).has_value()) {

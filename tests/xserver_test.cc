@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 namespace xserver {
 namespace {
 
@@ -549,6 +553,132 @@ TEST_F(PointerTest, InputFollowsShape) {
   server_.SimulateButton(1, true);
   server_.SimulateButton(1, false);
   EXPECT_TRUE(DrainOf<xproto::ButtonEvent>(client_).empty());
+}
+
+TEST_F(PointerTest, ShapeChangeUnderPointerCrosses) {
+  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 20, 20}, 0,
+                                      xproto::WindowClass::kInputOutput, false);
+  server_.SelectInput(client_, win, xproto::kEnterWindowMask | xproto::kLeaveWindowMask);
+  server_.MapWindow(client_, win);
+  server_.SimulateMotion({15, 15});
+  Drain(client_);
+
+  // Cutting the pointer's cell out of the shape leaves the window at once.
+  server_.ShapeSetRegion(client_, win, xbase::Region(xbase::Rect{0, 0, 10, 10}));
+  auto crossings = DrainOf<xproto::CrossingEvent>(client_);
+  ASSERT_EQ(crossings.size(), 1u);
+  EXPECT_FALSE(crossings[0].enter);
+  EXPECT_EQ(server_.QueryPointer().window, server_.RootWindow(0));
+
+  server_.ShapeClear(client_, win);
+  crossings = DrainOf<xproto::CrossingEvent>(client_);
+  ASSERT_EQ(crossings.size(), 1u);
+  EXPECT_TRUE(crossings[0].enter);
+  EXPECT_EQ(server_.QueryPointer().window, win);
+}
+
+// ---- Pointer recompute guard ---------------------------------------------------
+//
+// Requests recompute the window under the pointer only when the changed window
+// covers the pointer.  `standing` mapped top-levels share one corner of the
+// screen, clear of the pointer, so a full hit test walks all of them.
+
+constexpr uint32_t kCrossingMask = xproto::kEnterWindowMask | xproto::kLeaveWindowMask;
+constexpr xbase::Point kPointer{100, 50};
+
+struct GuardedServer {
+  explicit GuardedServer(int standing) : server({ScreenConfig{200, 100, false}}) {
+    client = server.Connect("c");
+    root = server.RootWindow(0);
+    server.SelectInput(client, root, kCrossingMask);
+    for (int i = 0; i < standing; ++i) {
+      server.MapWindow(client, Create({0, 0, 10, 10}));
+    }
+    server.SimulateMotion(kPointer);
+    Crossings();
+  }
+
+  WindowId Create(const xbase::Rect& geometry) {
+    WindowId window = server.CreateWindow(client, root, geometry, 0,
+                                          xproto::WindowClass::kInputOutput, false);
+    server.SelectInput(client, window, kCrossingMask);
+    return window;
+  }
+
+  void Configure(WindowId window, uint16_t mask, const xbase::Rect& geometry,
+                 xproto::StackMode mode = xproto::StackMode::kAbove) {
+    ConfigureValues values;
+    values.geometry = geometry;
+    values.stack_mode = mode;
+    server.ConfigureWindow(client, window, mask, values);
+  }
+
+  // Crossing events since the last call, as (window, enter) in order.
+  std::vector<std::pair<WindowId, bool>> Crossings() {
+    std::vector<std::pair<WindowId, bool>> out;
+    while (auto event = server.NextEvent(client)) {
+      if (auto* crossing = std::get_if<xproto::CrossingEvent>(&*event)) {
+        out.emplace_back(crossing->window, crossing->enter);
+      }
+    }
+    return out;
+  }
+
+  Server server;
+  xproto::ClientId client = 0;
+  WindowId root = kNone;
+};
+
+TEST_F(PointerTest, RequestsAwayFromPointerSkipTheHitTest) {
+  std::map<int, uint64_t> visits;
+  for (int standing : {16, 1024}) {
+    GuardedServer g(standing);
+    uint64_t before = g.server.hit_test_visits();
+    WindowId win = g.Create({150, 70, 20, 20});
+    g.server.MapWindow(g.client, win);
+    g.Configure(win, xproto::kConfigX | xproto::kConfigY, {170, 80, 0, 0});
+    g.Configure(win, xproto::kConfigStackMode, {}, xproto::StackMode::kBelow);
+    g.Configure(win, xproto::kConfigStackMode, {}, xproto::StackMode::kAbove);
+    g.server.UnmapWindow(g.client, win);
+    g.server.MapWindow(g.client, win);
+    g.server.DestroyWindow(g.client, win);
+    visits[standing] = g.server.hit_test_visits() - before;
+    EXPECT_TRUE(g.Crossings().empty()) << standing << " standing";
+    EXPECT_EQ(g.server.QueryPointer().window, g.root);
+
+    // Motion still hit-tests every time, past every standing window.
+    before = g.server.hit_test_visits();
+    g.server.SimulateMotion({kPointer.x + 1, kPointer.y});
+    EXPECT_GE(g.server.hit_test_visits() - before, static_cast<uint64_t>(standing));
+  }
+  EXPECT_LE(visits[1024], 2 * visits[16]);
+}
+
+TEST_F(PointerTest, RequestsUnderPointerCross) {
+  using Crossing = std::pair<WindowId, bool>;
+  GuardedServer g(1024);
+  WindowId win = g.Create({90, 40, 20, 20});
+  WindowId cover = g.Create({95, 45, 10, 10});
+
+  g.server.MapWindow(g.client, win);
+  EXPECT_EQ(g.Crossings(), (std::vector<Crossing>{{g.root, false}, {win, true}}));
+  g.server.MapWindow(g.client, cover);
+  EXPECT_EQ(g.Crossings(), (std::vector<Crossing>{{win, false}, {cover, true}}));
+  g.Configure(win, xproto::kConfigStackMode, {});
+  EXPECT_EQ(g.Crossings(), (std::vector<Crossing>{{cover, false}, {win, true}}));
+  g.Configure(win, xproto::kConfigX | xproto::kConfigY, {120, 40, 0, 0});
+  EXPECT_EQ(g.Crossings(), (std::vector<Crossing>{{win, false}, {cover, true}}));
+  g.Configure(win, xproto::kConfigX | xproto::kConfigY, {90, 40, 0, 0});
+  EXPECT_EQ(g.Crossings(), (std::vector<Crossing>{{cover, false}, {win, true}}));
+  g.server.UnmapWindow(g.client, win);
+  EXPECT_EQ(g.Crossings(), (std::vector<Crossing>{{win, false}, {cover, true}}));
+  g.server.MapWindow(g.client, win);
+  EXPECT_EQ(g.Crossings(), (std::vector<Crossing>{{cover, false}, {win, true}}));
+  g.server.DestroyWindow(g.client, win);
+  EXPECT_EQ(g.Crossings(), (std::vector<Crossing>{{win, false}, {cover, true}}));
+  g.server.DestroyWindow(g.client, cover);
+  EXPECT_EQ(g.Crossings(), (std::vector<Crossing>{{cover, false}, {g.root, true}}));
+  EXPECT_EQ(g.server.QueryPointer().window, g.root);
 }
 
 // ---- Input focus ---------------------------------------------------------------
