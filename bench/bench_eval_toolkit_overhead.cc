@@ -41,9 +41,10 @@ BENCHMARK(BM_Swm_ManageUnmanage)->Arg(1)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 // virtual desktop: connect a fresh client, map it, let swm manage it, then
 // destroy the app (its Display disconnects) and let swm unmanage it.  The
 // server's per-client indexes keep connect/disconnect independent of the
-// population; what still grows is O(n) by design — the panner draws one
-// box per window, and the pointer-window search and sibling erase walk
-// their lists.
+// population, and the panner draws only the launched window's box and its
+// erase, so `draw_ops_per_launch` stays flat.  What still grows is O(n) by
+// design: the panner's reconcile walks every client once per batch, and
+// the pointer-window search and sibling erase walk their lists.
 void BM_Swm_LaunchWithStanding(benchmark::State& state) {
   const int standing = static_cast<int>(state.range(0));
   const bool panner = state.range(1) != 0;
@@ -52,6 +53,7 @@ void BM_Swm_LaunchWithStanding(benchmark::State& state) {
                                 std::string("swm*virtualDesktop: 3456x2700\nswm*panner: ") +
                                     (panner ? "True\n" : "False\n"));
   auto apps = bench_util::SpawnClients(server.get(), standing, [&] { wm->ProcessEvents(); });
+  const uint64_t draw_ops_before = server->render_stats().draw_ops;
   for (auto _ : state) {
     auto app =
         std::make_unique<xlib::ClientApp>(server.get(), bench_util::ClientConfig(standing));
@@ -61,6 +63,9 @@ void BM_Swm_LaunchWithStanding(benchmark::State& state) {
     wm->ProcessEvents();
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["draw_ops_per_launch"] = benchmark::Counter(
+      static_cast<double>(server->render_stats().draw_ops - draw_ops_before),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_Swm_LaunchWithStanding)
     ->ArgNames({"standing", "panner"})

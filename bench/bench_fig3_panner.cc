@@ -47,7 +47,9 @@ void PrintFigure3() {
               server.RenderScreen(0).ToString().c_str());
 }
 
-// Rebuilding the miniature after a change, vs managed window count.
+// One reconcile with nothing moved, vs managed window count: the walk over
+// every client that each batch's reconcile makes.  It draws nothing; a full
+// rebuild of the miniature is Panner::Redraw.
 void BM_PannerUpdate(benchmark::State& state) {
   const int windows = static_cast<int>(state.range(0));
   auto server = bench_util::MakeServer();

@@ -8,6 +8,33 @@
 
 namespace swm {
 
+namespace {
+
+xserver::DrawOp Fill(const xbase::Rect& rect, char fill) {
+  xserver::DrawOp op;
+  op.kind = xserver::DrawOp::Kind::kFillRect;
+  op.rect = rect;
+  op.fill = fill;
+  return op;
+}
+
+xserver::DrawOp Border(const xbase::Rect& rect) {
+  xserver::DrawOp op;
+  op.kind = xserver::DrawOp::Kind::kBorder;
+  op.rect = rect;
+  return op;
+}
+
+// True when `rect` covers a cell of `outline`'s 1-cell ring, which the
+// outline op paints over any box.
+bool TouchesRing(const xbase::Rect& rect, const xbase::Rect& outline) {
+  xbase::Rect hit = rect.Intersection(outline);
+  xbase::Rect inside{outline.x + 1, outline.y + 1, outline.width - 2, outline.height - 2};
+  return !hit.IsEmpty() && !inside.Contains(hit);
+}
+
+}  // namespace
+
 Panner::Panner(WindowManager* wm, int screen, int scale)
     : wm_(wm), screen_(screen), scale_(scale) {
   VirtualDesktop* desk = wm_->vdesk(screen_);
@@ -16,6 +43,7 @@ Panner::Panner(WindowManager* wm, int screen, int scale)
   xbase::Size panner_size{std::max(4, desk_size.width / scale_),
                           std::max(3, desk_size.height / scale_)};
   xbase::Size view = wm_->display().DisplaySize(screen_);
+  size_ = panner_size;
 
   // The panner is a client window owned by the WM's aux connection, so it
   // is reparented, decorated and manageable "just like any other client
@@ -54,53 +82,141 @@ xbase::Point Panner::DesktopToPanner(const xbase::Point& p) const {
 }
 
 void Panner::Update() {
+  stale_ = true;
+  if (wm_->frame_hold_depth_ == 0) {
+    Reconcile();
+  }
+}
+
+void Panner::Redraw() {
+  full_redraw_ = true;
+  Update();
+}
+
+std::optional<xbase::Rect> Panner::BoxOf(const ManagedClient& client,
+                                         const VirtualDesktop& desk) const {
+  // "The panner shows a miniature representation of all windows currently
+  // on the Virtual Desktop."  With multiple desktops, only the active one.
+  if (client.screen != screen_ || client.sticky || client.state != xproto::WmState::kNormal ||
+      client.frame == nullptr || client.window == app_->window()) {
+    return std::nullopt;
+  }
+  // Frames on other desktops hang under those desktops' windows.  A frame
+  // keeps the parent BuildFrame gave it (ReDecorate rebuilds the frame
+  // rather than moving it), so no QueryTree is needed.
+  if (client.frame->parent_window() != desk.window()) {
+    return std::nullopt;
+  }
+  const xbase::Rect& frame = client.frame->geometry();
+  xbase::Point top_left = DesktopToPanner(frame.origin());
+  return xbase::Rect{top_left.x, top_left.y, std::max(1, frame.width / scale_),
+                     std::max(1, frame.height / scale_)};
+}
+
+xbase::Rect Panner::OutlineOf(const VirtualDesktop& desk) const {
+  // "It also displays an outline indicating your current position."
+  xbase::Point view_origin = DesktopToPanner(desk.offset());
+  xbase::Size view = desk.viewport();
+  return xbase::Rect{view_origin.x, view_origin.y, std::max(2, view.width / scale_),
+                     std::max(2, view.height / scale_)};
+}
+
+void Panner::Reconcile() {
+  if (!stale_) {
+    return;
+  }
+  stale_ = false;
   VirtualDesktop* desk = wm_->vdesk(screen_);
   if (desk == nullptr) {
     return;
   }
+  target_.clear();
+  for (const auto& [window, client] : wm_->clients_) {
+    if (std::optional<xbase::Rect> box = BoxOf(*client, *desk)) {
+      target_.push_back(Box{window, *box});
+    }
+  }
+  xbase::Rect outline = OutlineOf(*desk);
+  bool full = full_redraw_ || outline != shown_outline_ || desk->window() != shown_desktop_;
+  if (!full) {
+    bool redraw_outline = Diff(outline);
+    size_t ops = erases_.size() + draws_.size() + (redraw_outline ? 1 : 0);
+    full = list_ops_ + ops > ListBound(target_.size());
+    if (!full) {
+      xlib::Display& dpy = wm_->display();
+      for (const xbase::Rect& rect : erases_) {
+        dpy.Draw(app_->window(), Fill(rect, app_->background()));
+      }
+      for (const xbase::Rect& rect : draws_) {
+        dpy.Draw(app_->window(), Fill(rect, 'o'));
+      }
+      if (redraw_outline) {
+        dpy.Draw(app_->window(), Border(outline));
+      }
+      list_ops_ += ops;
+    }
+  }
+  if (full) {
+    SendFullRedraw(outline);
+    shown_outline_ = outline;
+    shown_desktop_ = desk->window();
+    full_redraw_ = false;
+  }
+  shown_.swap(target_);
+}
+
+bool Panner::Diff(const xbase::Rect& outline) {
+  erases_.clear();
+  draws_.clear();
+  bool touches_ring = false;
+  // Erasing is X11 ClearArea done on the client side: fill with the window
+  // background the part of the old rect that no box still shown covers.
+  // Cells a remaining box covers already show 'o'.
+  auto erase = [&](const xbase::Rect& old_rect) {
+    cover_.Clear();
+    for (const Box& box : target_) {
+      if (box.rect.Intersects(old_rect)) {
+        cover_.UnionRect(box.rect.Intersection(old_rect));
+      }
+    }
+    uncovered_.SetRect(old_rect);
+    uncovered_.SubtractWith(cover_);
+    for (const xbase::Rect& rect : uncovered_.rects()) {
+      erases_.push_back(rect);
+      touches_ring = touches_ring || TouchesRing(rect, outline);
+    }
+  };
+  // Both lists are in client window order (clients_ is a std::map), so one
+  // merge walk pairs each box with what it showed before.
+  auto old_it = shown_.begin();
+  for (const Box& box : target_) {
+    for (; old_it != shown_.end() && old_it->window < box.window; ++old_it) {
+      erase(old_it->rect);
+    }
+    if (old_it != shown_.end() && old_it->window == box.window) {
+      if (old_it->rect == box.rect) {
+        ++old_it;
+        continue;
+      }
+      erase((old_it++)->rect);
+    }
+    draws_.push_back(box.rect);
+    touches_ring = touches_ring || TouchesRing(box.rect, outline);
+  }
+  for (; old_it != shown_.end(); ++old_it) {
+    erase(old_it->rect);
+  }
+  return touches_ring;
+}
+
+void Panner::SendFullRedraw(const xbase::Rect& outline) {
   xlib::Display& dpy = wm_->display();
-  xproto::WindowId window = app_->window();
-  std::optional<xbase::Rect> geometry = dpy.GetGeometry(window);
-  if (!geometry.has_value()) {
-    return;
+  dpy.ClearWindow(app_->window());
+  for (const Box& box : target_) {
+    dpy.Draw(app_->window(), Fill(box.rect, 'o'));
   }
-  dpy.ClearWindow(window);
-
-  // "The panner shows a miniature representation of all windows currently
-  // on the Virtual Desktop."  With multiple desktops, only the active one.
-  for (ManagedClient* client : wm_->Clients()) {
-    if (client->screen != screen_ || client->sticky ||
-        client->state != xproto::WmState::kNormal || client->frame == nullptr) {
-      continue;
-    }
-    if (client->window == app_->window()) {
-      continue;
-    }
-    // Frames on other desktops hang under those desktops' windows.  A
-    // frame keeps the parent BuildFrame gave it (ReDecorate rebuilds the
-    // frame rather than moving it), so no QueryTree is needed.
-    if (client->frame->parent_window() != desk->window()) {
-      continue;
-    }
-    xbase::Rect frame = client->frame->geometry();
-    xbase::Point top_left = DesktopToPanner(frame.origin());
-    xserver::DrawOp box;
-    box.kind = xserver::DrawOp::Kind::kFillRect;
-    box.rect = xbase::Rect{top_left.x, top_left.y, std::max(1, frame.width / scale_),
-                           std::max(1, frame.height / scale_)};
-    box.fill = 'o';
-    dpy.Draw(window, box);
-  }
-
-  // "It also displays an outline indicating your current position."
-  xbase::Point view_origin = DesktopToPanner(desk->offset());
-  xbase::Size view = desk->viewport();
-  xserver::DrawOp outline;
-  outline.kind = xserver::DrawOp::Kind::kBorder;
-  outline.rect = xbase::Rect{view_origin.x, view_origin.y,
-                             std::max(2, view.width / scale_),
-                             std::max(2, view.height / scale_)};
-  dpy.Draw(window, outline);
+  dpy.Draw(app_->window(), Border(outline));
+  list_ops_ = target_.size() + 1;
 }
 
 bool Panner::HandleButton(const xproto::ButtonEvent& event) {
@@ -154,17 +270,13 @@ bool Panner::HandleButton(const xproto::ButtonEvent& event) {
     // Released inside the panner: drop at the miniature position.  Released
     // outside: a full-size outline move — drop at the pointer's desktop
     // position (paper §6.1).
-    std::optional<xbase::Rect> panner_geometry = wm_->display().GetGeometry(app_->window());
-    xbase::Rect local{0, 0, panner_geometry.has_value() ? panner_geometry->width : 0,
-                      panner_geometry.has_value() ? panner_geometry->height : 0};
-    if (local.Contains(event.pos)) {
+    if (xbase::Rect{0, 0, size_.width, size_.height}.Contains(event.pos)) {
       xbase::Point desktop = PannerToDesktop(event.pos);
       wm_->MoveFrameTo(client, {desktop.x - drag_offset_.x, desktop.y - drag_offset_.y});
     } else {
       xbase::Point desktop = desk->ScreenToDesktop(event.root_pos);
       wm_->MoveFrameTo(client, desktop);
     }
-    Update();
     return true;
   }
   return false;
@@ -193,8 +305,9 @@ void Panner::OnResized(const xbase::Size& new_size) {
   if (desk == nullptr) {
     return;
   }
+  size_ = new_size;
   desk->Resize({new_size.width * scale_, new_size.height * scale_});
-  Update();
+  Redraw();
 }
 
 }  // namespace swm

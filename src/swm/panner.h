@@ -10,12 +10,16 @@
 #define SRC_SWM_PANNER_H_
 
 #include <memory>
+#include <optional>
+#include <vector>
 
+#include "src/base/region.h"
 #include "src/xlib/client_app.h"
 #include "src/xlib/display.h"
 
 namespace swm {
 
+class VirtualDesktop;
 class WindowManager;
 struct ManagedClient;
 
@@ -29,6 +33,13 @@ class Panner {
   Panner(const Panner&) = delete;
   Panner& operator=(const Panner&) = delete;
 
+  // A miniature window: one `kFillRect` of 'o' per non-sticky normal client
+  // on the active desktop, in panner cells.
+  struct Box {
+    xproto::WindowId window = xproto::kNone;
+    xbase::Rect rect;
+  };
+
   // The panner's client window (owned by the WM's aux connection and
   // managed/reparented like a normal client).
   xproto::WindowId window() const { return app_->window(); }
@@ -38,9 +49,30 @@ class Panner {
   // Maps the client window (kicks off normal management).
   void Map();
 
-  // Redraws the miniature: desktop outline, one box per non-sticky managed
-  // window, and the viewport position outline.
+  // Marks the miniature stale.  Inside ProcessEvents' frame hold it is
+  // brought up to date once per batch, by WindowManager::FlushFrames;
+  // outside it, at once.
   void Update();
+  // Like Update(), but the next reconcile clears the window and draws every
+  // box and the outline from scratch (f.refresh).
+  void Redraw();
+  // Brings the window up to date if Update() or Redraw() marked it stale.
+  // Sends only the difference from what it shows: each removed or moved box
+  // is erased in the window background except where a remaining box covers
+  // it, new and moved boxes are drawn, and the outline is redrawn only if an
+  // erase or a draw touched its ring.  A pan, a desktop switch, a panner
+  // resize, or a diff that would grow the window's display list past
+  // ListBound() redraws from scratch instead.
+  void Reconcile();
+
+  // What the window shows, by client window id, and the viewport outline.
+  const std::vector<Box>& boxes() const { return shown_; }
+  const xbase::Rect& outline() const { return shown_outline_; }
+  // Ops appended to the window's display list since its last ClearWindow.
+  size_t list_ops() const { return list_ops_; }
+  // The bound on list_ops() for `boxes` shown boxes: a full redraw costs
+  // boxes + 1 ops, so the list never holds more than about twice that.
+  static constexpr size_t ListBound(size_t boxes) { return 2 * (boxes + 1) + 16; }
 
   // Event handling; return true when the event was consumed.
   bool HandleButton(const xproto::ButtonEvent& event);
@@ -59,13 +91,38 @@ class Panner {
   bool dragging_window() const { return drag_window_ != xproto::kNone; }
 
  private:
+  // The box `client` shows as on `desk`, if any.
+  std::optional<xbase::Rect> BoxOf(const ManagedClient& client,
+                                   const VirtualDesktop& desk) const;
+  xbase::Rect OutlineOf(const VirtualDesktop& desk) const;
+  // Fills `erases_` and `draws_` with what turns `shown_` into `target_`;
+  // true when one of them touches the outline's ring.  The erases are sent
+  // first, so they never clear a box drawn in the same pass.
+  bool Diff(const xbase::Rect& outline);
+  void SendFullRedraw(const xbase::Rect& outline);
+
   WindowManager* wm_;
   int screen_;
   int scale_;
   std::unique_ptr<xlib::ClientApp> app_;
+  xbase::Size size_;  // Panner cells; from construction and OnResized.
   bool panning_ = false;
   xproto::WindowId drag_window_ = xproto::kNone;  // Miniature-move in progress.
   xbase::Point drag_offset_;  // Pointer offset inside the miniature box.
+
+  // Retained state: what the window shows, sorted by client window id.
+  bool stale_ = false;
+  bool full_redraw_ = true;
+  std::vector<Box> shown_;
+  xbase::Rect shown_outline_;
+  xproto::WindowId shown_desktop_ = xproto::kNone;
+  size_t list_ops_ = 0;
+  // Scratch reused across reconciles.
+  std::vector<Box> target_;
+  std::vector<xbase::Rect> erases_;  // Filled with the window background.
+  std::vector<xbase::Rect> draws_;   // Filled with 'o'.
+  xbase::Region cover_;
+  xbase::Region uncovered_;
 };
 
 }  // namespace swm

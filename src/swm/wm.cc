@@ -751,7 +751,7 @@ void WindowManager::RefreshAll() {
   }
   for (ScreenState& state : screens_) {
     if (state.panner != nullptr) {
-      state.panner->Update();
+      state.panner->Redraw();
     }
     for (const auto& icon : state.root_icons) {
       icon->InvalidateTree(oi::kPaintDirty);
@@ -771,6 +771,11 @@ void WindowManager::RefreshAll() {
 void WindowManager::FlushFrames() {
   for (ScreenState& state : screens_) {
     state.toolkit->FlushFrame();
+    // After the toolkit flush, so frames are laid out: the panner draws
+    // what changed in the batch once.
+    if (state.panner != nullptr) {
+      state.panner->Reconcile();
+    }
   }
 }
 

@@ -317,8 +317,9 @@ class WindowManager {
   void RefreshAll();
 
   // Lays out and paints every pending invalidation on all screens: one
-  // retained-mode frame per toolkit.  Mutating operations flush at their
-  // natural boundary; the event loop flushes once per drained batch.
+  // retained-mode frame per toolkit, then the panner's reconcile.  Mutating
+  // operations flush at their natural boundary; the event loop flushes once
+  // per drained batch.
   void FlushFrames();
 
   // Rebuilds the resource database from the template + user resources (the

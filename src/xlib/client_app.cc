@@ -44,7 +44,7 @@ ClientApp::ClientApp(xserver::Server* server, const ClientAppConfig& config)
   }
 
   display_.SelectInput(window_, xproto::kStructureNotifyMask | xproto::kPropertyChangeMask);
-  display_.SetWindowBackground(window_, config.name.empty() ? 'o' : config.name[0]);
+  display_.SetWindowBackground(window_, background());
 }
 
 void ClientApp::Map() { display_.MapWindow(window_); }

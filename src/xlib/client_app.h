@@ -42,6 +42,8 @@ class ClientApp {
 
   Display& display() { return display_; }
   xproto::WindowId window() const { return window_; }
+  // The window background the constructor sets: the name's first letter.
+  char background() const { return config_.name.empty() ? 'o' : config_.name[0]; }
   const ClientAppConfig& config() const { return config_; }
 
   // Maps the top-level window (goes through the WM's SubstructureRedirect).

@@ -22,7 +22,6 @@ Server::Server(std::vector<ScreenConfig> screens) {
     WindowRec root;
     root.id = next_window_id_++;
     root.parent = kNone;
-    root.screen = static_cast<int>(i);
     root.geometry = xbase::Rect{0, 0, cfg.width, cfg.height};
     root.mapped = true;
     root.background = '.';
@@ -65,7 +64,7 @@ void Server::Disconnect(ClientId client) {
       continue;
     }
     xbase::Point root_pos = RootPosition(wid);
-    ReparentWindow(client, wid, screens_[win->screen].root, root_pos);
+    ReparentWindow(client, wid, screens_[ScreenOf(*win)].root, root_pos);
     MapWindow(win->owner, wid);
   }
   // Destroy windows created by the client, ascending id (top-level first is
@@ -110,7 +109,22 @@ const ScreenInfo& Server::screen(int number) const {
 
 int Server::ScreenOfWindow(WindowId window) const {
   const WindowRec* win = Find(window);
-  return win == nullptr ? -1 : win->screen;
+  return win == nullptr ? -1 : ScreenOf(*win);
+}
+
+int Server::ScreenOf(const WindowRec& win) const {
+  const WindowRec* cur = &win;
+  while (cur->parent != kNone) {
+    cur = Find(cur->parent);
+    XB_CHECK(cur != nullptr) << "window " << win.id << " has a dead ancestor";
+  }
+  for (const ScreenInfo& info : screens_) {
+    if (info.root == cur->id) {
+      return info.number;
+    }
+  }
+  XB_CHECK(false) << "window " << win.id << " hangs under no screen root";
+  return -1;
 }
 
 AtomId Server::InternAtom(const std::string& name) {
@@ -410,7 +424,6 @@ WindowId Server::CreateWindow(ClientId client, WindowId parent, const xbase::Rec
   WindowRec win;
   win.id = next_window_id_++;
   win.parent = parent;
-  win.screen = parent_rec->screen;
   win.window_class = window_class;
   win.geometry = geometry;
   win.border_width = border_width;
@@ -651,7 +664,6 @@ bool Server::ReparentWindow(ClientId client, WindowId window, WindowId new_paren
   WindowId old_parent = win->parent;
   RemoveFromParent(win);
   win->parent = new_parent;
-  win->screen = parent->screen;
   win->geometry.x = position.x;
   win->geometry.y = position.y;
   parent->children.push_back(window);
@@ -892,7 +904,7 @@ std::optional<QueryTreeReply> Server::QueryTree(WindowId window) const {
   QueryTreeReply reply;
   reply.parent = win->parent;
   reply.children = win->children;
-  reply.root = screens_[win->screen].root;
+  reply.root = screens_[ScreenOf(*win)].root;
   return reply;
 }
 
@@ -911,7 +923,7 @@ std::optional<xbase::Point> Server::TranslateCoordinates(WindowId src, WindowId 
                                                          const xbase::Point& point) const {
   const WindowRec* src_win = Find(src);
   const WindowRec* dst_win = Find(dst);
-  if (src_win == nullptr || dst_win == nullptr || src_win->screen != dst_win->screen) {
+  if (src_win == nullptr || dst_win == nullptr || ScreenOf(*src_win) != ScreenOf(*dst_win)) {
     return std::nullopt;
   }
   xbase::Point src_root = RootPosition(src);

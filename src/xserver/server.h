@@ -411,6 +411,9 @@ class Server {
   // point, so a change confined to `win`'s subtree can move the pointer
   // window only then; requests run UpdatePointerWindow only in that case.
   bool CoversPointer(const WindowRec& win) const;
+  // Screen number of `win`'s root.  Derived by walking ancestors, so a
+  // reparent carries the whole subtree to the new screen.
+  int ScreenOf(const WindowRec& win) const;
   // Child of `ancestor` on the path toward `descendant` (kNone if none).
   xproto::WindowId ChildTowards(xproto::WindowId ancestor, xproto::WindowId descendant) const;
   bool IsAncestorOrSelf(xproto::WindowId ancestor, xproto::WindowId descendant) const;

@@ -50,7 +50,6 @@ struct PassiveGrab {
 struct WindowRec {
   xproto::WindowId id = xproto::kNone;
   xproto::WindowId parent = xproto::kNone;
-  int screen = 0;
   xproto::WindowClass window_class = xproto::WindowClass::kInputOutput;
 
   // Geometry relative to parent (excluding the border).

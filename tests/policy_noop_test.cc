@@ -38,14 +38,25 @@ using xserver::ServerFingerprint;
 
 // Pre-refactor fingerprint of RunScriptedWmSession, recorded at commit
 // 70078b5 (before LayoutPolicy existed).  The floating policy must keep
-// reproducing it exactly.
-constexpr uint64_t kGoldenTotalRequests = 680;
-constexpr uint64_t kGoldenDrawOps = 152;
-constexpr int64_t kGoldenPixelsDrawn = 2387;
+// reproducing it exactly.  The request, draw-op and pixel counts were
+// re-recorded when the panner began drawing only what changed, once per
+// batch, without a GetGeometry (680, 152 and 2387 before); the screen hash
+// and the reply constants are the pre-refactor recording.
+constexpr uint64_t kGoldenTotalRequests = 635;
+constexpr uint64_t kGoldenDrawOps = 120;
+constexpr int64_t kGoldenPixelsDrawn = 2079;
 constexpr uint64_t kGoldenScreenHash = 4979895773632615327ull;
 constexpr uint64_t kGoldenRepliesEmitted = 0;
 constexpr uint64_t kGoldenReplyBytes = 0;
 constexpr uint64_t kGoldenReplyHash = 1469598103934665603ull;
+
+// The same session with `swm*panner: False`, recorded on the tree just
+// before the panner began sending only its diff.  Nothing outside the
+// panner may move it.
+constexpr uint64_t kNoPannerTotalRequests = 558;
+constexpr uint64_t kNoPannerDrawOps = 84;
+constexpr int64_t kNoPannerPixelsDrawn = 1586;
+constexpr uint64_t kNoPannerScreenHash = 7283973634920403739ull;
 
 class PolicyNoopTest : public SwmTest {
  protected:
@@ -110,8 +121,19 @@ TEST_F(PolicyNoopTest, FloatingMatchesPreRefactorGolden) {
   EXPECT_EQ(fp.wire_parse_errors, 0u);
 }
 
-TEST_F(PolicyNoopTest, DISABLED_PrintFingerprintForGoldenCapture) {
-  ServerFingerprint fp = RunScriptedWmSession("");
+TEST_F(PolicyNoopTest, FloatingWithoutPannerMatchesGolden) {
+  ServerFingerprint fp = RunScriptedWmSession("swm*panner: False\n");
+  EXPECT_EQ(fp.total_requests, kNoPannerTotalRequests);
+  EXPECT_EQ(fp.draw_ops, kNoPannerDrawOps);
+  EXPECT_EQ(fp.pixels_drawn, kNoPannerPixelsDrawn);
+  EXPECT_EQ(fp.screen_hash, kNoPannerScreenHash);
+  EXPECT_EQ(fp.replies_emitted, kGoldenRepliesEmitted);
+  EXPECT_EQ(fp.reply_bytes, kGoldenReplyBytes);
+  EXPECT_EQ(fp.reply_hash, kGoldenReplyHash);
+  EXPECT_EQ(fp.wire_parse_errors, 0u);
+}
+
+void PrintFingerprint(const ServerFingerprint& fp) {
   printf("kGoldenTotalRequests  = %llu\n",
          static_cast<unsigned long long>(fp.total_requests));
   printf("kGoldenDrawOps        = %llu\n",
@@ -126,6 +148,14 @@ TEST_F(PolicyNoopTest, DISABLED_PrintFingerprintForGoldenCapture) {
          static_cast<unsigned long long>(fp.reply_bytes));
   printf("kGoldenReplyHash      = %lluull\n",
          static_cast<unsigned long long>(fp.reply_hash));
+}
+
+TEST_F(PolicyNoopTest, DISABLED_PrintFingerprintForGoldenCapture) {
+  PrintFingerprint(RunScriptedWmSession(""));
+}
+
+TEST_F(PolicyNoopTest, DISABLED_PrintNoPannerFingerprintForGoldenCapture) {
+  PrintFingerprint(RunScriptedWmSession("swm*panner: False\n"));
 }
 
 // ---- Checked-in corpus still replays deterministically ----------------------

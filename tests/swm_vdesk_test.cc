@@ -1,5 +1,7 @@
 // The Virtual Desktop, sticky windows, panner and ICCCM positioning
 // (paper §6).
+#include <random>
+
 #include "src/xlib/icccm.h"
 #include "src/xproto/hints.h"
 #include "tests/swm_test_util.h"
@@ -356,18 +358,14 @@ TEST_F(PannerTest, DrawsOneBoxPerClientOnTheActiveDesktop) {
   panner_ = wm_->panner(0);
   ASSERT_NE(panner_, nullptr);
   wm_->ProcessEvents();
-  // {boxes, outlines} in the panner's current draw list.
+  // {boxes, outlines} the panner shows.  What it drew so far must render
+  // the same screen as a forced full redraw.
   auto drawn = [&] {
-    const xserver::WindowRec* rec = server_->FindWindowForTest(panner_->window());
-    std::pair<int, int> counts{0, 0};
-    for (const xserver::DrawOp& op : rec->draw_ops) {
-      if (op.kind == xserver::DrawOp::Kind::kFillRect) {
-        ++counts.first;
-      } else if (op.kind == xserver::DrawOp::Kind::kBorder) {
-        ++counts.second;
-      }
-    }
-    return counts;
+    std::string incremental = server_->RenderScreen(0).ToString();
+    panner_->Redraw();
+    EXPECT_EQ(server_->RenderScreen(0).ToString(), incremental);
+    return std::pair<int, int>{static_cast<int>(panner_->boxes().size()),
+                               panner_->outline().IsEmpty() ? 0 : 1};
   };
 
   auto editor = Spawn("editor", {"editor", "Editor"}, {0, 0, 60, 30});
@@ -390,6 +388,218 @@ TEST_F(PannerTest, DrawsOneBoxPerClientOnTheActiveDesktop) {
   wm_->ProcessEvents();
   EXPECT_EQ(drawn(), (std::pair<int, int>{2, 1}));
 }
+
+// Draw ops of one launch (map a client, let swm manage it, close it) do not
+// depend on how many clients stand on the desktop: the panner draws the new
+// box and erases it, and redraws nothing else.
+class PannerLaunchTest : public SwmTest {
+ protected:
+  std::vector<uint64_t> DrawOpsPerLaunch(int standing) {
+    StartWm("swm*virtualDesktop: 3456x2700\nswm*panner: True\n");
+    std::vector<std::unique_ptr<xlib::ClientApp>> apps;
+    for (int i = 0; i < standing; ++i) {
+      // A grid in the lower half of the desktop, away from the launches.
+      apps.push_back(MakeApp("standing" + std::to_string(i),
+                             {(i % 32) * 100, 1400 + (i / 32) * 36, 90, 30}));
+      apps.back()->Map();
+    }
+    wm_->ProcessEvents();
+    EXPECT_EQ(wm_->panner(0)->boxes().size(), static_cast<size_t>(standing));
+    // Start from a compacted display list, so no launch below redraws it all.
+    wm_->panner(0)->Redraw();
+    std::vector<uint64_t> per_launch;
+    for (int i = 0; i < 4; ++i) {
+      uint64_t before = server_->render_stats().draw_ops;
+      auto app = MakeApp("launch", {300 + 40 * i, 200, 200, 100});
+      app->Map();
+      wm_->ProcessEvents();
+      app.reset();
+      wm_->ProcessEvents();
+      per_launch.push_back(server_->render_stats().draw_ops - before);
+    }
+    return per_launch;
+  }
+
+  std::unique_ptr<xlib::ClientApp> MakeApp(const std::string& name, const xbase::Rect& geometry) {
+    xlib::ClientAppConfig config;
+    config.name = name;
+    config.wm_class = {name, "Launch"};
+    config.geometry = geometry;
+    config.size_hint_flags = xproto::kUSPosition | xproto::kUSSize;
+    return std::make_unique<xlib::ClientApp>(server_.get(), config);
+  }
+};
+
+TEST_F(PannerLaunchTest, DrawOpsPerLaunchDoNotGrowWithStandingClients) {
+  std::vector<uint64_t> few = DrawOpsPerLaunch(16);
+  std::vector<uint64_t> many = DrawOpsPerLaunch(1024);
+  EXPECT_EQ(few, many);
+  for (uint64_t ops : many) {
+    EXPECT_LT(ops, 32u);
+  }
+}
+
+// ---- Panner reconcile property test -------------------------------------------
+//
+// Two identical WM stacks run the same seeded steps.  The second forces a
+// full redraw of the panner after every step; the first keeps only what the
+// reconcile sent.  Their screens must match after every step, and the first
+// panner's display list must stay within Panner::ListBound.
+
+struct PannerStack {
+  PannerStack() {
+    server = std::make_unique<xserver::Server>(
+        std::vector<xserver::ScreenConfig>{xserver::ScreenConfig{400, 240, false}});
+    swm::WindowManager::Options options;
+    options.resources =
+        "swm*virtualDesktop: 1600x800\n"
+        "swm*virtualDesktops: 2\n"
+        "swm*panner: True\n"
+        "swm*pannerScale: 20\n";
+    wm = std::make_unique<swm::WindowManager>(server.get(), options);
+    EXPECT_TRUE(wm->Start());
+    wm->ProcessEvents();
+    // Room for the panner to grow on screen.
+    wm->MoveFrameTo(PannerClient(), {8, 110});
+    wm->ProcessEvents();
+  }
+
+  Panner* panner() { return wm->panner(0); }
+  ManagedClient* PannerClient() { return wm->FindClient(panner()->window()); }
+
+  // The screen with the panner raised, so no sticky window hides it.
+  std::string Screen() {
+    wm->RaiseClient(PannerClient());
+    wm->ProcessEvents();
+    return server->RenderScreen(0).ToString();
+  }
+
+  std::unique_ptr<xserver::Server> server;
+  std::unique_ptr<swm::WindowManager> wm;
+  std::vector<std::unique_ptr<xlib::ClientApp>> apps;
+  int spawned = 0;
+};
+
+struct PannerStep {
+  enum Kind {
+    kManage,
+    kUnmanage,
+    kMove,
+    kRequestMoves,
+    kResize,
+    kIconToggle,
+    kStickyToggle,
+    kPan,
+    kSwitchDesktop,
+    kPannerResize,
+  };
+  Kind kind = kManage;
+  size_t target = 0;
+  xbase::Rect geometry;
+};
+
+void ApplyStep(const PannerStep& step, PannerStack* stack) {
+  swm::WindowManager& wm = *stack->wm;
+  std::vector<std::unique_ptr<xlib::ClientApp>>& apps = stack->apps;
+  ManagedClient* client =
+      apps.empty() ? nullptr : wm.FindClient(apps[step.target % apps.size()]->window());
+  switch (step.kind) {
+    case PannerStep::kManage: {
+      xlib::ClientAppConfig config;
+      config.name = "app" + std::to_string(stack->spawned++);
+      config.wm_class = {config.name, "App"};
+      config.geometry = step.geometry;
+      // Half placed by the user on the desktop, half cascaded by swm.
+      config.size_hint_flags =
+          step.target % 2 == 0 ? xproto::kUSPosition | xproto::kUSSize : xproto::kPSize;
+      apps.push_back(std::make_unique<xlib::ClientApp>(stack->server.get(), config));
+      apps.back()->Map();
+      break;
+    }
+    case PannerStep::kUnmanage:
+      if (!apps.empty()) {
+        apps.erase(apps.begin() + static_cast<std::ptrdiff_t>(step.target % apps.size()));
+      }
+      break;
+    case PannerStep::kMove:
+      wm.MoveFrameTo(client, step.geometry.origin());
+      break;
+    case PannerStep::kRequestMoves:
+      // Several clients move themselves in one batch: one reconcile.
+      for (size_t i = 0; i < apps.size() && i < 3; ++i) {
+        apps[(step.target + i) % apps.size()]->RequestMoveResize(
+            step.geometry.Translated(static_cast<int>(i) * 90, static_cast<int>(i) * 40));
+      }
+      break;
+    case PannerStep::kResize:
+      wm.ResizeClient(client, step.geometry.size());
+      break;
+    case PannerStep::kIconToggle:
+      if (client != nullptr && client->state == xproto::WmState::kIconic) {
+        wm.Deiconify(client);
+      } else {
+        wm.Iconify(client);
+      }
+      break;
+    case PannerStep::kStickyToggle:
+      if (client != nullptr) {
+        wm.SetSticky(client, !client->sticky);
+      }
+      break;
+    case PannerStep::kPan:
+      wm.ExecuteCommandString("f.panTo(" + std::to_string(step.geometry.x) + ", " +
+                                  std::to_string(step.geometry.y) + ")",
+                              0);
+      break;
+    case PannerStep::kSwitchDesktop:
+      wm.SwitchDesktop(0, 1 - wm.ActiveDesktop(0));
+      break;
+    case PannerStep::kPannerResize:
+      wm.ResizeClient(stack->PannerClient(),
+                      {20 + step.geometry.width % 80, 10 + step.geometry.height % 40});
+      break;
+  }
+  wm.ProcessEvents();
+}
+
+class PannerReconcileTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PannerReconcileTest, IncrementalScreenMatchesFullRedraw) {
+  std::mt19937 rng(static_cast<uint32_t>(GetParam()));
+  PannerStack incremental;
+  PannerStack full;
+  ASSERT_EQ(incremental.Screen(), full.Screen());
+  // Placement and window mutations weigh most; views change now and then.
+  std::discrete_distribution<int> kind({8, 4, 6, 4, 4, 2, 2, 1, 1, 1});
+  std::uniform_int_distribution<int> x(-100, 1600);
+  std::uniform_int_distribution<int> y(-60, 800);
+  std::uniform_int_distribution<int> width(20, 300);
+  std::uniform_int_distribution<int> height(20, 200);
+  std::uniform_int_distribution<size_t> target(0, 1000);
+  for (int i = 0; i < 300; ++i) {
+    PannerStep step;
+    step.kind = static_cast<PannerStep::Kind>(kind(rng));
+    if (step.kind == PannerStep::kManage && incremental.apps.size() >= 16) {
+      step.kind = PannerStep::kUnmanage;
+    }
+    step.target = target(rng);
+    step.geometry = {x(rng), y(rng), width(rng), height(rng)};
+    ApplyStep(step, &incremental);
+    ApplyStep(step, &full);
+    full.panner()->Redraw();
+
+    ASSERT_EQ(incremental.Screen(), full.Screen())
+        << "step " << i << " kind " << step.kind << " seed " << GetParam();
+    Panner* panner = incremental.panner();
+    const xserver::WindowRec* rec = incremental.server->FindWindowForTest(panner->window());
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->draw_ops.size(), panner->list_ops());
+    ASSERT_LE(panner->list_ops(), Panner::ListBound(panner->boxes().size()))
+        << "step " << i << " seed " << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PannerReconcileTest, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace swm_test

@@ -2,7 +2,9 @@
 // invariants after every step: tree consistency, stacking-order membership,
 // coordinate arithmetic, save-set hygiene and pointer-window validity.  The
 // cached pointer window is checked against a fresh hit test after every step:
-// requests recompute it only when the changed window covers the pointer.
+// requests recompute it only when the changed window covers the pointer.  The
+// server has two screens and reparents cross between them; after every step
+// each window's screen is its root's screen.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +22,11 @@ using xproto::WindowId;
 
 class ServerFuzzTest : public ::testing::TestWithParam<int> {
  protected:
-  ServerFuzzTest() : server_({ScreenConfig{300, 200, false}}) {
+  ServerFuzzTest() : server_({ScreenConfig{300, 200, false}, ScreenConfig{200, 150, false}}) {
     clients_.push_back(server_.Connect("c0"));
     clients_.push_back(server_.Connect("c1"));
     windows_.push_back(server_.RootWindow(0));
+    windows_.push_back(server_.RootWindow(1));
   }
 
   WindowId RandomWindow(std::mt19937* rng) {
@@ -47,8 +50,19 @@ class ServerFuzzTest : public ::testing::TestWithParam<int> {
 
   void PruneDeadWindows() {
     std::erase_if(windows_, [&](WindowId w) { return !server_.WindowExists(w); });
-    if (windows_.empty()) {
-      windows_.push_back(server_.RootWindow(0));
+  }
+
+  // Every window's screen, QueryTree root and ancestor walk agree.
+  void CheckScreens(int step) {
+    for (WindowId window : windows_) {
+      WindowId root = window;
+      while (server_.QueryTree(root)->parent != xproto::kNone) {
+        root = server_.QueryTree(root)->parent;
+      }
+      int screen = server_.ScreenOfWindow(window);
+      ASSERT_GE(screen, 0);
+      EXPECT_EQ(server_.RootWindow(screen), root) << "window " << window << " at step " << step;
+      EXPECT_EQ(server_.QueryTree(window)->root, root) << "window " << window;
     }
   }
 
@@ -81,8 +95,7 @@ class ServerFuzzTest : public ::testing::TestWithParam<int> {
         EXPECT_EQ(server_.QueryTree(child)->parent, window);
       }
       // RootPosition is the sum of ancestor offsets == translate to root.
-      auto translated =
-          server_.TranslateCoordinates(window, server_.RootWindow(0), {0, 0});
+      auto translated = server_.TranslateCoordinates(window, tree->root, {0, 0});
       ASSERT_TRUE(translated.has_value());
       EXPECT_EQ(*translated, server_.RootPosition(window));
       // Viewability implies every ancestor is mapped.
@@ -105,7 +118,7 @@ class ServerFuzzTest : public ::testing::TestWithParam<int> {
 
 TEST_P(ServerFuzzTest, RandomOperationsPreserveInvariants) {
   std::mt19937 rng(GetParam());
-  std::uniform_int_distribution<int> op_dist(0, 13);
+  std::uniform_int_distribution<int> op_dist(0, 14);
   std::uniform_int_distribution<int> coord(-20, 280);
   std::uniform_int_distribution<int> extent(1, 120);
 
@@ -190,6 +203,13 @@ TEST_P(ServerFuzzTest, RandomOperationsPreserveInvariants) {
         server_.ShapeClear(RandomClient(&rng), target);
         break;
       }
+      case 14: {  // Reparent onto the other screen's root.
+        WindowId window = RandomWindow(&rng);
+        int other = 1 - std::max(0, server_.ScreenOfWindow(window));
+        server_.ReparentWindow(RandomClient(&rng), window, server_.RootWindow(other),
+                               {coord(rng) / 4, coord(rng) / 4});
+        break;
+      }
     }
     EXPECT_EQ(server_.QueryPointer().window, server_.HitTestPointerForTest())
         << "stale pointer window after op " << op << " at step " << step;
@@ -198,6 +218,7 @@ TEST_P(ServerFuzzTest, RandomOperationsPreserveInvariants) {
       while (server_.NextEvent(client).has_value()) {
       }
     }
+    CheckScreens(step);
     if (step % 10 == 0) {
       CheckInvariants();
     }
@@ -207,6 +228,7 @@ TEST_P(ServerFuzzTest, RandomOperationsPreserveInvariants) {
   xbase::Canvas canvas = server_.RenderScreen(0);
   EXPECT_EQ(canvas.width(), 300);
   EXPECT_EQ(canvas.height(), 200);
+  EXPECT_EQ(server_.RenderScreen(1).width(), 200);
 
   // Disconnecting a client destroys its windows but leaves a valid tree.
   server_.Disconnect(clients_[0]);

@@ -271,6 +271,40 @@ TEST_F(ServerTest, ReparentRejectsCycles) {
   EXPECT_FALSE(server_.ReparentWindow(client_, a, a, {0, 0}));
 }
 
+// A reparent to another screen's root carries the whole subtree: the
+// reparented window's descendants, and windows created under them later,
+// are on the new screen and render there.
+TEST_F(ServerTest, CrossScreenReparentMovesSubtree) {
+  Server multi({ScreenConfig{60, 40, false}, ScreenConfig{60, 40, false}});
+  xproto::ClientId client = multi.Connect("hostA");
+  WindowId top = multi.CreateWindow(client, multi.RootWindow(0), {5, 5, 30, 20}, 0,
+                                    xproto::WindowClass::kInputOutput, false);
+  WindowId child = multi.CreateWindow(client, top, {2, 2, 20, 10}, 0,
+                                      xproto::WindowClass::kInputOutput, false);
+  ASSERT_EQ(multi.ScreenOfWindow(child), 0);
+
+  ASSERT_TRUE(multi.ReparentWindow(client, top, multi.RootWindow(1), {10, 10}));
+  WindowId grandchild = multi.CreateWindow(client, child, {1, 1, 4, 3}, 0,
+                                           xproto::WindowClass::kInputOutput, false);
+  for (WindowId window : {top, child, grandchild}) {
+    EXPECT_EQ(multi.ScreenOfWindow(window), 1) << window;
+    EXPECT_EQ(multi.QueryTree(window)->root, multi.RootWindow(1)) << window;
+  }
+  EXPECT_EQ(multi.TranslateCoordinates(grandchild, multi.RootWindow(1), {0, 0}),
+            (xbase::Point{13, 13}));
+  EXPECT_FALSE(multi.TranslateCoordinates(grandchild, multi.RootWindow(0), {0, 0}));
+
+  DrawOp mark;
+  mark.rect = {0, 0, 4, 3};
+  mark.fill = 'G';
+  ASSERT_TRUE(multi.Draw(client, grandchild, mark));
+  for (WindowId window : {top, child, grandchild}) {
+    multi.MapWindow(client, window);
+  }
+  EXPECT_EQ(multi.RenderScreen(1).At(13, 13), 'G');
+  EXPECT_EQ(multi.RenderScreen(0).ToString().find('G'), std::string::npos);
+}
+
 TEST_F(ServerTest, TranslateCoordinates) {
   WindowId root = server_.RootWindow(0);
   WindowId a = server_.CreateWindow(client_, root, {10, 20, 50, 50}, 0,
