@@ -398,6 +398,9 @@ std::optional<Event> Server::NextEvent(ClientId client) {
   }
   Event event = std::move(rec->queue.front());
   rec->queue.pop_front();
+  if (event_tap_) {
+    event_tap_(client, event);
+  }
   return event;
 }
 

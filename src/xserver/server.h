@@ -255,6 +255,10 @@ class Server {
                  xproto::Event event);
   std::optional<xproto::Event> NextEvent(xproto::ClientId client);
   size_t PendingEvents(xproto::ClientId client) const;
+  // Test-only: `tap` sees every event a client takes with NextEvent, in
+  // order.  An empty function removes it.
+  using EventTap = std::function<void(xproto::ClientId, const xproto::Event&)>;
+  void SetEventTapForTest(EventTap tap) { event_tap_ = std::move(tap); }
 
   // ---- Input focus ---------------------------------------------------------
   // kNone means pointer-root focus (keys go to the window under the
@@ -437,6 +441,7 @@ class Server {
   xproto::ClientId next_client_id_ = 1;
   xproto::Timestamp time_ = 0;
 
+  EventTap event_tap_;
   PointerState pointer_;
   mutable uint64_t hit_test_visits_ = 0;  // Bumped by the const hit test.
   ActiveGrab grab_;

@@ -26,6 +26,7 @@
 #include "src/xproto/trace.h"
 #include "src/xserver/replay.h"
 #include "tests/swm_test_util.h"
+#include "tests/transcript.h"
 
 namespace swm_test {
 namespace {
@@ -65,7 +66,16 @@ class PolicyNoopTest : public SwmTest {
   // iconify/deiconify, zoom, raise via swmcmd, a viewport pan, withdrawal
   // and destruction.  No faults, no randomness: the resulting server state
   // is a pure function of the WM's layout policy.
-  ServerFingerprint RunScriptedWmSession(const std::string& extra_resources) {
+  //
+  // When `transcript` is set it records every event each client takes,
+  // window ids renamed to first-appearance ordinals (tests/transcript.h).
+  ServerFingerprint RunScriptedWmSession(const std::string& extra_resources,
+                                         Transcript* transcript = nullptr) {
+    on_server_created_ = [transcript](Server* server) {
+      if (transcript != nullptr) {
+        transcript->Tap(server);
+      }
+    };
     StartWm("swm*virtualDesktop: 400x300\n" + extra_resources);
 
     auto a = Spawn("alpha", {"alpha", "Alpha"}, {0, 0, 30, 10});
@@ -104,13 +114,32 @@ class PolicyNoopTest : public SwmTest {
     // on pan (a deliberate fix), so no placements follow the pan here.
     swm::SendSwmCommand(&shell, 0, "f.pan(30,20)");
     wm_->ProcessEvents();
+    // Every client takes what it was sent, so the transcript holds it all.
+    for (xlib::ClientApp* app : {a.get(), b.get(), c.get(), d.get(), e.get()}) {
+      app->display().DrainEvents([](const xproto::Event&) {});
+    }
+    shell.DrainEvents([](const xproto::Event&) {});
 
+    server_->SetEventTapForTest({});
     return FingerprintServer(*server_);
   }
 };
 
+// Hash of the id-renamed transcript of RunScriptedWmSession (every event
+// each client took), recorded on the tree that minted window ids
+// server-side, before clients chose their own.  Renaming makes it
+// independent of the ids themselves, so it pins the event sequence across
+// that change.
+constexpr size_t kGoldenTranscriptEvents = 162;
+constexpr uint64_t kGoldenTranscriptHash = 16845851088887080303ull;
+constexpr size_t kNoPannerTranscriptEvents = 148;
+constexpr uint64_t kNoPannerTranscriptHash = 7930047803681491949ull;
+
 TEST_F(PolicyNoopTest, FloatingMatchesPreRefactorGolden) {
-  ServerFingerprint fp = RunScriptedWmSession("");
+  Transcript transcript;
+  ServerFingerprint fp = RunScriptedWmSession("", &transcript);
+  EXPECT_EQ(transcript.events(), kGoldenTranscriptEvents);
+  EXPECT_EQ(transcript.hash(), kGoldenTranscriptHash);
   EXPECT_EQ(fp.total_requests, kGoldenTotalRequests);
   EXPECT_EQ(fp.draw_ops, kGoldenDrawOps);
   EXPECT_EQ(fp.pixels_drawn, kGoldenPixelsDrawn);
@@ -122,7 +151,10 @@ TEST_F(PolicyNoopTest, FloatingMatchesPreRefactorGolden) {
 }
 
 TEST_F(PolicyNoopTest, FloatingWithoutPannerMatchesGolden) {
-  ServerFingerprint fp = RunScriptedWmSession("swm*panner: False\n");
+  Transcript transcript;
+  ServerFingerprint fp = RunScriptedWmSession("swm*panner: False\n", &transcript);
+  EXPECT_EQ(transcript.events(), kNoPannerTranscriptEvents);
+  EXPECT_EQ(transcript.hash(), kNoPannerTranscriptHash);
   EXPECT_EQ(fp.total_requests, kNoPannerTotalRequests);
   EXPECT_EQ(fp.draw_ops, kNoPannerDrawOps);
   EXPECT_EQ(fp.pixels_drawn, kNoPannerPixelsDrawn);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,6 +39,9 @@ class SwmTest : public ::testing::Test {
     // state to the server it was built on (tests may call StartWm twice).
     wm_.reset();
     server_ = std::make_unique<xserver::Server>(std::move(screens));
+    if (on_server_created_) {
+      on_server_created_(server_.get());
+    }
     wm_ = std::make_unique<swm::WindowManager>(server_.get(), options);
     ASSERT_TRUE(wm_->Start());
   }
@@ -81,6 +85,8 @@ class SwmTest : public ::testing::Test {
 
   std::unique_ptr<xserver::Server> server_;
   std::unique_ptr<swm::WindowManager> wm_;
+  // Runs on each new server before the WM connects (a test can tap it).
+  std::function<void(xserver::Server*)> on_server_created_;
 };
 
 }  // namespace swm_test

@@ -16,6 +16,7 @@
 #include "src/xproto/trace.h"
 #include "src/xserver/replay.h"
 #include "src/xserver/server.h"
+#include "tests/transcript.h"
 
 namespace swm_test {
 namespace {
@@ -51,8 +52,12 @@ void RunScriptedSession(Server* server) {
   b.set_wire_mode(true);
 
   xproto::WindowId root = server->RootWindow(0);
+  // Event selections, so the clients receive window ids in events too.
+  b.SelectInput(root, xproto::kSubstructureNotifyMask);
   xproto::WindowId wa = a.CreateWindow(root, {10, 10, 40, 20}, 1);
   ASSERT_NE(wa, xproto::kNone);
+  a.SelectInput(wa, xproto::kStructureNotifyMask | xproto::kExposureMask |
+                        xproto::kButtonPressMask | xproto::kPropertyChangeMask);
   a.SetWindowBackground(wa, '.');
   a.MapWindow(wa);
   xserver::DrawOp op;
@@ -86,6 +91,35 @@ void RunScriptedSession(Server* server) {
   a.UnmapWindow(wa);
   a.MapWindow(wa);
   b.DestroyWindow(wb);
+
+  // Each client takes what it was sent, so a transcript tap sees it.
+  a.DrainEvents([](const xproto::Event&) {});
+  b.DrainEvents([](const xproto::Event&) {});
+}
+
+// Hash of the id-renamed transcript of RunScriptedSession: every event each
+// client took and every reply the server emitted, window ids replaced by
+// first-appearance ordinals (tests/transcript.h).  Recorded on the tree that
+// minted window ids server-side, before clients chose their own; renaming
+// makes it independent of the ids, so it pins behaviour across that change.
+constexpr size_t kScriptedTranscriptEvents = 16;
+constexpr size_t kScriptedTranscriptReplies = 9;
+constexpr uint64_t kScriptedTranscriptHash = 12920752786695083625ull;
+
+TEST(TraceReplayTest, ScriptedSessionTranscriptIsPinned) {
+  Server server;
+  xproto::TraceRecorder recorder;
+  server.SetTraceRecorder(&recorder);
+  Transcript transcript;
+  transcript.Tap(&server);
+  RunScriptedSession(&server);
+  server.SetEventTapForTest({});
+  server.SetTraceRecorder(nullptr);
+  transcript.AddReplies(recorder.trace());
+
+  EXPECT_EQ(transcript.events(), kScriptedTranscriptEvents);
+  EXPECT_EQ(transcript.replies(), kScriptedTranscriptReplies);
+  EXPECT_EQ(transcript.hash(), kScriptedTranscriptHash);
 }
 
 TEST(TraceReplayTest, ScriptedSessionReplaysToIdenticalState) {
