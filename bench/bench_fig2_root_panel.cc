@@ -54,11 +54,14 @@ void BM_ButtonDispatch(benchmark::State& state) {
   wm->ProcessEvents();
   // Find the root panel's "raise" button and park the pointer on it.
   oi::Object* button = nullptr;
-  for (xproto::WindowId wid = 1; wid < 5000 && button == nullptr; ++wid) {
-    oi::Object* candidate = wm->toolkit(0).FindObject(wid);
+  std::vector<xproto::WindowId> windows{server->RootWindow(0)};  // Walked level by level.
+  for (size_t i = 0; i < windows.size() && button == nullptr; ++i) {
+    oi::Object* candidate = wm->toolkit(0).FindObject(windows[i]);
     if (candidate != nullptr && candidate->name() == "raise") {
       button = candidate;
     }
+    std::vector<xproto::WindowId> children = server->QueryTree(windows[i])->children;
+    windows.insert(windows.end(), children.begin(), children.end());
   }
   if (button == nullptr) {
     state.SkipWithError("root panel button not found");

@@ -96,7 +96,7 @@ BENCHMARK(BM_ShapeToChildren)->Arg(2)->Arg(16)->Arg(64);
 void BM_ShapedHitTest(benchmark::State& state) {
   auto server = bench_util::MakeServer();
   xproto::ClientId client = server->Connect();
-  xproto::WindowId win = server->CreateWindow(client, server->RootWindow(0),
+  xproto::WindowId win = server->CreateWindow(client, server->IdBase(client), server->RootWindow(0),
                                               {0, 0, 128, 128}, 0,
                                               xproto::WindowClass::kInputOutput, false);
   server->MapWindow(client, win);

@@ -30,26 +30,28 @@
 namespace {
 
 // A mixed stream representative of session traffic: window lifecycle,
-// configuration, properties, and drawing.
-std::vector<uint8_t> BuildStream(int frames, size_t* frame_count) {
+// configuration, properties, and drawing, sent by the client whose id base
+// is `base`.  Every request after the first creates names a window it made.
+std::vector<uint8_t> BuildStream(int frames, xproto::WindowId base, size_t* frame_count) {
   xproto::WireWriter w;
   size_t count = 0;
   for (int i = 0; i < frames; ++i) {
     switch (i % 6) {
       case 0:
         xproto::EncodeRequest(
-            xproto::CreateWindowRequest{.parent = 1,
+            xproto::CreateWindowRequest{.window = base | static_cast<uint32_t>(i / 6),
+                                        .parent = 1,
                                         .geometry = {i % 500, i % 300, 120, 80}},
             &w);
         break;
       case 1:
         xproto::EncodeRequest(
-            xproto::MapWindowRequest{.window = static_cast<uint32_t>(i % 40 + 2)}, &w);
+            xproto::MapWindowRequest{.window = base | static_cast<uint32_t>(i % 40)}, &w);
         break;
       case 2:
         xproto::EncodeRequest(
             xproto::ConfigureWindowRequest{
-                .window = static_cast<uint32_t>(i % 40 + 2),
+                .window = base | static_cast<uint32_t>(i % 40),
                 .value_mask = xproto::kConfigX | xproto::kConfigY,
                 .geometry = {i % 400, i % 200, 0, 0}},
             &w);
@@ -57,7 +59,7 @@ std::vector<uint8_t> BuildStream(int frames, size_t* frame_count) {
       case 3:
         xproto::EncodeRequest(
             xproto::ChangePropertyRequest{
-                .window = static_cast<uint32_t>(i % 40 + 2),
+                .window = base | static_cast<uint32_t>(i % 40),
                 .property = 5,
                 .type = 1,
                 .format = 8,
@@ -67,7 +69,7 @@ std::vector<uint8_t> BuildStream(int frames, size_t* frame_count) {
         break;
       case 4:
         xproto::EncodeRequest(
-            xproto::DrawRequest{.window = static_cast<uint32_t>(i % 40 + 2),
+            xproto::DrawRequest{.window = base | static_cast<uint32_t>(i % 40),
                                 .kind = 0,
                                 .rect = {0, 0, 40, 20},
                                 .fill = '#'},
@@ -75,7 +77,7 @@ std::vector<uint8_t> BuildStream(int frames, size_t* frame_count) {
         break;
       case 5:
         xproto::EncodeRequest(
-            xproto::SelectInputRequest{.window = static_cast<uint32_t>(i % 40 + 2),
+            xproto::SelectInputRequest{.window = base | static_cast<uint32_t>(i % 40),
                                        .event_mask = 0xFFFF},
             &w);
         break;
@@ -88,7 +90,8 @@ std::vector<uint8_t> BuildStream(int frames, size_t* frame_count) {
 
 void BM_DecodeRequestStream(benchmark::State& state) {
   size_t frames = 0;
-  std::vector<uint8_t> stream = BuildStream(600, &frames);
+  std::vector<uint8_t> stream = BuildStream(600, xproto::WindowId{1} << xproto::kIdSlotShift,
+                                            &frames);
   size_t decoded = 0;
   for (auto _ : state) {
     std::span<const uint8_t> rest(stream);
@@ -114,7 +117,9 @@ BENCHMARK(BM_DecodeRequestStream);
 void BM_DispatchBytesStream(benchmark::State& state) {
   xbase::SetMinLogSeverity(xbase::LogSeverity::kFatal);
   size_t frames = 0;
-  std::vector<uint8_t> stream = BuildStream(600, &frames);
+  // A fresh server's first client takes id slot 1.
+  std::vector<uint8_t> stream = BuildStream(600, xproto::WindowId{1} << xproto::kIdSlotShift,
+                                            &frames);
   std::unique_ptr<xserver::Server> server;
   size_t dispatched = 0;
   for (auto _ : state) {
@@ -159,7 +164,7 @@ xproto::Trace RecordSession() {
   server.InstallFaultPlan(plan);
   xproto::ClientId hostile = server.Connect("bench-hostile");
   size_t frames = 0;
-  std::vector<uint8_t> stream = BuildStream(200, &frames);
+  std::vector<uint8_t> stream = BuildStream(200, server.IdBase(hostile), &frames);
   server.DispatchBytes(hostile, stream);
   server.ClearFaultPlan();
 

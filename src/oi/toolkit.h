@@ -129,6 +129,8 @@ class Toolkit {
   // Distinct full paths bound so far (objects share entries; dead paths
   // stay until the next InvalidateQueryCaches).
   size_t search_path_count() const { return search_paths_.size(); }
+  // Objects registered by window.
+  size_t object_count() const { return registry_.size(); }
 
   // ---- Frame pipeline ------------------------------------------------------
   // The retained-mode scheduler every object of this toolkit reports its

@@ -55,6 +55,8 @@ class MisbehaviorLedger {
 
   // ---- Introspection ------------------------------------------------------
   size_t quarantined_count() const;
+  // Windows with ledger state (charged and not yet forgotten).
+  size_t tracked_count() const { return entries_.size(); }
   uint64_t quarantines_started() const { return quarantines_started_; }
   uint64_t dropped() const { return dropped_; }
   const QuarantinePolicy& policy() const { return policy_; }

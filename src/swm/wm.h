@@ -235,6 +235,20 @@ class WindowManager {
   // bucket quarantines the window (requests coalesced/dropped, decoration
   // kept) until a quiet period paroles it.
   const MisbehaviorLedger& ledger() const { return ledger_; }
+  // Entries in the tables keyed by client window.  Each falls back once the
+  // windows it tracks are unmanaged, so a window that later reuses an id
+  // starts clean.
+  struct KeyedTableSizes {
+    size_t clients = 0;
+    size_t ledger = 0;
+    size_t event_counts = 0;
+    size_t pending_configures = 0;
+    friend bool operator==(const KeyedTableSizes&, const KeyedTableSizes&) = default;
+  };
+  KeyedTableSizes keyed_table_sizes() const {
+    return {clients_.size(), ledger_.tracked_count(), events_dispatched_by_client_.size(),
+            quarantine_pending_configure_.size()};
+  }
   bool IsQuarantined(xproto::WindowId window) const {
     return ledger_.IsQuarantined(window);
   }

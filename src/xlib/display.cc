@@ -24,6 +24,7 @@ constexpr int64_t kRemoteRoundTripMs = 5000;
 Display::Display(xserver::Server* server, std::string client_machine)
     : server_(server), machine_(std::move(client_machine)) {
   client_ = server_->Connect(machine_);
+  TakeIdRun(server_->IdBase(client_), uint64_t{server_->IdMask(client_)} + 1);
   server_->SetErrorCallback(client_, [this](const xproto::XError& error) {
     last_error_ = error;
     if (error_handler_) {
@@ -53,6 +54,7 @@ Display::Display(const std::string& socket_path, std::string client_machine)
   std::optional<xproto::Reply> reply = RemoteRoundTrip(xproto::QueryScreensRequest{});
   if (reply.has_value()) {
     if (const auto* r = std::get_if<xproto::ScreensReply>(&*reply)) {
+      TakeIdRun(r->id_base, uint64_t{r->id_mask} + 1);
       int number = 0;
       for (const auto& s : r->screens) {
         xserver::ScreenInfo info;
@@ -130,15 +132,36 @@ bool Display::HandleRemoteFrame(std::span<const uint8_t> frame, int want_sequenc
   return false;
 }
 
-void Display::DrainRemote() {
+void Display::DrainRemote(bool flush) {
   if (endpoint_ == nullptr) {
     return;
   }
-  endpoint_->Flush();
-  endpoint_->Poll();
   std::optional<xproto::Reply> unused;
-  while (std::optional<std::vector<uint8_t>> frame = endpoint_->NextFrame()) {
-    HandleRemoteFrame(*frame, /*want_sequence=*/-1, &unused);
+  int64_t deadline = 0;  // Set when the first wait is due.
+  for (;;) {
+    endpoint_->Flush();
+    endpoint_->Poll();
+    while (std::optional<std::vector<uint8_t>> frame = endpoint_->NextFrame()) {
+      HandleRemoteFrame(*frame, /*want_sequence=*/-1, &unused);
+    }
+    if (!flush || endpoint_->queued_bytes() == 0 || !endpoint_->open()) {
+      return;
+    }
+    int64_t now = xbase::EventLoop::NowMs();
+    if (deadline == 0) {
+      deadline = now + kRemoteRoundTripMs;
+    }
+    int64_t remaining = deadline - now;
+    if (remaining <= 0) {
+      XB_LOG(Warning) << "display: remote flush timed out";
+      return;
+    }
+    // Reading while we wait keeps a server that is blocked writing to us
+    // moving.
+    struct pollfd pfd = {};
+    pfd.fd = endpoint_->PollFd();
+    pfd.events = POLLIN | POLLOUT;
+    ::poll(&pfd, 1, static_cast<int>(remaining > 50 ? 50 : remaining));
   }
 }
 
@@ -192,52 +215,31 @@ std::optional<xproto::Reply> Display::RemoteRoundTrip(const xproto::Request& req
   }
 }
 
-WindowId Display::RemoteCreate(const xproto::CreateWindowRequest& request) {
-  uint64_t create_sequence = remote_sequence_ + 1;
-  if (!RemoteIssue(request)) {
-    return xproto::kNone;
-  }
-  // The query round trip is the synchronization point: any error the create
-  // raised is on the stream ahead of this reply.
-  std::optional<xproto::Reply> reply = RemoteRoundTrip(xproto::QueryClientWindowsRequest{});
-  if (last_error_.has_value() &&
-      (last_error_->sequence & 0xffff) == (create_sequence & 0xffff)) {
-    return xproto::kNone;
-  }
-  if (!reply.has_value()) {
-    return xproto::kNone;
-  }
-  const auto* r = std::get_if<xproto::ClientWindowsReply>(&*reply);
-  if (r == nullptr || r->windows.empty()) {
-    return xproto::kNone;
-  }
-  // Ids are minted monotonically and the reply is ascending: the newest
-  // window — ours — is last.
-  return r->windows.back();
-}
-
 bool Display::Issue(xproto::Request request) {
   if (remote()) {
     return RemoteIssue(request);
   }
   if (!wire_mode_) {
-    return server_->ApplyRequest(client_, std::move(request), nullptr);
+    return server_->ApplyRequest(client_, std::move(request));
   }
   xserver::Server::DispatchResult result = DispatchWire(request);
   return result.requests_dispatched == 1 && result.requests_failed == 0 &&
          result.parse_errors == 0;
 }
 
-xproto::WindowId Display::IssueCreate(xproto::CreateWindowRequest request) {
-  if (remote()) {
-    return RemoteCreate(request);
+WindowId Display::MintId() {
+  if (next_id_ == id_end_) {
+    xproto::IdRangeReply run;
+    if (!wire_mode_) {
+      run = server_->IdRange(client_);
+    } else if (std::optional<xproto::Reply> reply = RoundTrip(xproto::GetIdRangeRequest{})) {
+      if (const auto* r = std::get_if<xproto::IdRangeReply>(&*reply)) {
+        run = *r;
+      }
+    }
+    TakeIdRun(run.start_id, run.count);
   }
-  if (!wire_mode_) {
-    xserver::Server::DispatchResult result;
-    server_->ApplyRequest(client_, std::move(request), &result);
-    return result.last_created_window;
-  }
-  return DispatchWire(request).last_created_window;
+  return next_id_ == id_end_ ? xproto::kNone : static_cast<WindowId>(next_id_++);
 }
 
 xserver::Server::DispatchResult Display::DispatchWire(const xproto::Request& request) const {
@@ -293,11 +295,19 @@ Display::~Display() {
 
 WindowId Display::CreateWindow(WindowId parent, const xbase::Rect& geometry, int border_width,
                                bool override_redirect, xproto::WindowClass window_class) {
-  return IssueCreate({.parent = parent,
-                      .geometry = geometry,
-                      .border_width = border_width,
-                      .window_class = window_class,
-                      .override_redirect = override_redirect});
+  // As in Xlib, the id is the client's choice and nothing waits: a remote
+  // failure arrives later as an X error.
+  WindowId window = MintId();
+  if (window == xproto::kNone) {
+    return xproto::kNone;
+  }
+  bool issued = Issue(xproto::CreateWindowRequest{.window = window,
+                                                  .parent = parent,
+                                                  .geometry = geometry,
+                                                  .border_width = border_width,
+                                                  .window_class = window_class,
+                                                  .override_redirect = override_redirect});
+  return issued ? window : xproto::kNone;
 }
 
 bool Display::DestroyWindow(WindowId window) {
@@ -610,7 +620,7 @@ bool Display::SetInputFocus(WindowId window) {
 
 std::optional<xproto::Event> Display::NextEvent() {
   if (remote()) {
-    DrainRemote();
+    DrainRemote(/*flush=*/true);
     if (remote_events_.empty()) {
       return std::nullopt;
     }
@@ -623,7 +633,7 @@ std::optional<xproto::Event> Display::NextEvent() {
 
 size_t Display::Pending() const {
   if (remote()) {
-    const_cast<Display*>(this)->DrainRemote();
+    const_cast<Display*>(this)->DrainRemote(/*flush=*/true);
     return remote_events_.size();
   }
   return server_->PendingEvents(client_);

@@ -240,8 +240,17 @@ class Display {
   // Server::ApplyRequest (in-process).  Returns true when the request
   // executed cleanly (remote: when it was sent).
   bool Issue(xproto::Request request);
-  // Same funnel for CreateWindow; returns the new window's id.
-  xproto::WindowId IssueCreate(xproto::CreateWindowRequest request);
+  // Window ids (docs/PROTOCOL.md "Window ids").  MintId hands out the id
+  // for the next CreateWindow from the run [next_id_, id_end_): the whole
+  // range from connection setup at first, then, each time the run is spent,
+  // the largest free run the server reports (GetIdRange).  kNone when no id
+  // is free.  (A connection without a slot has base 0 and mask 0: its one
+  // id is kNone.)
+  xproto::WindowId MintId();
+  void TakeIdRun(xproto::WindowId start, uint64_t count) {
+    next_id_ = start;
+    id_end_ = start + count;
+  }
   // In-process wire mode: encodes `request` and dispatches the bytes.
   xserver::Server::DispatchResult DispatchWire(const xproto::Request& request) const;
   // Query funnel: dispatches the encoded request and decodes the reply frame
@@ -261,9 +270,6 @@ class Display {
   bool RemoteIssue(const xproto::Request& request);
   // Blocking (bounded) query round trip over the socket.
   std::optional<xproto::Reply> RemoteRoundTrip(const xproto::Request& request);
-  // CreateWindow + QueryClientWindows: the wire substitute for the
-  // in-process DispatchResult::last_created_window.
-  xproto::WindowId RemoteCreate(const xproto::CreateWindowRequest& request);
   // Dispatches one inbound frame: errors hit the error handler, events join
   // the local queue, a reply with sequence == want_sequence lands in
   // *reply_out.  Returns true when the frame settles the round trip
@@ -272,7 +278,10 @@ class Display {
   bool HandleRemoteFrame(std::span<const uint8_t> frame, int want_sequence,
                          std::optional<xproto::Reply>* reply_out);
   // Non-blocking drain of whatever the socket has (events, stray errors).
-  void DrainRemote();
+  // With `flush` it first writes every queued request, waiting (bounded) for
+  // the socket as Xlib's XFlush does: a client about to wait for events
+  // must not hold requests the server has not seen.
+  void DrainRemote(bool flush = false);
 
   xserver::Server* server_;
   xproto::ClientId client_;
@@ -282,6 +291,8 @@ class Display {
   XErrorHandler error_handler_;
   std::optional<xproto::XError> last_error_;
   xproto::SanitizerStats sanitizer_stats_;
+  uint64_t next_id_ = xproto::kNone;
+  uint64_t id_end_ = xproto::kNone;
 
   // Remote-mode state (null/empty for in-process displays).
   std::unique_ptr<xproto::WireClientEndpoint> endpoint_;

@@ -22,6 +22,8 @@ std::string ErrorCodeName(ErrorCode code) {
       return "BadRequest";
     case ErrorCode::kBadLength:
       return "BadLength";
+    case ErrorCode::kBadIDChoice:
+      return "BadIDChoice";
   }
   return "BadImplementation";
 }
@@ -84,8 +86,8 @@ std::string RequestCodeName(RequestCode code) {
       return "TranslateCoordinates";
     case RequestCode::kQueryScreens:
       return "QueryScreens";
-    case RequestCode::kQueryClientWindows:
-      return "QueryClientWindows";
+    case RequestCode::kGetIdRange:
+      return "GetIdRange";
   }
   return "None";
 }

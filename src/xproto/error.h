@@ -20,6 +20,7 @@ enum class ErrorCode : uint8_t {
   kBadImplementation,  // Server-side injected failure (fault harness).
   kBadRequest,         // Wire frame named an opcode outside the implemented subset.
   kBadLength,          // Wire frame length field inconsistent with its payload.
+  kBadIDChoice,        // CreateWindow id outside the client's range or in use.
 };
 
 // The request that produced an error (the major opcode on the wire).
@@ -56,12 +57,13 @@ enum class RequestCode : uint8_t {
   // Out-of-process connection-setup queries (docs/PROTOCOL.md
   // "Out-of-process operation").  Appended, same stability rule as above.
   kQueryScreens,
-  kQueryClientWindows,
+  kGetIdRange,
 };
 
-// Highest RequestCode value (wire decoders validate against this bound).
-inline constexpr uint8_t kMaxRequestCode =
-    static_cast<uint8_t>(RequestCode::kQueryClientWindows);
+// Highest ErrorCode / RequestCode values (wire decoders validate against
+// these bounds).
+inline constexpr uint8_t kMaxErrorCode = static_cast<uint8_t>(ErrorCode::kBadIDChoice);
+inline constexpr uint8_t kMaxRequestCode = static_cast<uint8_t>(RequestCode::kGetIdRange);
 
 // One error report, delivered to the issuing client's error handler.  The
 // sequence number is per-connection and counts requests, so a handler can

@@ -88,7 +88,7 @@ std::optional<Trace> ParseTrace(std::span<const uint8_t> bytes, ParseError* erro
   if (!r.ok() || std::memcmp(magic.data(), kTraceMagic, 4) != 0) {
     return fail(ParseErrorCode::kBadOpcode, 0, "missing SWMT magic");
   }
-  if (version < kMinTraceVersion || version > kTraceVersion) {
+  if (version != kTraceVersion) {
     return fail(ParseErrorCode::kBadValue, 4, "unsupported trace version");
   }
 

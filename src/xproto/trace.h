@@ -27,10 +27,11 @@ namespace xproto {
 
 inline constexpr uint8_t kTraceMagic[4] = {'S', 'W', 'M', 'T'};
 // Version 2 added kReply records (the server's honest outbound reply bytes,
-// captured before any transport fault touches them).  The parser accepts
-// version-1 files — the PR-6 corpus keeps replaying unchanged.
-inline constexpr uint32_t kTraceVersion = 2;
-inline constexpr uint32_t kMinTraceVersion = 1;
+// captured before any transport fault touches them).  Version 3 traces
+// carry client-chosen window ids: the CreateWindow frame names the new
+// window and the QueryScreens reply carries the id base and mask.  Only the
+// current version is read; an older trace is a version error.
+inline constexpr uint32_t kTraceVersion = 3;
 // Hard cap on one record's payload (a request buffer, a machine name...).
 inline constexpr size_t kMaxTraceRecordBytes = 1 << 20;
 

@@ -17,6 +17,14 @@ using KeySym = uint32_t;
 inline constexpr WindowId kNone = 0;
 inline constexpr AtomId kAtomNone = 0;
 
+// Window ids are chosen by the client, as in X (docs/PROTOCOL.md "Window
+// ids").  Each connection holds an id slot; its base is slot << kIdSlotShift
+// and it names its windows base | n for n <= kIdMask.  Slot 0 is the
+// server's (the roots), so client slots run from 1 to kIdSlots - 1.
+inline constexpr int kIdSlotShift = 21;
+inline constexpr WindowId kIdMask = (WindowId{1} << kIdSlotShift) - 1;
+inline constexpr uint32_t kIdSlots = uint32_t{1} << (32 - kIdSlotShift);
+
 // Hard protocol limit on coordinates/extents (signed 16-bit on the wire);
 // this is the source of the paper's 32767x32767 Virtual Desktop ceiling.
 inline constexpr int kMaxCoordinate = 32767;

@@ -528,6 +528,7 @@ WIRE_BODY(xbase::Rect) {
 
 WIRE_REQUEST(CreateWindowRequest, kCreateWindow, kCreateWindow) {
   io.Detail(m.window_class, Range{0, 1, "window class not 0/1"});
+  io.U32(m.window);
   io.U32(m.parent);
   Body(io, m.geometry);
   io.U16(m.border_width);
@@ -676,7 +677,7 @@ WIRE_REQUEST(TranslateCoordinatesRequest, kTranslateCoordinates, kTranslateCoord
 
 WIRE_REQUEST(QueryScreensRequest, kQueryScreens, kQueryScreens) {}
 
-WIRE_REQUEST(QueryClientWindowsRequest, kQueryClientWindows, kQueryClientWindows) {}
+WIRE_REQUEST(GetIdRangeRequest, kGetIdRange, kGetIdRange) {}
 
 // ---- Replies ----
 
@@ -734,11 +735,14 @@ WIRE_BODY(ScreensReply::Screen) {
 }
 
 WIRE_REPLY(ScreensReply, kQueryScreens) {
+  io.U32(m.id_base);
+  io.U32(m.id_mask);
   io.List(io.Count32(m.screens, kMaxReplyChildren, "screen list"), m.screens);
 }
 
-WIRE_REPLY(ClientWindowsReply, kQueryClientWindows) {
-  io.List(io.Count32(m.windows, kMaxReplyChildren, "window list"), m.windows);
+WIRE_REPLY(IdRangeReply, kGetIdRange) {
+  io.U32(m.start_id);
+  io.U32(m.count);
 }
 
 // ---- Events ----
@@ -882,8 +886,7 @@ WIRE_EVENT(ShapeNotifyEvent, 64) {
 
 // The frame is [0][code][sequence u16] and this body.
 WIRE_BODY(XError) {
-  io.Detail(m.code, Range{0, static_cast<uint8_t>(ErrorCode::kBadLength),
-                          "error code out of range"});
+  io.Detail(m.code, Range{0, kMaxErrorCode, "error code out of range"});
   io.U32(m.resource_id);
   io.U64(m.sequence);
   io.U8(m.request, Range{0, kMaxRequestCode, "request code out of range"});

@@ -183,16 +183,18 @@ enum class WireOpcode : uint8_t {
   // Real X numbers GetGeometry 14, which kSelectInput occupies here; it
   // lives in the extension range instead (docs/PROTOCOL.md "Replies").
   kGetGeometry = 134,
-  // Connection-setup queries for out-of-process clients (docs/PROTOCOL.md
-  // "Out-of-process operation"): the screen table a remote Display caches at
-  // connect, and the issuing client's own window list (ascending id, newest
-  // last) — the wire substitute for the in-process DispatchResult's
-  // last_created_window.
+  // The screen table and id range a remote Display learns at connect
+  // (docs/PROTOCOL.md "Out-of-process operation"), and the largest free run
+  // of the client's id range, asked for once the range is spent (XC-MISC's
+  // GetXIDRange; docs/PROTOCOL.md "Window ids").
   kQueryScreens = 135,
-  kQueryClientWindows = 136,
+  kGetIdRange = 136,
 };
 
+// `window` is the id the client chose for the new window (X's wid): it must
+// lie in the client's range and be unused, or the server raises BadIDChoice.
 struct CreateWindowRequest {
+  WindowId window = kNone;
   WindowId parent = kNone;
   xbase::Rect geometry;
   int border_width = 0;
@@ -383,15 +385,13 @@ struct TranslateCoordinatesRequest {
                          const TranslateCoordinatesRequest&) = default;
 };
 
-// Both out-of-process setup queries are payload-free: the screens table is
-// global, and QueryClientWindows is implicitly about the issuing client.
+// Both are payload-free: they are about the issuing client's connection.
 struct QueryScreensRequest {
   friend bool operator==(const QueryScreensRequest&, const QueryScreensRequest&) = default;
 };
 
-struct QueryClientWindowsRequest {
-  friend bool operator==(const QueryClientWindowsRequest&,
-                         const QueryClientWindowsRequest&) = default;
+struct GetIdRangeRequest {
+  friend bool operator==(const GetIdRangeRequest&, const GetIdRangeRequest&) = default;
 };
 
 using Request = std::variant<
@@ -402,7 +402,7 @@ using Request = std::variant<
     SetCursorRequest, DrawRequest, ShapeRegionRequest, ShapeClearRequest, ShapeSelectRequest,
     GetWindowAttributesRequest, GetGeometryRequest, QueryTreeRequest, InternAtomRequest,
     GetAtomNameRequest, GetPropertyRequest, TranslateCoordinatesRequest,
-    QueryScreensRequest, QueryClientWindowsRequest>;
+    QueryScreensRequest, GetIdRangeRequest>;
 
 // Wire opcode / human-readable name / error-channel RequestCode of a request.
 WireOpcode RequestOpcode(const Request& request);
@@ -494,8 +494,12 @@ struct CoordinatesReply {
 };
 
 // QueryScreens: the per-screen table a remote Display caches at connect so
-// ScreenCount/RootWindow/DisplaySize/IsMonochrome need no further traffic.
+// ScreenCount/RootWindow/DisplaySize/IsMonochrome need no further traffic,
+// and the connection's resource-id base and mask, the fields of X's
+// connection-setup reply (both 0 when the server had no id slot left).
 struct ScreensReply {
+  WindowId id_base = kNone;
+  WindowId id_mask = 0;
   struct Screen {
     WindowId root = kNone;
     int width = 0;
@@ -507,17 +511,17 @@ struct ScreensReply {
   friend bool operator==(const ScreensReply&, const ScreensReply&) = default;
 };
 
-// QueryClientWindows: every window the issuing client owns, ascending id.
-// Ids are minted monotonically, so the newest window is last — how a remote
-// client learns the id its CreateWindow produced.
-struct ClientWindowsReply {
-  std::vector<WindowId> windows;
-  friend bool operator==(const ClientWindowsReply&, const ClientWindowsReply&) = default;
+// GetIdRange: the largest run of ids in the client's range that none of its
+// windows uses, [start_id, start_id + count); count 0 when there is none.
+struct IdRangeReply {
+  WindowId start_id = kNone;
+  uint32_t count = 0;
+  friend bool operator==(const IdRangeReply&, const IdRangeReply&) = default;
 };
 
 using Reply = std::variant<AttributesReply, GeometryReply, TreeReply, AtomReply,
                            AtomNameReply, PropertyReply, CoordinatesReply,
-                           ScreensReply, ClientWindowsReply>;
+                           ScreensReply, IdRangeReply>;
 
 // Major opcode of the request a reply answers / human-readable name.
 WireOpcode ReplyOpcode(const Reply& reply);

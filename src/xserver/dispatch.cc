@@ -183,7 +183,7 @@ Server::DispatchResult Server::DispatchBytes(ClientId client,
     }
     offset += consumed;
     ++result.requests_dispatched;
-    if (!ApplyRequest(client, std::move(request), &result)) {
+    if (!ApplyRequest(client, std::move(request))) {
       ++result.requests_failed;
     }
   }
@@ -225,21 +225,13 @@ void Server::EmitReply(ClientId client, const xproto::Reply& reply) {
   }
 }
 
-bool Server::ApplyRequest(ClientId client, Request&& request,
-                          DispatchResult* result) {
+bool Server::ApplyRequest(ClientId client, Request&& request) {
   return std::visit(
       [&](auto& r) -> bool {
         using T = std::decay_t<decltype(r)>;
         if constexpr (std::is_same_v<T, xproto::CreateWindowRequest>) {
-          WindowId created = CreateWindow(client, r.parent, r.geometry, r.border_width,
-                                          r.window_class, r.override_redirect);
-          if (created == xproto::kNone) {
-            return false;
-          }
-          if (result != nullptr) {
-            result->last_created_window = created;
-          }
-          return true;
+          return CreateWindow(client, r.window, r.parent, r.geometry, r.border_width,
+                              r.window_class, r.override_redirect) != xproto::kNone;
         } else if constexpr (std::is_same_v<T, xproto::DestroyWindowRequest>) {
           return DestroyWindow(client, r.window);
         } else if constexpr (std::is_same_v<T, xproto::MapWindowRequest>) {
@@ -407,15 +399,17 @@ bool Server::ApplyRequest(ClientId client, Request&& request,
           EmitReply(client, xproto::CoordinatesReply{*position});
           return true;
         }
-        // ---- Connection-setup queries (out-of-process clients) ------------
+        // ---- Connection setup and id ranges (docs/PROTOCOL.md) -------------
         // A remote Display has no direct Server pointer, so screen layout and
-        // resource-id discovery travel over the wire like everything else.
+        // its id range travel over the wire like everything else.
         else if constexpr (std::is_same_v<T, xproto::QueryScreensRequest>) {
           RequestGuard guard(this, client, xproto::RequestCode::kQueryScreens);
           if (!guard.ok()) {
             return false;
           }
           xproto::ScreensReply reply;
+          reply.id_base = IdBase(client);
+          reply.id_mask = IdMask(client);
           for (int i = 0; i < ScreenCount(); ++i) {
             const ScreenInfo& info = screen(i);
             xproto::ScreensReply::Screen out;
@@ -427,13 +421,12 @@ bool Server::ApplyRequest(ClientId client, Request&& request,
           }
           EmitReply(client, reply);
           return true;
-        } else if constexpr (std::is_same_v<T, xproto::QueryClientWindowsRequest>) {
-          RequestGuard guard(this, client,
-                             xproto::RequestCode::kQueryClientWindows);
+        } else if constexpr (std::is_same_v<T, xproto::GetIdRangeRequest>) {
+          RequestGuard guard(this, client, xproto::RequestCode::kGetIdRange);
           if (!guard.ok()) {
             return false;
           }
-          EmitReply(client, xproto::ClientWindowsReply{ClientWindows(client)});
+          EmitReply(client, IdRange(client));
           return true;
         }
       },

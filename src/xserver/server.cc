@@ -15,12 +15,13 @@ using xproto::kNone;
 using xproto::RequestCode;
 using xproto::WindowId;
 
-Server::Server(std::vector<ScreenConfig> screens) {
+Server::Server(std::vector<ScreenConfig> screens) : slot_used_(xproto::kIdSlots) {
   XB_CHECK(!screens.empty());
+  slot_used_[0] = true;  // The roots' slot.
   for (size_t i = 0; i < screens.size(); ++i) {
     const ScreenConfig& cfg = screens[i];
     WindowRec root;
-    root.id = next_window_id_++;
+    root.id = static_cast<WindowId>(i + 1);
     root.parent = kNone;
     root.geometry = xbase::Rect{0, 0, cfg.width, cfg.height};
     root.mapped = true;
@@ -40,7 +41,13 @@ Server::~Server() = default;
 
 ClientId Server::Connect(const std::string& client_machine) {
   ClientId id = next_client_id_++;
-  clients_[id].machine = client_machine;
+  ClientRec& rec = clients_[id];
+  rec.machine = client_machine;
+  auto free_slot = std::find(slot_used_.begin(), slot_used_.end(), false);
+  if (free_slot != slot_used_.end()) {
+    *free_slot = true;
+    rec.slot = static_cast<uint32_t>(free_slot - slot_used_.begin());
+  }
   if (trace_recorder_ != nullptr) {
     trace_recorder_->RecordConnect(id, client_machine);
   }
@@ -89,6 +96,10 @@ void Server::Disconnect(ClientId client) {
   if (grab_.active && grab_.client == client) {
     grab_.active = false;
   }
+  // Every window in the slot's range is gone: the next client may take it.
+  if (rec->slot != 0) {
+    slot_used_[rec->slot] = false;
+  }
   clients_.erase(client);
 }
 
@@ -97,6 +108,35 @@ bool Server::HasClient(ClientId client) const { return clients_.count(client) !=
 std::string Server::ClientMachine(ClientId client) const {
   auto it = clients_.find(client);
   return it == clients_.end() ? std::string() : it->second.machine;
+}
+
+// ---- Window ids ---------------------------------------------------------------
+
+WindowId Server::IdBase(ClientId client) const {
+  const ClientRec* rec = FindClient(client);
+  return rec == nullptr ? kNone : rec->slot << xproto::kIdSlotShift;
+}
+
+xproto::IdRangeReply Server::IdRange(ClientId client) const {
+  xproto::IdRangeReply best;
+  WindowId base = IdBase(client);
+  if (base == kNone) {
+    return best;
+  }
+  // The gaps between the client's windows, ascending, then the tail.
+  uint64_t free_from = base;
+  auto consider = [&](uint64_t end) {
+    if (end - free_from > best.count) {
+      best.start_id = static_cast<WindowId>(free_from);
+      best.count = static_cast<uint32_t>(end - free_from);
+    }
+  };
+  for (WindowId id : FindClient(client)->owned) {
+    consider(id);
+    free_from = uint64_t{id} + 1;
+  }
+  consider(uint64_t{base} + xproto::kIdMask + 1);
+  return best;
 }
 
 // ---- Screens / atoms --------------------------------------------------------
@@ -411,21 +451,28 @@ size_t Server::PendingEvents(ClientId client) const {
 
 // ---- Window lifecycle -------------------------------------------------------
 
-WindowId Server::CreateWindow(ClientId client, WindowId parent, const xbase::Rect& geometry,
-                              int border_width, xproto::WindowClass window_class,
-                              bool override_redirect) {
+WindowId Server::CreateWindow(ClientId client, WindowId window, WindowId parent,
+                              const xbase::Rect& geometry, int border_width,
+                              xproto::WindowClass window_class, bool override_redirect) {
   RequestGuard req(this, client, RequestCode::kCreateWindow);
   if (!req.ok()) {
     return kNone;
   }
+  // The id is checked first, as X does.  A client without a slot has base
+  // 0, and 0 is kNone: no id of its passes.
+  WindowId base = IdBase(client);
+  if (base == kNone || (window & ~xproto::kIdMask) != base || Find(window) != nullptr) {
+    RaiseError(client, ErrorCode::kBadIDChoice, window);
+    return kNone;
+  }
   WindowRec* parent_rec = Find(parent);
-  if (parent_rec == nullptr || !HasClient(client)) {
+  if (parent_rec == nullptr) {
     XB_LOG(Warning) << "CreateWindow: bad parent " << parent;
     RaiseError(client, ErrorCode::kBadWindow, parent);
     return kNone;
   }
   WindowRec win;
-  win.id = next_window_id_++;
+  win.id = window;
   win.parent = parent;
   win.window_class = window_class;
   win.geometry = geometry;
@@ -935,14 +982,6 @@ std::optional<xbase::Point> Server::TranslateCoordinates(WindowId src, WindowId 
 }
 
 bool Server::WindowExists(WindowId window) const { return Find(window) != nullptr; }
-
-std::vector<WindowId> Server::ClientWindows(ClientId client) const {
-  const ClientRec* rec = FindClient(client);
-  if (rec == nullptr) {
-    return {};
-  }
-  return {rec->owned.begin(), rec->owned.end()};
-}
 
 bool Server::IsViewable(WindowId window) const {
   const WindowRec* win = Find(window);

@@ -91,10 +91,12 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   // ---- Connections -------------------------------------------------------
+  // Client ids are never reused.  Each connection also takes the lowest free
+  // window-id slot (docs/PROTOCOL.md "Window ids"); Disconnect frees it.
   xproto::ClientId Connect(const std::string& client_machine = "localhost");
   // Runs save-set processing (reparent-to-root + remap of other clients'
   // windows the disconnecting client had added), then destroys the client's
-  // own windows and selections.
+  // own windows and selections, and frees its id slot.
   void Disconnect(xproto::ClientId client);
   bool HasClient(xproto::ClientId client) const;
   std::string ClientMachine(xproto::ClientId client) const;
@@ -126,10 +128,6 @@ class Server {
     size_t requests_failed = 0;      // Executed but refused (X error raised).
     size_t parse_errors = 0;         // Frames rejected by the wire codec.
     std::optional<xproto::ParseError> first_parse_error;
-    // Window id minted by the last CreateWindow in the buffer (CreateWindow
-    // has no reply in core X either — ids are client-allocated there;
-    // byte-routed clients read the id here).
-    xproto::WindowId last_created_window = xproto::kNone;
     size_t bytes_consumed = 0;
     // Reply frames the dispatched queries emitted, drained from the
     // connection's outbound encoder (docs/PROTOCOL.md "Replies").  The
@@ -145,8 +143,7 @@ class Server {
   // the server through this one dispatch.  The request is consumed: its
   // strings, lists and event move into the server.  Returns false if the
   // request failed.
-  bool ApplyRequest(xproto::ClientId client, xproto::Request&& request,
-                    DispatchResult* result);
+  bool ApplyRequest(xproto::ClientId client, xproto::Request&& request);
   // Wire frames rejected across all connections (parser health metric).
   uint64_t wire_parse_errors() const { return wire_parse_errors_; }
 
@@ -204,10 +201,27 @@ class Server {
   xproto::AtomId InternAtom(const std::string& name);
   std::optional<std::string> GetAtomName(xproto::AtomId atom) const;
 
+  // ---- Window ids (docs/PROTOCOL.md "Window ids") -------------------------
+  // The client's id base and mask, as X's connection setup reports them: it
+  // names each window it creates base | n with n <= mask.  Both 0 for an
+  // unknown client or one that connected while every slot was taken (it
+  // can create no windows).
+  xproto::WindowId IdBase(xproto::ClientId client) const;
+  xproto::WindowId IdMask(xproto::ClientId client) const {
+    return IdBase(client) == xproto::kNone ? 0 : xproto::kIdMask;
+  }
+  // The largest run of the client's range that none of its windows uses
+  // (XC-MISC's GetXIDRange); what a client asks for once its range is spent.
+  xproto::IdRangeReply IdRange(xproto::ClientId client) const;
+
   // ---- Window lifecycle --------------------------------------------------
-  xproto::WindowId CreateWindow(xproto::ClientId client, xproto::WindowId parent,
-                                const xbase::Rect& geometry, int border_width,
-                                xproto::WindowClass window_class, bool override_redirect);
+  // Creates `window`, the id the client chose.  Raises BadIDChoice when the
+  // id is outside the client's range or names a live window.  Returns the
+  // id, or kNone when the request failed.
+  xproto::WindowId CreateWindow(xproto::ClientId client, xproto::WindowId window,
+                                xproto::WindowId parent, const xbase::Rect& geometry,
+                                int border_width, xproto::WindowClass window_class,
+                                bool override_redirect);
   bool DestroyWindow(xproto::ClientId client, xproto::WindowId window);
   bool MapWindow(xproto::ClientId client, xproto::WindowId window);
   bool UnmapWindow(xproto::ClientId client, xproto::WindowId window);
@@ -231,10 +245,6 @@ class Server {
                                                    const xbase::Point& point) const;
   bool WindowExists(xproto::WindowId window) const;
   bool IsViewable(xproto::WindowId window) const;
-  // All windows a client created, ascending id (newest last — ids are minted
-  // monotonically).  The wire substitute for DispatchResult's
-  // last_created_window when the client lives in another process.
-  std::vector<xproto::WindowId> ClientWindows(xproto::ClientId client) const;
   // Position of the window's top-left corner in real-root coordinates.
   xbase::Point RootPosition(xproto::WindowId window) const;
 
@@ -301,18 +311,22 @@ class Server {
   // Test-only: the deepest viewable window under the pointer, hit-tested
   // afresh rather than read from the cached QueryPointer().window.
   xproto::WindowId HitTestPointerForTest() const { return DeepestViewableAt(pointer_.root_pos); }
-  // Test-only: a client's save set (insertion order) and the windows it
-  // holds state on (ascending), or nullopt for unknown clients.
+  // Test-only: a client's save set (insertion order), the windows it holds
+  // state on and the windows it owns (both ascending), or nullopt for
+  // unknown clients.
   struct ClientIndex {
     std::vector<xproto::WindowId> save_set;
     std::vector<xproto::WindowId> referenced;
+    std::vector<xproto::WindowId> owned;
   };
   std::optional<ClientIndex> ClientIndexForTest(xproto::ClientId client) const {
     const ClientRec* rec = FindClient(client);
     if (rec == nullptr) {
       return std::nullopt;
     }
-    return ClientIndex{rec->save_set, {rec->referenced.begin(), rec->referenced.end()}};
+    return ClientIndex{rec->save_set,
+                       {rec->referenced.begin(), rec->referenced.end()},
+                       {rec->owned.begin(), rec->owned.end()}};
   }
 
  private:
@@ -323,7 +337,9 @@ class Server {
     // for this client (adjacent reorder) or when the queue drains.
     std::deque<xproto::Event> delayed;
     std::vector<xproto::WindowId> save_set;
-    // Ascending ids of the client's live windows.
+    // Window-id slot (0: none was free); the client's ids are slot << shift.
+    uint32_t slot = 0;
+    // Ascending ids of the client's live windows, all inside its range.
     std::set<xproto::WindowId> owned;
     // Windows, whoever owns them, on which the client holds an event
     // selection, a shape selection, a passive grab or a save-set entry.
@@ -437,7 +453,8 @@ class Server {
   std::map<std::string, xproto::AtomId> atoms_;
   std::vector<std::string> atom_names_;  // atom id - 1 -> name.
 
-  xproto::WindowId next_window_id_ = 1;
+  // Window-id slots in use, indexed by slot; slot 0 is the server's.
+  std::vector<bool> slot_used_;
   xproto::ClientId next_client_id_ = 1;
   xproto::Timestamp time_ = 0;
 

@@ -356,7 +356,7 @@ TEST_F(FunctionsTest, MenuPopupAndItemExecution) {
   (void)item;
   // Locate the wmIconify item through the toolkit registry by label.
   oi::Object* found = nullptr;
-  for (xproto::WindowId wid = 1; wid < 2000; ++wid) {
+  for (xproto::WindowId wid : AllWindows()) {
     oi::Object* candidate = wm_->toolkit(0).FindObject(wid);
     if (candidate != nullptr && candidate->type() == oi::ObjectType::kButton &&
         static_cast<oi::Button*>(candidate)->label() == "Close" &&
@@ -399,7 +399,7 @@ TEST_F(FunctionsTest, RefreshRedrawsEverything) {
   Execute("f.menu(windowMenu)");
   oi::Object* quit = nullptr;
   oi::Object* menu_item = nullptr;
-  for (xproto::WindowId wid = 1; wid < 4000; ++wid) {
+  for (xproto::WindowId wid : AllWindows()) {
     oi::Object* candidate = wm_->toolkit(0).FindObject(wid);
     if (candidate == nullptr) {
       continue;

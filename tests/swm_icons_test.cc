@@ -313,7 +313,7 @@ TEST_F(SwmTest, RootPanelIsReparentedAndFunctional) {
 
   // Click its "iconify" button: prompts for a window (no current client).
   oi::Object* iconify_button = nullptr;
-  for (xproto::WindowId wid = 1; wid < 3000; ++wid) {
+  for (xproto::WindowId wid : AllWindows()) {
     oi::Object* candidate = wm_->toolkit(0).FindObject(wid);
     if (candidate != nullptr && candidate->name() == "iconify") {
       iconify_button = candidate;

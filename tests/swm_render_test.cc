@@ -65,9 +65,9 @@ TEST_F(SwmTest, GoldenRootPanelLayout) {
   StartWm("swm*rootPanels: RootPanel\n");
   // Find the root panel content tree via its buttons.
   oi::Object* quit = nullptr;
-  for (xproto::WindowId wid = 1; wid < 4000 && quit == nullptr; ++wid) {
+  for (xproto::WindowId wid : AllWindows()) {
     oi::Object* candidate = wm_->toolkit(0).FindObject(wid);
-    if (candidate != nullptr && candidate->name() == "quit") {
+    if (candidate != nullptr && candidate->name() == "quit" && quit == nullptr) {
       quit = candidate;
     }
   }

@@ -78,6 +78,20 @@ class SwmTest : public ::testing::Test {
     wm_->ProcessEvents();
   }
 
+  // Every window on every screen, roots first, then the window tree level
+  // by level (bottom-most sibling first).
+  std::vector<xproto::WindowId> AllWindows() const {
+    std::vector<xproto::WindowId> all;
+    for (int screen = 0; screen < server_->ScreenCount(); ++screen) {
+      all.push_back(server_->RootWindow(screen));
+    }
+    for (size_t i = 0; i < all.size(); ++i) {
+      std::vector<xproto::WindowId> children = server_->QueryTree(all[i])->children;
+      all.insert(all.end(), children.begin(), children.end());
+    }
+    return all;
+  }
+
   // Root position of an oi object's window.
   xbase::Point ObjectRootPos(const oi::Object* object) {
     return server_->RootPosition(object->window());

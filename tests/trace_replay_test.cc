@@ -210,11 +210,16 @@ TEST(TraceReplayTest, MutatedStreamReplaysWithoutTheFaultPlan) {
 
   xproto::ClientId hostile = recorded.Connect("hostile");
   xproto::WindowId root = recorded.RootWindow(0);
-  for (int i = 0; i < 50; ++i) {
+  xproto::WindowId base = recorded.IdBase(hostile);
+  for (uint32_t i = 0; i < 50; ++i) {
     xproto::WireWriter w;
-    xproto::EncodeRequest(
-        xproto::CreateWindowRequest{.parent = root, .geometry = {i, i, 10, 5}}, &w);
-    xproto::EncodeRequest(xproto::MapWindowRequest{.window = static_cast<uint32_t>(i + 1)},
+    xproto::EncodeRequest(xproto::CreateWindowRequest{.window = base | i,
+                                                      .parent = root,
+                                                      .geometry = {static_cast<int>(i),
+                                                                   static_cast<int>(i), 10, 5}},
+                          &w);
+    // The root first, then each window the stream created before.
+    xproto::EncodeRequest(xproto::MapWindowRequest{.window = i == 0 ? root : base | (i - 1)},
                           &w);
     recorded.DispatchBytes(hostile, w.span());
   }
@@ -287,8 +292,8 @@ TEST_P(TraceCorpusTest, CorpusTraceReplaysDeterministically) {
 
   // The duplex traces were recorded through real framed connections: they
   // carry kReply records and replay cleanly over a listening socket too,
-  // with the reply stream verified in both directions.  (The v1 chaos
-  // traces predate connections; their hostile streams keep dispatching
+  // with the reply stream verified in both directions.  (The chaos traces
+  // dispatch their hostile streams directly: those keep dispatching
   // mid-buffer after parse errors, which a lifecycle-enforcing Connection
   // deliberately refuses to do.)
   if (GetParam().rfind("duplex", 0) == 0) {

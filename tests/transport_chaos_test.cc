@@ -80,6 +80,7 @@ TEST_P(TransportChaosTest, SurvivesSeededTransportStorm) {
     std::unique_ptr<Connection> conn;
     std::unique_ptr<WireClientEndpoint> ep;
     std::vector<WindowId> windows;
+    WindowId next_id = xproto::kNone;  // The id its next CreateWindow names.
   };
   std::vector<Peer> peers;
   for (int i = 0; i < 2; ++i) {
@@ -88,6 +89,7 @@ TEST_P(TransportChaosTest, SurvivesSeededTransportStorm) {
     peer.conn = std::make_unique<Connection>(&server, std::move(pair.server), "chaos-peer");
     peer.conn->InstallTransportFaults(plan);
     peer.conn->Establish();
+    peer.next_id = server.IdBase(peer.conn->client());
     peer.ep = std::make_unique<WireClientEndpoint>(std::move(pair.client));
     peers.push_back(std::move(peer));
   }
@@ -101,6 +103,7 @@ TEST_P(TransportChaosTest, SurvivesSeededTransportStorm) {
     switch (workload.Range(0, 6)) {
       case 0:
         peer.ep->QueueRequest(xproto::CreateWindowRequest{
+            .window = peer.next_id++,
             .parent = server.RootWindow(0),
             .geometry = {workload.Range(0, 200), workload.Range(0, 150),
                          workload.Range(1, 300), workload.Range(1, 200)}});
@@ -157,7 +160,8 @@ TEST_P(TransportChaosTest, SurvivesSeededTransportStorm) {
   // One seed in four kills a peer mid-request frame on top of everything.
   if (seed % 4 == 1 && peers[0].conn->state() != ConnectionState::kClosed) {
     peers[0].ep->QueueRequest(
-        xproto::CreateWindowRequest{.parent = server.RootWindow(0),
+        xproto::CreateWindowRequest{.window = peers[0].next_id++,
+                                    .parent = server.RootWindow(0),
                                     .geometry = {0, 0, 10, 10}});
     peers[0].ep->CloseMidFrame();
     for (int i = 0; i < 8 && peers[0].conn->state() != ConnectionState::kClosed; ++i) {

@@ -80,10 +80,31 @@ bool AwaitReply(WireClientEndpoint* ep, uint64_t* hash, uint32_t* frames) {
   return false;
 }
 
+// Child-side: the connection's id base, from the QueryScreens round trip a
+// client makes at connection setup.  kNone on timeout or a dead socket.
+WindowId AwaitIdBase(WireClientEndpoint* ep) {
+  ep->QueueRequest(xproto::QueryScreensRequest{});
+  int64_t deadline = xbase::EventLoop::NowMs() + 5000;
+  while (xbase::EventLoop::NowMs() < deadline && ep->open()) {
+    ep->Flush();
+    xproto::Reply reply;
+    xproto::ParseError error;
+    if (ep->NextReply(&reply, &error)) {
+      const auto* screens = std::get_if<xproto::ScreensReply>(&reply);
+      return screens != nullptr ? screens->id_base : xproto::kNone;
+    }
+    struct pollfd pfd = {ep->PollFd(), POLLIN, 0};
+    ::poll(&pfd, 1, 50);
+  }
+  return xproto::kNone;
+}
+
 // The seeded query `request_index` issues for survivor `idx`.  Every choice
-// touches only pre-existing server state — root windows, parent-interned
-// atoms, the screen table, the survivor's own (empty) window list — so the
-// answers cannot depend on what any other client did or when it died.
+// touches only pre-existing server state — the root window, parent-interned
+// atoms, a root-to-root coordinate translation — so the answers cannot
+// depend on what any other client did or when it died.  (QueryScreens is
+// not in the mix: its reply carries the connection's id base, which
+// depends on the order the forked clients happened to connect in.)
 xproto::Request SurvivorRequest(uint32_t seed, int idx, int request_index,
                                 WindowId root) {
   switch ((seed * 7 + static_cast<uint32_t>(idx) * 13 +
@@ -94,9 +115,10 @@ xproto::Request SurvivorRequest(uint32_t seed, int idx, int request_index,
     case 1:
       return xproto::InternAtomRequest{.name = kAtomNames[request_index % 3]};
     case 2:
-      return xproto::QueryScreensRequest{};
+      return xproto::GetWindowAttributesRequest{.window = root};
     default:
-      return xproto::QueryClientWindowsRequest{};
+      return xproto::TranslateCoordinatesRequest{
+          .src = root, .dst = root, .point = {request_index, idx}};
   }
 }
 
@@ -200,10 +222,16 @@ RunResult RunSeed(uint32_t seed, bool kill_mode) {
       ::_exit(50);
     }
     WireClientEndpoint ep(std::move(channel));
+    WindowId victim_base = AwaitIdBase(&ep);
+    if (victim_base == xproto::kNone) {
+      ::_exit(52);
+    }
     int windows = 1 + static_cast<int>(seed % 3);
     for (int i = 0; i < windows; ++i) {
       ep.QueueRequest(xproto::CreateWindowRequest{
-          .parent = root, .geometry = {i * 8, 4, 6, 6}});
+          .window = victim_base + static_cast<WindowId>(i),
+          .parent = root,
+          .geometry = {i * 8, 4, 6, 6}});
     }
     if (seed % 2 == 1) {
       // Mid-reply death: ask a question, never read the answer.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -116,6 +117,68 @@ struct SyncPipe {
 
 // ---- Forked xlib::Display over the listener --------------------------------
 
+// A remote client that writes a burst while the server is not reading keeps
+// the tail of it in its own queue once the socket buffer is full.  Waiting
+// for an event writes that tail first, as Xlib's XFlush does; otherwise the
+// client would block on an event caused by a request the server never saw.
+TEST(WireHost, WaitingForAnEventWritesHeldRequests) {
+  Server server;
+  std::string path = UniqueSocketPath("flush");
+  WireHost host(&server, path);
+  ASSERT_TRUE(host.ok());
+  SyncPipe connected;  // child -> parent: set-up done, stop serving
+  SyncPipe written;    // child -> parent: burst written, serve again
+
+  pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    connected.CloseRead();
+    written.CloseRead();
+    ::setenv("SWM_SOCKET", path.c_str(), 1);
+    std::unique_ptr<xlib::Display> display = xlib::Display::FromEnv("flush-child");
+    if (display == nullptr) {
+      ::_exit(2);
+    }
+    WindowId window = display->CreateWindow(display->RootWindow(0), {0, 0, 8, 8});
+    display->SelectInput(window, xproto::kStructureNotifyMask);
+    xproto::AtomId atom = display->InternAtom("SWM_FLUSH_TEST");
+    connected.Signal();
+    // Requests that send this client no event, far past what the socket
+    // buffers while nobody reads, then the map whose MapNotify it awaits.
+    std::vector<uint8_t> data(64, 'x');
+    for (int i = 0; i < 20000; ++i) {
+      display->ChangeProperty(window, atom, atom, 8, PropMode::kReplace, data);
+    }
+    display->MapWindow(window);
+    written.Signal();
+    // Wait the way a toolkit does: drain, then block in poll(2) for input.
+    int64_t deadline = xbase::EventLoop::NowMs() + 5000;
+    for (;;) {
+      while (std::optional<xproto::Event> event = display->NextEvent()) {
+        if (std::holds_alternative<xproto::MapNotifyEvent>(*event)) {
+          ::_exit(display->ErrorCount() == 0 ? 0 : 3);
+        }
+      }
+      int64_t remaining = deadline - xbase::EventLoop::NowMs();
+      if (remaining <= 0) {
+        ::_exit(1);
+      }
+      struct pollfd pfd = {display->PollFd(), POLLIN, 0};
+      ::poll(&pfd, 1, static_cast<int>(remaining));
+    }
+  }
+
+  connected.CloseWrite();
+  written.CloseWrite();
+  ASSERT_TRUE(host.RunUntil([&]() { return connected.Poll(); }, /*budget_ms=*/10000));
+  ASSERT_TRUE(written.AwaitBlocking());  // The host reads nothing meanwhile.
+  int status = 0;
+  ASSERT_TRUE(host.RunUntil([&]() { return ::waitpid(child, &status, WNOHANG) == child; },
+                            /*budget_ms=*/10000));
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "1: the MapNotify never came";
+}
+
 // Child exit codes, so a failure names the step that died.
 enum ChildStatus : int {
   kChildOk = 0,
@@ -128,6 +191,7 @@ enum ChildStatus : int {
   kChildSawErrors = 16,
   kChildHadFallbacks = 17,
   kChildNoReplies = 18,
+  kChildCreateWaited = 19,
 };
 
 TEST(WireHost, ForkedDisplayRoundTripsWithZeroFallbacks) {
@@ -154,10 +218,15 @@ TEST(WireHost, ForkedDisplayRoundTripsWithZeroFallbacks) {
       ::_exit(kChildBadScreens);
     }
     WindowId root = display->RootWindow(0);
+    // The client chooses the ids, so CreateWindow never waits for a reply.
+    uint64_t replies_before = display->wire_stats().wire_replies;
     WindowId w1 = display->CreateWindow(root, {5, 5, 60, 40}, 2);
     WindowId w2 = display->CreateWindow(root, {70, 8, 20, 10});
     if (w1 == xproto::kNone || w2 == xproto::kNone || w1 == w2) {
       ::_exit(kChildCreateFailed);
+    }
+    if (display->wire_stats().wire_replies != replies_before) {
+      ::_exit(kChildCreateWaited);
     }
     display->MapWindow(w1);
     std::optional<xbase::Rect> geo = display->GetGeometry(w1);
@@ -200,7 +269,13 @@ TEST(WireHost, ForkedDisplayRoundTripsWithZeroFallbacks) {
   ASSERT_EQ(host.connection_count(), 1u);
   xproto::ClientId client = host.clients()[0];
   EXPECT_TRUE(server.HasClient(client));
-  std::vector<WindowId> owned = server.ClientWindows(client);
+  std::vector<WindowId> owned;
+  std::vector<WindowId> top_level = server.QueryTree(server.RootWindow(0))->children;
+  for (WindowId window : top_level) {
+    if ((window & ~xproto::kIdMask) == server.IdBase(client)) {
+      owned.push_back(window);
+    }
+  }
   EXPECT_EQ(owned.size(), 2u);
   Connection* conn = host.FindConnection(client);
   ASSERT_NE(conn, nullptr);
@@ -248,14 +323,16 @@ TEST(WireHost, SigkillMidRequestClosesOnlyVictim) {
   WireClientEndpoint survivor(std::move(survivor_channel));
   ASSERT_TRUE(host.RunUntil([&]() { return host.stats().accepted == 1; }, 2000));
   xproto::ClientId survivor_id = host.clients()[0];
+  // The victim connects next, so it takes the next id slot.
+  WindowId survivor_win = server.IdBase(survivor_id);
+  WindowId victim_win = survivor_win + (WindowId{1} << xproto::kIdSlotShift);
 
-  survivor.QueueRequest(xproto::CreateWindowRequest{.parent = root,
-                                                    .geometry = {0, 0, 64, 64}});
+  survivor.QueueRequest(xproto::CreateWindowRequest{
+      .window = survivor_win, .parent = root, .geometry = {0, 0, 64, 64}});
   std::optional<xproto::Reply> before =
       HostRoundTrip(&host, &survivor, xproto::GetGeometryRequest{.window = root});
   ASSERT_TRUE(before.has_value());
-  ASSERT_EQ(server.ClientWindows(survivor_id).size(), 1u);
-  WindowId survivor_win = server.ClientWindows(survivor_id)[0];
+  ASSERT_TRUE(server.WindowExists(survivor_win));
 
   // The victim: a forked process killed with a partial frame on the wire.
   pid_t victim_pid = ::fork();
@@ -266,12 +343,12 @@ TEST(WireHost, SigkillMidRequestClosesOnlyVictim) {
       ::_exit(1);
     }
     WireClientEndpoint ep(std::move(channel));
-    ep.QueueRequest(xproto::CreateWindowRequest{.parent = root,
-                                                .geometry = {9, 9, 30, 20}});
+    ep.QueueRequest(xproto::CreateWindowRequest{
+        .window = victim_win, .parent = root, .geometry = {9, 9, 30, 20}});
     FlushAll(&ep);
     // Half a MapWindow request, then death: the classic mid-request SIGKILL.
     xproto::WireWriter w;
-    xproto::EncodeRequest(xproto::MapWindowRequest{.window = 1}, &w);
+    xproto::EncodeRequest(xproto::MapWindowRequest{.window = victim_win}, &w);
     std::vector<uint8_t> frame = w.Take();
     ep.QueueBytes(std::span<const uint8_t>(frame).first(frame.size() / 2));
     FlushAll(&ep);
@@ -300,7 +377,7 @@ TEST(WireHost, SigkillMidRequestClosesOnlyVictim) {
     }
   }
   EXPECT_TRUE(victim_charged) << "mid-frame death must charge the ledger";
-  EXPECT_EQ(server.ClientWindows(survivor_id).size(), 1u);
+  EXPECT_FALSE(server.WindowExists(victim_win));
   std::vector<WindowId> root_children = server.QueryTree(root)->children;
   EXPECT_EQ(root_children, std::vector<WindowId>{survivor_win});
 

@@ -192,6 +192,55 @@ void PumpPair(Connection* conn, WireClientEndpoint* ep, int spins = 16) {
   }
 }
 
+// A remote client learns its id base and mask at connection setup, asks for
+// a free run of its range with GetIdRange, and hears BadIDChoice for an id
+// outside it — all as frames.
+TEST(Connection, IdRangeTravelsTheWire) {
+  Server server;
+  ChannelPair pair = MakeSocketPair();
+  Connection conn(&server, std::move(pair.server), "remote-host");
+  WireClientEndpoint ep(std::move(pair.client));
+  conn.Establish();
+  const WindowId base = server.IdBase(conn.client());
+  ASSERT_NE(base, xproto::kNone);
+
+  ep.QueueRequest(xproto::QueryScreensRequest{});
+  PumpPair(&conn, &ep);
+  Reply reply;
+  xproto::ParseError error;
+  ASSERT_TRUE(ep.NextReply(&reply, &error)) << xproto::ParseErrorText(error);
+  const auto* screens = std::get_if<xproto::ScreensReply>(&reply);
+  ASSERT_NE(screens, nullptr);
+  EXPECT_EQ(screens->id_base, base);
+  EXPECT_EQ(screens->id_mask, xproto::kIdMask);
+
+  ep.QueueRequest(xproto::CreateWindowRequest{
+      .window = base | 7, .parent = server.RootWindow(0), .geometry = {0, 0, 8, 8}});
+  ep.QueueRequest(xproto::GetIdRangeRequest{});
+  PumpPair(&conn, &ep);
+  ASSERT_TRUE(ep.NextReply(&reply, &error)) << xproto::ParseErrorText(error);
+  EXPECT_EQ(std::get<xproto::IdRangeReply>(reply),
+            (xproto::IdRangeReply{.start_id = base | 8, .count = xproto::kIdMask - 7}));
+
+  // Another client's id: the create is refused with a BadIDChoice frame.
+  const WindowId foreign = base + (WindowId{1} << xproto::kIdSlotShift);
+  ep.QueueRequest(xproto::CreateWindowRequest{
+      .window = foreign, .parent = server.RootWindow(0), .geometry = {0, 0, 8, 8}});
+  PumpPair(&conn, &ep);
+  std::optional<xproto::XError> refused;
+  while (std::optional<std::vector<uint8_t>> frame = ep.NextFrame()) {
+    xproto::XError x;
+    if (!frame->empty() && (*frame)[0] == 0 && xproto::DecodeError(*frame, &x, &error) > 0) {
+      refused = x;
+    }
+  }
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->code, xproto::ErrorCode::kBadIDChoice);
+  EXPECT_EQ(refused->resource_id, foreign);
+  EXPECT_FALSE(server.WindowExists(foreign));
+  EXPECT_TRUE(server.WindowExists(base | 7));
+}
+
 TEST(Connection, QueryRoundTripOverSocketpair) {
   Server server;
   ChannelPair pair = MakeSocketPair();
@@ -203,7 +252,8 @@ TEST(Connection, QueryRoundTripOverSocketpair) {
   ASSERT_NE(conn.client(), 0u);
 
   // Create + map a window, then query it back — all in bytes.
-  ep.QueueRequest(xproto::CreateWindowRequest{.parent = server.RootWindow(0),
+  ep.QueueRequest(xproto::CreateWindowRequest{.window = server.IdBase(conn.client()),
+                                              .parent = server.RootWindow(0),
                                               .geometry = {10, 20, 300, 200},
                                               .border_width = 2});
   PumpPair(&conn, &ep);
@@ -267,7 +317,8 @@ TEST(Connection, EventsTravelTheWire) {
   conn.Establish();
 
   // Create a window and select PropertyChange on it, all over the wire.
-  ep.QueueRequest(xproto::CreateWindowRequest{.parent = server.RootWindow(0),
+  ep.QueueRequest(xproto::CreateWindowRequest{.window = server.IdBase(conn.client()),
+                                              .parent = server.RootWindow(0),
                                               .geometry = {0, 0, 50, 50}});
   ep.QueueRequest(xproto::QueryTreeRequest{.window = server.RootWindow(0)});
   PumpPair(&conn, &ep);
@@ -347,7 +398,8 @@ TEST(Connection, WriteStallChargesLedgerAndCloses) {
   // Pile up a large property, then query it repeatedly without ever reading
   // the replies: the kernel buffer fills, the outbound queue pins over the
   // high-water mark, and the peer is declared stalled.
-  ep.QueueRequest(xproto::CreateWindowRequest{.parent = server.RootWindow(0),
+  ep.QueueRequest(xproto::CreateWindowRequest{.window = server.IdBase(conn.client()),
+                                              .parent = server.RootWindow(0),
                                               .geometry = {0, 0, 10, 10}});
   ep.QueueRequest(xproto::QueryTreeRequest{.window = server.RootWindow(0)});
   ep.Flush();
@@ -390,7 +442,8 @@ TEST(Connection, KillClientMidRequestSweepsWindowsAndSparesOthers) {
   conn.Establish();
   xproto::ClientId victim = conn.client();
 
-  ep.QueueRequest(xproto::CreateWindowRequest{.parent = server.RootWindow(0),
+  ep.QueueRequest(xproto::CreateWindowRequest{.window = server.IdBase(victim),
+                                              .parent = server.RootWindow(0),
                                               .geometry = {5, 5, 40, 40}});
   PumpPair(&conn, &ep);
   ASSERT_EQ(server.QueryTree(server.RootWindow(0))->children.size(), 2u);
@@ -399,7 +452,8 @@ TEST(Connection, KillClientMidRequestSweepsWindowsAndSparesOthers) {
 
   // Queue a full MapWindow plus a CreateWindow that will be cut mid-frame.
   ep.QueueRequest(xproto::MapWindowRequest{.window = victim_win});
-  ep.QueueRequest(xproto::CreateWindowRequest{.parent = server.RootWindow(0),
+  ep.QueueRequest(xproto::CreateWindowRequest{.window = server.IdBase(victim) + 1,
+                                              .parent = server.RootWindow(0),
                                               .geometry = {1, 1, 10, 10}});
   ep.CloseMidFrame();
   for (int i = 0; i < 8 && conn.state() != ConnectionState::kClosed; ++i) {

@@ -21,30 +21,34 @@ using xproto::ParseError;
 using xproto::Request;
 
 // A stream of plausible requests for the mutator to chew on, drawn from the
-// driver stream so every seed sends different traffic.
+// driver stream so every seed sends different traffic.  Requests name
+// windows of `targets` (whoever owns them); creates name the next id from
+// `*next_id`, the hostile client's own range.
 std::vector<uint8_t> BuildRequestBuffer(xserver::FaultRng* driver,
-                                        xproto::WindowId root, int frames) {
+                                        const std::vector<xproto::WindowId>& targets,
+                                        xproto::WindowId* next_id, int frames) {
+  auto target = [&] {
+    return targets[static_cast<size_t>(driver->Range(1, 40) - 1) % targets.size()];
+  };
   xproto::WireWriter w;
   for (int i = 0; i < frames; ++i) {
     switch (driver->Range(0, 7)) {
       case 0:
         xproto::EncodeRequest(
             xproto::CreateWindowRequest{
-                .parent = root,
+                .window = (*next_id)++,
+                .parent = targets[0],
                 .geometry = {driver->Range(-20, 150), driver->Range(-20, 80),
                              driver->Range(1, 60), driver->Range(1, 40)}},
             &w);
         break;
       case 1:
-        xproto::EncodeRequest(
-            xproto::MapWindowRequest{.window = static_cast<xproto::WindowId>(
-                                         driver->Range(1, 40))},
-            &w);
+        xproto::EncodeRequest(xproto::MapWindowRequest{.window = target()}, &w);
         break;
       case 2:
         xproto::EncodeRequest(
             xproto::ConfigureWindowRequest{
-                .window = static_cast<xproto::WindowId>(driver->Range(1, 40)),
+                .window = target(),
                 .value_mask = xproto::kConfigX | xproto::kConfigY,
                 .geometry = {driver->Range(-50, 200), driver->Range(-50, 100), 0, 0}},
             &w);
@@ -56,7 +60,7 @@ std::vector<uint8_t> BuildRequestBuffer(xserver::FaultRng* driver,
         }
         xproto::EncodeRequest(
             xproto::ChangePropertyRequest{
-                .window = static_cast<xproto::WindowId>(driver->Range(1, 40)),
+                .window = target(),
                 .property = static_cast<xproto::AtomId>(driver->Range(1, 30)),
                 .type = 1,
                 .format = 8,
@@ -68,7 +72,7 @@ std::vector<uint8_t> BuildRequestBuffer(xserver::FaultRng* driver,
       case 4:
         xproto::EncodeRequest(
             xproto::DrawRequest{
-                .window = static_cast<xproto::WindowId>(driver->Range(1, 40)),
+                .window = target(),
                 .kind = static_cast<uint8_t>(driver->Range(0, 3)),
                 .rect = {0, 0, driver->Range(1, 30), driver->Range(1, 20)},
                 .fill = '#',
@@ -78,22 +82,19 @@ std::vector<uint8_t> BuildRequestBuffer(xserver::FaultRng* driver,
       case 5:
         xproto::EncodeRequest(
             xproto::SetCursorRequest{
-                .window = static_cast<xproto::WindowId>(driver->Range(1, 40)),
+                .window = target(),
                 .name = "question_arrow"},
             &w);
         break;
       case 6:
         xproto::EncodeRequest(
             xproto::SelectInputRequest{
-                .window = static_cast<xproto::WindowId>(driver->Range(1, 40)),
+                .window = target(),
                 .event_mask = static_cast<uint32_t>(driver->Next())},
             &w);
         break;
       case 7:
-        xproto::EncodeRequest(
-            xproto::DestroyWindowRequest{.window = static_cast<xproto::WindowId>(
-                                             driver->Range(1, 40))},
-            &w);
+        xproto::EncodeRequest(xproto::DestroyWindowRequest{.window = target()}, &w);
         break;
     }
   }
@@ -121,13 +122,14 @@ TEST_P(WireFuzzTest, MutatedStreamsNeverCrashTheParserOrTheWm) {
 
   xserver::FaultRng driver(seed * 0x9e3779b9u + 7);
   xproto::ClientId hostile = server_->Connect("hostile-host");
+  xproto::WindowId next_id = server_->IdBase(hostile);
 
   size_t dispatched = 0;
   size_t parse_errors = 0;
   for (int round = 0; round < 40; ++round) {
     SCOPED_TRACE("seed " + std::to_string(seed) + " round " + std::to_string(round));
     std::vector<uint8_t> buffer =
-        BuildRequestBuffer(&driver, server_->RootWindow(0), driver.Range(1, 6));
+        BuildRequestBuffer(&driver, AllWindows(), &next_id, driver.Range(1, 6));
     xserver::Server::DispatchResult result = server_->DispatchBytes(hostile, buffer);
     dispatched += result.requests_dispatched;
     parse_errors += result.parse_errors;

@@ -45,7 +45,8 @@ void ExpectRequestRoundTrip(const Request& request) {
 // representation has edges.
 std::vector<Request> AllRequestExemplars() {
   std::vector<Request> all;
-  all.push_back(CreateWindowRequest{.parent = 1,
+  all.push_back(CreateWindowRequest{.window = 0xFFFFFFFFu,
+                                    .parent = 1,
                                     .geometry = {-kMaxCoordinate, kMaxCoordinate, 65535, 1},
                                     .border_width = 65535,
                                     .window_class = WindowClass::kInputOnly,
@@ -131,7 +132,7 @@ std::vector<Request> AllRequestExemplars() {
   all.push_back(TranslateCoordinatesRequest{
       .src = 24, .dst = 25, .point = {-kMaxCoordinate, kMaxCoordinate}});
   all.push_back(QueryScreensRequest{});
-  all.push_back(QueryClientWindowsRequest{});
+  all.push_back(GetIdRangeRequest{});
   return all;
 }
 
@@ -468,6 +469,24 @@ TEST(TraceRoundTrip, RejectsCorruptContainers) {
   EXPECT_EQ(error.code, ParseErrorCode::kBadOpcode);
 }
 
+// Only the current version is read.  A v2 trace names server-minted window
+// ids and has no id field in its CreateWindow frames, so it cannot replay.
+TEST(TraceRoundTrip, RejectsOlderVersions) {
+  TraceRecorder recorder;
+  recorder.RecordConnect(1, "host");
+  std::vector<uint8_t> bytes = SerializeTrace(recorder.trace());
+  ASSERT_EQ(kTraceVersion, 3u);
+  ParseError error;
+  for (uint32_t version : {1u, 2u}) {
+    std::vector<uint8_t> old = bytes;
+    old[4] = static_cast<uint8_t>(version);  // Little-endian u32 after the magic.
+    EXPECT_FALSE(ParseTrace(old, &error).has_value()) << "v" << version;
+    EXPECT_EQ(error.code, ParseErrorCode::kBadValue);
+    EXPECT_EQ(error.offset, 4u);
+    EXPECT_EQ(error.detail, "unsupported trace version");
+  }
+}
+
 // ---- Reply round-trips ------------------------------------------------------
 
 void ExpectReplyRoundTrip(const Reply& reply) {
@@ -523,14 +542,12 @@ std::vector<Reply> AllReplyExemplars() {
       .window = 7, .property = 8, .found = true, .type = 9, .format = 16, .data = {}});
   all.push_back(CoordinatesReply{.position = {-kMaxCoordinate, kMaxCoordinate}});
   all.push_back(ScreensReply{});
-  all.push_back(ScreensReply{.screens = {{.root = 1, .width = 80, .height = 24, .monochrome = true},
+  all.push_back(ScreensReply{.id_base = 0xFFE00000u,
+                             .id_mask = kIdMask,
+                             .screens = {{.root = 1, .width = 80, .height = 24, .monochrome = true},
                                          {.root = 2, .width = 65535, .height = 1}}});
-  all.push_back(ClientWindowsReply{});
-  std::vector<WindowId> owned(300);
-  for (size_t i = 0; i < owned.size(); ++i) {
-    owned[i] = static_cast<WindowId>(i * 3 + 2);
-  }
-  all.push_back(ClientWindowsReply{.windows = owned});
+  all.push_back(IdRangeReply{});
+  all.push_back(IdRangeReply{.start_id = 0x00200005u, .count = kIdMask - 4});
   return all;
 }
 
@@ -654,11 +671,15 @@ TEST(WireReplyRejects, ChildCountLie) {
 //
 // Two golden hashes hold the codec to its exact bytes and verdicts: any change
 // to a field's width, order, padding, cap, bounds check or error code moves
-// one of them.  A refactor of the codec must leave both unchanged.
+// one of them.  A refactor of the codec must leave both unchanged.  (Both
+// were re-recorded when clients began choosing window ids: CreateWindow
+// gained its window field, ScreensReply the id base and mask, opcode 136
+// became GetIdRange with its IdRangeReply, and BadIDChoice joined the error
+// codes.)
 
 std::vector<XError> AllErrorExemplars() {
   std::vector<XError> all;
-  for (uint8_t code = 0; code <= static_cast<uint8_t>(ErrorCode::kBadLength); ++code) {
+  for (uint8_t code = 0; code <= kMaxErrorCode; ++code) {
     all.push_back(XError{.code = static_cast<ErrorCode>(code),
                          .request = static_cast<RequestCode>((code * 5) % (kMaxRequestCode + 1)),
                          .resource_id = 0x01020304u * code,
@@ -728,8 +749,8 @@ TEST(WireCodecPin, EncodeGolden) {
       ++frames;
     }
   }
-  EXPECT_EQ(frames, 41u + 128u + 17u + 23u + 9u);
-  EXPECT_EQ(fnv.h, 0x986d732ffaab6562ull) << std::hex << "0x" << fnv.h;
+  EXPECT_EQ(frames, 41u + 128u + 17u + 23u + 10u);
+  EXPECT_EQ(fnv.h, 0xc94f5448af04cdb2ull) << std::hex << "0x" << fnv.h;
 }
 
 // Decodes `input` as `kind`, folding the verdict into `fnv`: the return value,
@@ -863,7 +884,7 @@ TEST(WireCodecPin, DecodeGolden) {
     EXPECT_GT(accepted[k], 100u) << "kind " << k;
     EXPECT_GT(rejected[k], 100u) << "kind " << k;
   }
-  EXPECT_EQ(fnv.h, 0xc951883ec6540ea7ull) << std::hex << "0x" << fnv.h;
+  EXPECT_EQ(fnv.h, 0x5953eae2b5a9247bull) << std::hex << "0x" << fnv.h;
 }
 
 // Reply encoders clamp every list to its decode cap, so any reply the server
@@ -878,9 +899,10 @@ TEST(WireCodecPin, ReplyListsClampToCapsRequestListsDoNot) {
             0u)
       << ParseErrorText(error);
   EXPECT_EQ(std::get<TreeReply>(decoded).children.size(), kMaxReplyChildren);
-  ASSERT_GT(DecodeReply(EncodeReplyBytes(ClientWindowsReply{.windows = many}), &decoded, &error),
+  std::vector<ScreensReply::Screen> screens(kMaxReplyChildren + 3);
+  ASSERT_GT(DecodeReply(EncodeReplyBytes(ScreensReply{.screens = screens}), &decoded, &error),
             0u);
-  EXPECT_EQ(std::get<ClientWindowsReply>(decoded).windows.size(), kMaxReplyChildren);
+  EXPECT_EQ(std::get<ScreensReply>(decoded).screens.size(), kMaxReplyChildren);
   std::string long_name(kMaxWireStringBytes + 7, 'n');
   ASSERT_GT(DecodeReply(EncodeReplyBytes(AtomNameReply{.atom = 2, .name = long_name}), &decoded,
                         &error),
@@ -923,12 +945,29 @@ TEST(WireCodecPin, DrawChecksBothCapsBeforeTheCombinedOverrun) {
   EXPECT_EQ(error.code, ParseErrorCode::kOversized);
 }
 
+// CreateWindow names its window, as X's wid, right after the header; the
+// ScreensReply carries the id base and mask ahead of the screen list.
+TEST(WireCodecPin, WindowIdFieldsSitWhereXPutsThem) {
+  std::vector<uint8_t> create = EncodeRequestBytes(
+      CreateWindowRequest{.window = 0x00A00007u, .parent = 1, .geometry = {0, 0, 4, 4}});
+  ASSERT_EQ(create.size(), 24u);
+  EXPECT_EQ(std::vector<uint8_t>(create.begin() + 4, create.begin() + 8),
+            (std::vector<uint8_t>{0x07, 0x00, 0xA0, 0x00}));
+  std::vector<uint8_t> screens = EncodeReplyBytes(
+      ScreensReply{.id_base = 0x00A00000u, .id_mask = kIdMask, .screens = {{.root = 1}}});
+  EXPECT_EQ(std::vector<uint8_t>(screens.begin() + 8, screens.begin() + 16),
+            (std::vector<uint8_t>{0x00, 0x00, 0xA0, 0x00, 0xFF, 0xFF, 0x1F, 0x00}));
+  EXPECT_EQ(RequestOpcode(GetIdRangeRequest{}), WireOpcode::kGetIdRange);
+  EXPECT_EQ(static_cast<int>(WireOpcode::kGetIdRange), 136);
+  EXPECT_EQ(ReplyOpcode(IdRangeReply{}), WireOpcode::kGetIdRange);
+}
+
 // Flags are strict in replies and events (a byte above 1 is kBadValue) but
 // CreateWindow's override_redirect byte decodes as set when nonzero.
 TEST(WireCodecPin, CreateWindowOverrideIsLenientEventFlagsAreStrict) {
   std::vector<uint8_t> create =
       EncodeRequestBytes(CreateWindowRequest{.parent = 1, .geometry = {0, 0, 4, 4}});
-  create[4 + 4 + 8 + 2] = 0x80;  // After parent, geometry and border width.
+  create[4 + 4 + 4 + 8 + 2] = 0x80;  // After window, parent, geometry and border width.
   Request request;
   ParseError error;
   ASSERT_EQ(DecodeRequest(create, &request, &error), create.size()) << ParseErrorText(error);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,12 @@ namespace {
 using xproto::Event;
 using xproto::kNone;
 using xproto::WindowId;
+
+// A free id in `client`'s range for its next CreateWindow: the start of the
+// largest free run, as a client whose range is spent would ask for.
+WindowId NewId(const Server& server, xproto::ClientId client) {
+  return server.IdRange(client).start_id;
+}
 
 constexpr uint16_t kMoveResize =
     xproto::kConfigX | xproto::kConfigY | xproto::kConfigWidth | xproto::kConfigHeight;
@@ -64,7 +71,7 @@ TEST_F(ServerTest, MultiScreen) {
 }
 
 TEST_F(ServerTest, CreateDestroyWindow) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0),
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0),
                                       {10, 10, 50, 40}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   ASSERT_NE(win, kNone);
@@ -75,14 +82,130 @@ TEST_F(ServerTest, CreateDestroyWindow) {
   EXPECT_FALSE(server_.WindowExists(win));
 }
 
+// ---- Window ids (docs/PROTOCOL.md "Window ids") ------------------------------
+
+TEST_F(ServerTest, EachClientNamesWindowsInItsOwnSlot) {
+  EXPECT_EQ(server_.RootWindow(0), 1u);  // Slot 0 is the server's.
+  EXPECT_EQ(server_.IdBase(client_), WindowId{1} << xproto::kIdSlotShift);
+  EXPECT_EQ(server_.IdBase(wm_), WindowId{2} << xproto::kIdSlotShift);
+  EXPECT_EQ(server_.IdMask(client_), xproto::kIdMask);
+  EXPECT_EQ(server_.IdBase(999), kNone);
+  EXPECT_EQ(server_.IdMask(999), 0u);
+}
+
+TEST_F(ServerTest, CreateWindowRaisesBadIdChoice) {
+  std::vector<xproto::XError> errors;
+  server_.SetErrorCallback(client_,
+                           [&](const xproto::XError& error) { errors.push_back(error); });
+  const WindowId root = server_.RootWindow(0);
+  const WindowId base = server_.IdBase(client_);
+  auto create = [&](WindowId id) {
+    return server_.CreateWindow(client_, id, root, {0, 0, 10, 10}, 0,
+                                xproto::WindowClass::kInputOutput, false);
+  };
+  ASSERT_EQ(create(base | 5), base | 5);
+  const struct {
+    const char* what;
+    WindowId id;
+  } cases[] = {
+      {"zero", kNone},
+      {"another client's range", server_.IdBase(wm_) | 5},
+      {"in use", base | 5},
+      {"past the mask", base + xproto::kIdMask + 1},
+      {"a root", root},
+  };
+  for (const auto& c : cases) {
+    errors.clear();
+    EXPECT_EQ(create(c.id), kNone) << c.what;
+    ASSERT_EQ(errors.size(), 1u) << c.what;
+    EXPECT_EQ(errors[0].code, xproto::ErrorCode::kBadIDChoice) << c.what;
+    EXPECT_EQ(errors[0].request, xproto::RequestCode::kCreateWindow) << c.what;
+    EXPECT_EQ(errors[0].resource_id, c.id) << c.what;
+  }
+  EXPECT_EQ(server_.QueryTree(root)->children, std::vector<WindowId>{base | 5});
+  // The id is checked before the parent, as in X.
+  errors.clear();
+  EXPECT_EQ(server_.CreateWindow(client_, kNone, 12345, {0, 0, 1, 1}, 0,
+                                 xproto::WindowClass::kInputOutput, false),
+            kNone);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].code, xproto::ErrorCode::kBadIDChoice);
+}
+
+TEST_F(ServerTest, IdRangeIsTheLargestFreeRun) {
+  const WindowId root = server_.RootWindow(0);
+  const WindowId base = server_.IdBase(client_);
+  auto create = [&](WindowId id) {
+    return server_.CreateWindow(client_, id, root, {0, 0, 10, 10}, 0,
+                                xproto::WindowClass::kInputOutput, false);
+  };
+  EXPECT_EQ(server_.IdRange(client_),
+            (xproto::IdRangeReply{.start_id = base, .count = xproto::kIdMask + 1}));
+  ASSERT_NE(create(base), kNone);
+  ASSERT_NE(create(base | 1000), kNone);
+  ASSERT_NE(create(base | (xproto::kIdMask - 10)), kNone);
+  EXPECT_EQ(server_.IdRange(client_),
+            (xproto::IdRangeReply{.start_id = base | 1001,
+                                  .count = xproto::kIdMask - 10 - 1001}));
+  ASSERT_TRUE(server_.DestroyWindow(client_, base | 1000));
+  EXPECT_EQ(server_.IdRange(client_),
+            (xproto::IdRangeReply{.start_id = base | 1, .count = xproto::kIdMask - 10 - 1}));
+  // Another client's windows do not count against this range.
+  EXPECT_EQ(server_.IdRange(wm_).count, xproto::kIdMask + 1);
+  EXPECT_EQ(server_.IdRange(999), xproto::IdRangeReply{});
+}
+
+TEST_F(ServerTest, DisconnectFreesTheSlotForTheNextClient) {
+  xproto::ClientId third = server_.Connect("c");
+  const WindowId base = server_.IdBase(third);
+  EXPECT_EQ(base, WindowId{3} << xproto::kIdSlotShift);
+  ASSERT_NE(server_.CreateWindow(third, base, server_.RootWindow(0), {0, 0, 4, 4}, 0,
+                                 xproto::WindowClass::kInputOutput, false),
+            kNone);
+  server_.Disconnect(third);
+  xproto::ClientId fourth = server_.Connect("d");
+  EXPECT_GT(fourth, third);  // Client ids are never reused; slots are.
+  EXPECT_EQ(server_.IdBase(fourth), base);
+  EXPECT_NE(server_.CreateWindow(fourth, base, server_.RootWindow(0), {0, 0, 4, 4}, 0,
+                                 xproto::WindowClass::kInputOutput, false),
+            kNone);
+  // The lowest free slot is taken first.
+  server_.Disconnect(client_);
+  EXPECT_EQ(server_.IdBase(server_.Connect("e")), WindowId{1} << xproto::kIdSlotShift);
+}
+
+TEST(ServerSlotTest, ClientsPastTheLastSlotCreateNothing) {
+  Server server;
+  std::vector<xproto::ClientId> clients;
+  std::set<WindowId> bases;
+  for (uint32_t i = 1; i < xproto::kIdSlots; ++i) {
+    clients.push_back(server.Connect());
+    bases.insert(server.IdBase(clients.back()));
+  }
+  EXPECT_EQ(bases.size(), xproto::kIdSlots - 1);
+  EXPECT_EQ(bases.count(kNone), 0u);
+
+  xproto::ClientId late = server.Connect("late");
+  EXPECT_EQ(server.IdBase(late), kNone);
+  EXPECT_EQ(server.IdMask(late), 0u);
+  EXPECT_EQ(server.IdRange(late).count, 0u);
+  EXPECT_EQ(server.CreateWindow(late, 1u << xproto::kIdSlotShift, server.RootWindow(0),
+                                {0, 0, 4, 4}, 0, xproto::WindowClass::kInputOutput, false),
+            kNone);
+  EXPECT_EQ(server.ErrorCount(late), 1u);
+
+  server.Disconnect(clients[41]);
+  EXPECT_EQ(server.IdBase(server.Connect("next")), WindowId{42} << xproto::kIdSlotShift);
+}
+
 TEST_F(ServerTest, RootCannotBeDestroyed) {
   EXPECT_FALSE(server_.DestroyWindow(client_, server_.RootWindow(0)));
 }
 
 TEST_F(ServerTest, DestroyRecursesAndNotifies) {
-  WindowId parent = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 50, 50},
+  WindowId parent = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 50, 50},
                                          0, xproto::WindowClass::kInputOutput, false);
-  WindowId child = server_.CreateWindow(client_, parent, {5, 5, 10, 10}, 0,
+  WindowId child = server_.CreateWindow(client_, NewId(server_, client_), parent, {5, 5, 10, 10}, 0,
                                         xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, child, xproto::kStructureNotifyMask);
   server_.DestroyWindow(client_, parent);
@@ -98,7 +221,7 @@ TEST_F(ServerTest, DestroyRecursesAndNotifies) {
 }
 
 TEST_F(ServerTest, MapUnmapNotifications) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, win,
                       xproto::kStructureNotifyMask | xproto::kExposureMask);
@@ -123,9 +246,9 @@ TEST_F(ServerTest, MapUnmapNotifications) {
 }
 
 TEST_F(ServerTest, ViewabilityRequiresAncestorsMapped) {
-  WindowId parent = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 50, 50},
+  WindowId parent = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 50, 50},
                                          0, xproto::WindowClass::kInputOutput, false);
-  WindowId child = server_.CreateWindow(client_, parent, {0, 0, 10, 10}, 0,
+  WindowId child = server_.CreateWindow(client_, NewId(server_, client_), parent, {0, 0, 10, 10}, 0,
                                         xproto::WindowClass::kInputOutput, false);
   server_.MapWindow(client_, child);
   EXPECT_FALSE(server_.IsViewable(child));
@@ -137,7 +260,7 @@ TEST_F(ServerTest, ViewabilityRequiresAncestorsMapped) {
 TEST_F(ServerTest, SubstructureRedirectRoutesMapRequest) {
   ASSERT_TRUE(
       server_.SelectInput(wm_, server_.RootWindow(0), xproto::kSubstructureRedirectMask));
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.MapWindow(client_, win);
   // Not mapped: redirected to the WM.
@@ -153,7 +276,7 @@ TEST_F(ServerTest, SubstructureRedirectRoutesMapRequest) {
 
 TEST_F(ServerTest, OverrideRedirectBypassesWm) {
   server_.SelectInput(wm_, server_.RootWindow(0), xproto::kSubstructureRedirectMask);
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, true);
   server_.MapWindow(client_, win);
   EXPECT_TRUE(server_.IsViewable(win));
@@ -173,7 +296,7 @@ TEST_F(ServerTest, SecondRedirectSelectionFails) {
 
 TEST_F(ServerTest, ConfigureRequestRedirected) {
   server_.SelectInput(wm_, server_.RootWindow(0), xproto::kSubstructureRedirectMask);
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   ConfigureValues values;
   values.geometry = {5, 6, 70, 80};
@@ -187,7 +310,7 @@ TEST_F(ServerTest, ConfigureRequestRedirected) {
 }
 
 TEST_F(ServerTest, ConfigureMovesResizesNotifies) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, win, xproto::kStructureNotifyMask);
   ConfigureValues values;
@@ -202,11 +325,11 @@ TEST_F(ServerTest, ConfigureMovesResizesNotifies) {
 
 TEST_F(ServerTest, StackingOrderRaiseLower) {
   WindowId root = server_.RootWindow(0);
-  WindowId a = server_.CreateWindow(client_, root, {0, 0, 10, 10}, 0,
+  WindowId a = server_.CreateWindow(client_, NewId(server_, client_), root, {0, 0, 10, 10}, 0,
                                     xproto::WindowClass::kInputOutput, false);
-  WindowId b = server_.CreateWindow(client_, root, {0, 0, 10, 10}, 0,
+  WindowId b = server_.CreateWindow(client_, NewId(server_, client_), root, {0, 0, 10, 10}, 0,
                                     xproto::WindowClass::kInputOutput, false);
-  WindowId c = server_.CreateWindow(client_, root, {0, 0, 10, 10}, 0,
+  WindowId c = server_.CreateWindow(client_, NewId(server_, client_), root, {0, 0, 10, 10}, 0,
                                     xproto::WindowClass::kInputOutput, false);
   auto order = [&]() { return server_.QueryTree(root)->children; };
   EXPECT_EQ(order(), (std::vector<WindowId>{a, b, c}));
@@ -227,11 +350,11 @@ TEST_F(ServerTest, StackingOrderRaiseLower) {
 
 TEST_F(ServerTest, ReparentPreservesSubtreeAndNotifies) {
   WindowId root = server_.RootWindow(0);
-  WindowId new_parent = server_.CreateWindow(client_, root, {50, 50, 100, 50}, 0,
+  WindowId new_parent = server_.CreateWindow(client_, NewId(server_, client_), root, {50, 50, 100, 50}, 0,
                                              xproto::WindowClass::kInputOutput, false);
-  WindowId win = server_.CreateWindow(client_, root, {10, 10, 20, 20}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), root, {10, 10, 20, 20}, 0,
                                       xproto::WindowClass::kInputOutput, false);
-  WindowId grandchild = server_.CreateWindow(client_, win, {1, 1, 5, 5}, 0,
+  WindowId grandchild = server_.CreateWindow(client_, NewId(server_, client_), win, {1, 1, 5, 5}, 0,
                                              xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, win, xproto::kStructureNotifyMask);
   server_.MapWindow(client_, new_parent);
@@ -263,9 +386,9 @@ TEST_F(ServerTest, ReparentPreservesSubtreeAndNotifies) {
 
 TEST_F(ServerTest, ReparentRejectsCycles) {
   WindowId root = server_.RootWindow(0);
-  WindowId a = server_.CreateWindow(client_, root, {0, 0, 10, 10}, 0,
+  WindowId a = server_.CreateWindow(client_, NewId(server_, client_), root, {0, 0, 10, 10}, 0,
                                     xproto::WindowClass::kInputOutput, false);
-  WindowId b = server_.CreateWindow(client_, a, {0, 0, 5, 5}, 0,
+  WindowId b = server_.CreateWindow(client_, NewId(server_, client_), a, {0, 0, 5, 5}, 0,
                                     xproto::WindowClass::kInputOutput, false);
   EXPECT_FALSE(server_.ReparentWindow(client_, a, b, {0, 0}));
   EXPECT_FALSE(server_.ReparentWindow(client_, a, a, {0, 0}));
@@ -277,14 +400,14 @@ TEST_F(ServerTest, ReparentRejectsCycles) {
 TEST_F(ServerTest, CrossScreenReparentMovesSubtree) {
   Server multi({ScreenConfig{60, 40, false}, ScreenConfig{60, 40, false}});
   xproto::ClientId client = multi.Connect("hostA");
-  WindowId top = multi.CreateWindow(client, multi.RootWindow(0), {5, 5, 30, 20}, 0,
+  WindowId top = multi.CreateWindow(client, NewId(multi, client), multi.RootWindow(0), {5, 5, 30, 20}, 0,
                                     xproto::WindowClass::kInputOutput, false);
-  WindowId child = multi.CreateWindow(client, top, {2, 2, 20, 10}, 0,
+  WindowId child = multi.CreateWindow(client, NewId(multi, client), top, {2, 2, 20, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   ASSERT_EQ(multi.ScreenOfWindow(child), 0);
 
   ASSERT_TRUE(multi.ReparentWindow(client, top, multi.RootWindow(1), {10, 10}));
-  WindowId grandchild = multi.CreateWindow(client, child, {1, 1, 4, 3}, 0,
+  WindowId grandchild = multi.CreateWindow(client, NewId(multi, client), child, {1, 1, 4, 3}, 0,
                                            xproto::WindowClass::kInputOutput, false);
   for (WindowId window : {top, child, grandchild}) {
     EXPECT_EQ(multi.ScreenOfWindow(window), 1) << window;
@@ -307,9 +430,9 @@ TEST_F(ServerTest, CrossScreenReparentMovesSubtree) {
 
 TEST_F(ServerTest, TranslateCoordinates) {
   WindowId root = server_.RootWindow(0);
-  WindowId a = server_.CreateWindow(client_, root, {10, 20, 50, 50}, 0,
+  WindowId a = server_.CreateWindow(client_, NewId(server_, client_), root, {10, 20, 50, 50}, 0,
                                     xproto::WindowClass::kInputOutput, false);
-  WindowId b = server_.CreateWindow(client_, a, {5, 5, 20, 20}, 0,
+  WindowId b = server_.CreateWindow(client_, NewId(server_, client_), a, {5, 5, 20, 20}, 0,
                                     xproto::WindowClass::kInputOutput, false);
   EXPECT_EQ(server_.TranslateCoordinates(b, root, {0, 0}), (xbase::Point{15, 25}));
   EXPECT_EQ(server_.TranslateCoordinates(root, b, {15, 25}), (xbase::Point{0, 0}));
@@ -317,7 +440,7 @@ TEST_F(ServerTest, TranslateCoordinates) {
 }
 
 TEST_F(ServerTest, PropertiesRoundTripAndNotify) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(wm_, win, xproto::kPropertyChangeMask);
   xproto::AtomId prop = server_.InternAtom("WM_NAME");
@@ -356,10 +479,10 @@ TEST_F(ServerTest, SaveSetReparentsOnDisconnect) {
   // The WM reparents the client's window into a frame and adds it to its
   // save set; when the WM dies, the window must return to the root and be
   // remapped — this is what lets a WM crash without losing windows.
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {7, 8, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {7, 8, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.MapWindow(client_, win);
-  WindowId frame = server_.CreateWindow(wm_, server_.RootWindow(0), {20, 20, 14, 14}, 0,
+  WindowId frame = server_.CreateWindow(wm_, NewId(server_, wm_), server_.RootWindow(0), {20, 20, 14, 14}, 0,
                                         xproto::WindowClass::kInputOutput, false);
   server_.MapWindow(wm_, frame);
   server_.ReparentWindow(wm_, win, frame, {2, 2});
@@ -376,7 +499,7 @@ TEST_F(ServerTest, SaveSetReparentsOnDisconnect) {
 }
 
 TEST_F(ServerTest, DisconnectDestroysOwnedWindows) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.Disconnect(client_);
   EXPECT_FALSE(server_.WindowExists(win));
@@ -386,7 +509,7 @@ TEST_F(ServerTest, DisconnectDestroysOwnedWindows) {
 TEST_F(ServerTest, DisconnectDropsStateOnOtherClientsWindows) {
   // One kind of state per window, so each must be found on its own.
   auto make = [&] {
-    return server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+    return server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                 xproto::WindowClass::kInputOutput, false);
   };
   WindowId selected = make();
@@ -404,11 +527,12 @@ TEST_F(ServerTest, DisconnectDropsStateOnOtherClientsWindows) {
   // The departed client's passive grab no longer conflicts.
   EXPECT_TRUE(server_.GrabButton(other, grabbed, 1, 0, xproto::kButtonPressMask));
   EXPECT_TRUE(server_.FindWindowForTest(shaped)->shape_selections.empty());
-  EXPECT_EQ(server_.ClientWindows(client_), (std::vector<WindowId>{selected, grabbed, shaped}));
+  EXPECT_EQ(server_.ClientIndexForTest(client_)->owned,
+            (std::vector<WindowId>{selected, grabbed, shaped}));
 }
 
 TEST_F(ServerTest, DestroyedWindowLeavesNoSaveSetEntry) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   ASSERT_TRUE(server_.ChangeSaveSet(wm_, win, true));
   ASSERT_TRUE(server_.SelectInput(wm_, win, xproto::kStructureNotifyMask));
@@ -419,11 +543,11 @@ TEST_F(ServerTest, DestroyedWindowLeavesNoSaveSetEntry) {
   ASSERT_TRUE(index.has_value());
   EXPECT_TRUE(index->save_set.empty());
   EXPECT_TRUE(index->referenced.empty());
-  EXPECT_TRUE(server_.ClientWindows(client_).empty());
+  EXPECT_TRUE(server_.ClientIndexForTest(client_)->owned.empty());
 }
 
 TEST_F(ServerTest, SendEventWithMaskZeroGoesToOwner) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   xproto::ClientMessageEvent message;
   message.window = win;
@@ -434,7 +558,7 @@ TEST_F(ServerTest, SendEventWithMaskZeroGoesToOwner) {
 }
 
 TEST_F(ServerTest, ClampToProtocolLimit) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 10, 10}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 10, 10}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   ConfigureValues values;
   values.geometry.width = 100000;
@@ -448,7 +572,7 @@ TEST_F(ServerTest, ClampToProtocolLimit) {
 class PointerTest : public ServerTest {};
 
 TEST_F(PointerTest, EnterLeaveOnMotion) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {10, 10, 20, 20},
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {10, 10, 20, 20},
                                       0, xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, win,
                       xproto::kEnterWindowMask | xproto::kLeaveWindowMask);
@@ -468,9 +592,9 @@ TEST_F(PointerTest, EnterLeaveOnMotion) {
 }
 
 TEST_F(PointerTest, ButtonPropagatesToFirstSelectingAncestor) {
-  WindowId outer = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 100, 100},
+  WindowId outer = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 100, 100},
                                         0, xproto::WindowClass::kInputOutput, false);
-  WindowId inner = server_.CreateWindow(client_, outer, {10, 10, 20, 20}, 0,
+  WindowId inner = server_.CreateWindow(client_, NewId(server_, client_), outer, {10, 10, 20, 20}, 0,
                                         xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, outer, xproto::kButtonPressMask);
   server_.MapWindow(client_, outer);
@@ -488,7 +612,7 @@ TEST_F(PointerTest, ButtonPropagatesToFirstSelectingAncestor) {
 }
 
 TEST_F(PointerTest, AutomaticGrabDeliversMotionAndRelease) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 50, 50}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 50, 50}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, win,
                       xproto::kButtonPressMask | xproto::kButtonReleaseMask);
@@ -522,9 +646,9 @@ TEST_F(PointerTest, AutomaticGrabDeliversMotionAndRelease) {
 }
 
 TEST_F(PointerTest, PassiveGrabInterceptsDescendantClicks) {
-  WindowId frame = server_.CreateWindow(wm_, server_.RootWindow(0), {0, 0, 60, 60}, 0,
+  WindowId frame = server_.CreateWindow(wm_, NewId(server_, wm_), server_.RootWindow(0), {0, 0, 60, 60}, 0,
                                         xproto::WindowClass::kInputOutput, false);
-  WindowId inner = server_.CreateWindow(client_, frame, {5, 5, 40, 40}, 0,
+  WindowId inner = server_.CreateWindow(client_, NewId(server_, client_), frame, {5, 5, 40, 40}, 0,
                                         xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, inner, xproto::kButtonPressMask);
   server_.MapWindow(wm_, frame);
@@ -556,7 +680,7 @@ TEST_F(PointerTest, PassiveGrabInterceptsDescendantClicks) {
 }
 
 TEST_F(PointerTest, KeyDeliveredToWindowUnderPointer) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 50, 50}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 50, 50}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, win, xproto::kKeyPressMask);
   server_.MapWindow(client_, win);
@@ -571,7 +695,7 @@ TEST_F(PointerTest, KeyDeliveredToWindowUnderPointer) {
 
 TEST_F(PointerTest, InputFollowsShape) {
   // A shaped window only receives pointer events within its shape.
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 20, 20}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 20, 20}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, win, xproto::kButtonPressMask);
   server_.MapWindow(client_, win);
@@ -590,7 +714,7 @@ TEST_F(PointerTest, InputFollowsShape) {
 }
 
 TEST_F(PointerTest, ShapeChangeUnderPointerCrosses) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 20, 20}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 20, 20}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, win, xproto::kEnterWindowMask | xproto::kLeaveWindowMask);
   server_.MapWindow(client_, win);
@@ -633,7 +757,7 @@ struct GuardedServer {
   }
 
   WindowId Create(const xbase::Rect& geometry) {
-    WindowId window = server.CreateWindow(client, root, geometry, 0,
+    WindowId window = server.CreateWindow(client, NewId(server, client), root, geometry, 0,
                                           xproto::WindowClass::kInputOutput, false);
     server.SelectInput(client, window, kCrossingMask);
     return window;
@@ -718,7 +842,7 @@ TEST_F(PointerTest, RequestsUnderPointerCross) {
 // ---- Input focus ---------------------------------------------------------------
 
 TEST_F(ServerTest, InputFocusLifecycle) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 20, 20}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 20, 20}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.SelectInput(client_, win,
                       xproto::kFocusChangeMask | xproto::kKeyPressMask);
@@ -762,7 +886,7 @@ TEST_F(ServerTest, FocusOnBogusWindowRejected) {
 // ---- SHAPE ------------------------------------------------------------------------
 
 TEST_F(ServerTest, ShapeSetQueryClearNotify) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 16, 16}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 16, 16}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.ShapeSelect(wm_, win, true);
   EXPECT_FALSE(server_.IsShaped(win));
@@ -788,9 +912,9 @@ TEST_F(ServerTest, ShapeSetQueryClearNotify) {
 
 TEST_F(ServerTest, RenderRespectsStackingAndClipping) {
   WindowId root = server_.RootWindow(0);
-  WindowId below = server_.CreateWindow(client_, root, {0, 0, 20, 20}, 0,
+  WindowId below = server_.CreateWindow(client_, NewId(server_, client_), root, {0, 0, 20, 20}, 0,
                                         xproto::WindowClass::kInputOutput, false);
-  WindowId above = server_.CreateWindow(client_, root, {10, 10, 20, 20}, 0,
+  WindowId above = server_.CreateWindow(client_, NewId(server_, client_), root, {10, 10, 20, 20}, 0,
                                         xproto::WindowClass::kInputOutput, false);
   server_.SetWindowBackground(client_, below, 'b');
   server_.SetWindowBackground(client_, above, 'a');
@@ -809,9 +933,9 @@ TEST_F(ServerTest, RenderRespectsStackingAndClipping) {
 }
 
 TEST_F(ServerTest, RenderClipsChildrenToParent) {
-  WindowId parent = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 20, 20},
+  WindowId parent = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 20, 20},
                                          0, xproto::WindowClass::kInputOutput, false);
-  WindowId child = server_.CreateWindow(client_, parent, {15, 15, 20, 20}, 0,
+  WindowId child = server_.CreateWindow(client_, NewId(server_, client_), parent, {15, 15, 20, 20}, 0,
                                         xproto::WindowClass::kInputOutput, false);
   server_.SetWindowBackground(client_, parent, 'p');
   server_.SetWindowBackground(client_, child, 'c');
@@ -823,7 +947,7 @@ TEST_F(ServerTest, RenderClipsChildrenToParent) {
 }
 
 TEST_F(ServerTest, RenderHonorsShape) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {0, 0, 16, 16}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 16, 16}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.SetWindowBackground(client_, win, 'w');
   server_.MapWindow(client_, win);
@@ -834,7 +958,7 @@ TEST_F(ServerTest, RenderHonorsShape) {
 }
 
 TEST_F(ServerTest, RenderDrawOps) {
-  WindowId win = server_.CreateWindow(client_, server_.RootWindow(0), {2, 2, 20, 5}, 0,
+  WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {2, 2, 20, 5}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.MapWindow(client_, win);
   DrawOp text;

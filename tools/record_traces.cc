@@ -14,6 +14,10 @@
 // the transport faults touch them — so replay verifies the honest reply
 // stream in both directions with no fault plan installed.
 //
+// The seeded streams pick the window a request names by a small drawn
+// index: 1 the root, 2 the honest client's window, 3 and up the stream
+// client's own creates in order, minted from its id range (Targets below).
+//
 // Usage: record_traces [output-dir]     (default: tests/traces)
 #include <cstdio>
 #include <memory>
@@ -32,31 +36,46 @@
 
 namespace {
 
+// The windows a seeded stream names.  A drawn index k picks the root (1),
+// the honest client's window (2), or the (k - 2)th id the stream's own
+// client minted for a CreateWindow, whether or not that create succeeded.
+struct Targets {
+  xproto::WindowId root = xproto::kNone;
+  xproto::WindowId honest = xproto::kNone;
+  xproto::WindowId base = xproto::kNone;  // The stream client's id base.
+  uint32_t minted = 0;                    // Ids minted so far.
+
+  xproto::WindowId Pick(int k) const {
+    return k == 1 ? root : k == 2 ? honest : base | static_cast<uint32_t>(k - 3);
+  }
+  xproto::WindowId Mint() { return base | minted++; }
+};
+
 // Plausible request traffic for the mutator to chew on, drawn from the
 // driver stream so every seed records different bytes.
-std::vector<uint8_t> BuildRequestBuffer(xserver::FaultRng* driver,
-                                        xproto::WindowId root, int frames) {
+std::vector<uint8_t> BuildRequestBuffer(xserver::FaultRng* driver, Targets* targets,
+                                        int frames) {
   xproto::WireWriter w;
   for (int i = 0; i < frames; ++i) {
     switch (driver->Range(0, 4)) {
       case 0:
         xproto::EncodeRequest(
             xproto::CreateWindowRequest{
-                .parent = root,
+                .window = targets->Mint(),
+                .parent = targets->root,
                 .geometry = {driver->Range(-20, 150), driver->Range(-20, 80),
                              driver->Range(1, 60), driver->Range(1, 40)}},
             &w);
         break;
       case 1:
         xproto::EncodeRequest(
-            xproto::MapWindowRequest{.window = static_cast<xproto::WindowId>(
-                                         driver->Range(1, 40))},
+            xproto::MapWindowRequest{.window = targets->Pick(driver->Range(1, 40))},
             &w);
         break;
       case 2:
         xproto::EncodeRequest(
             xproto::ConfigureWindowRequest{
-                .window = static_cast<xproto::WindowId>(driver->Range(1, 40)),
+                .window = targets->Pick(driver->Range(1, 40)),
                 .value_mask = xproto::kConfigX | xproto::kConfigY,
                 .geometry = {driver->Range(-50, 200), driver->Range(-50, 100), 0, 0}},
             &w);
@@ -64,7 +83,7 @@ std::vector<uint8_t> BuildRequestBuffer(xserver::FaultRng* driver,
       case 3:
         xproto::EncodeRequest(
             xproto::DrawRequest{
-                .window = static_cast<xproto::WindowId>(driver->Range(1, 40)),
+                .window = targets->Pick(driver->Range(1, 40)),
                 .kind = 0,
                 .rect = {0, 0, driver->Range(1, 30), driver->Range(1, 20)},
                 .fill = '#'},
@@ -72,8 +91,7 @@ std::vector<uint8_t> BuildRequestBuffer(xserver::FaultRng* driver,
         break;
       case 4:
         xproto::EncodeRequest(
-            xproto::DestroyWindowRequest{.window = static_cast<xproto::WindowId>(
-                                             driver->Range(1, 40))},
+            xproto::DestroyWindowRequest{.window = targets->Pick(driver->Range(1, 40))},
             &w);
         break;
     }
@@ -105,9 +123,9 @@ bool RecordSeed(uint64_t seed, const std::string& path) {
 
   xserver::FaultRng driver(seed * 0x9e3779b9u + 7);
   xproto::ClientId hostile = server.Connect("corpus-hostile");
+  Targets targets{.root = root, .honest = w1, .base = server.IdBase(hostile)};
   for (int round = 0; round < 30; ++round) {
-    server.DispatchBytes(hostile,
-                         BuildRequestBuffer(&driver, root, driver.Range(1, 5)));
+    server.DispatchBytes(hostile, BuildRequestBuffer(&driver, &targets, driver.Range(1, 5)));
     if (round % 5 == 0) {
       server.SimulateMotion({driver.Range(0, 150), driver.Range(0, 80)});
     }
@@ -137,25 +155,27 @@ bool RecordSeed(uint64_t seed, const std::string& path) {
 }
 
 // One query drawn from the driver stream, queued on the framed endpoint.
-void QueueDuplexRequest(xserver::FaultRng* driver, xproto::WindowId root,
+void QueueDuplexRequest(xserver::FaultRng* driver, Targets* targets,
                         xproto::WireClientEndpoint* ep) {
+  xproto::WindowId root = targets->root;
   switch (driver->Range(0, 5)) {
     case 0:
       ep->QueueRequest(xproto::CreateWindowRequest{
+          .window = targets->Mint(),
           .parent = root,
           .geometry = {driver->Range(0, 120), driver->Range(0, 60),
                        driver->Range(1, 50), driver->Range(1, 30)}});
       break;
     case 1:
       ep->QueueRequest(xproto::MapWindowRequest{
-          .window = static_cast<xproto::WindowId>(driver->Range(1, 30))});
+          .window = targets->Pick(driver->Range(1, 30))});
       break;
     case 2:
       ep->QueueRequest(xproto::QueryTreeRequest{.window = root});
       break;
     case 3:
       ep->QueueRequest(xproto::GetGeometryRequest{
-          .window = static_cast<xproto::WindowId>(driver->Range(1, 30))});
+          .window = targets->Pick(driver->Range(1, 30))});
       break;
     case 4:
       ep->QueueRequest(xproto::InternAtomRequest{
@@ -209,11 +229,12 @@ bool RecordDuplexSeed(uint64_t seed, const std::string& path) {
   xproto::WireClientEndpoint ep(std::move(pair.client));
 
   xserver::FaultRng driver(seed * 0x2545f491u + 3);
+  Targets targets{.root = root, .honest = w1, .base = server.IdBase(conn.client())};
   for (int round = 0; round < 40; ++round) {
     if (conn.state() == xserver::ConnectionState::kClosed) {
       break;
     }
-    QueueDuplexRequest(&driver, root, &ep);
+    QueueDuplexRequest(&driver, &targets, &ep);
     ep.Flush();
     conn.Pump();
     ep.Poll();

@@ -3,7 +3,8 @@
 #
 # Default mode builds the fuzz targets under ASan+UBSan, runs every test
 # with the seeded chaos/fuzz ctest label (24-seed wire fuzz, trace-replay
-# determinism, property fuzz, policy and transport storms), the codec
+# determinism, property fuzz, policy and transport storms, window-id
+# recycling and range exhaustion), the codec
 # behaviour pins and transport units, then drives the fuzz_wire harness over
 # the checked-in trace corpus and its seeded-random smoke mode.  Any
 # sanitizer report fails the run.
@@ -37,7 +38,7 @@ cmake --build "$BUILD" -j "$(nproc)" \
   --target chaos_test --target restart_chaos_test --target xtb_fuzz_test \
   --target transport_test --target transport_chaos_test \
   --target policy_chaos_test --target transport_proc_chaos_test \
-  --target fuzz_wire
+  --target id_space_test --target fuzz_wire
 
 UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
 ASAN_OPTIONS="detect_leaks=1" \
