@@ -62,6 +62,14 @@ std::string ToLowerAscii(std::string_view s) {
   return out;
 }
 
+std::string Capitalized(std::string_view s) {
+  std::string out(s);
+  if (!out.empty()) {
+    out[0] = static_cast<char>(std::toupper(static_cast<unsigned char>(out[0])));
+  }
+  return out;
+}
+
 std::optional<int> ParseInt(std::string_view s) {
   if (s.empty()) {
     return std::nullopt;

@@ -22,6 +22,10 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 std::string ToLowerAscii(std::string_view s);
 
+// The Xrm class form of a name component: first character upper-cased
+// ("screen0" -> "Screen0").
+std::string Capitalized(std::string_view s);
+
 // Strict decimal integer parse (optional leading '-'); nullopt on junk.
 std::optional<int> ParseInt(std::string_view s);
 

@@ -3,19 +3,11 @@
 #include <algorithm>
 
 #include "src/base/logging.h"
+#include "src/base/strings.h"
 
 namespace oi {
 
 namespace {
-
-std::string Capitalized(const std::string& s) {
-  if (s.empty()) {
-    return s;
-  }
-  std::string out = s;
-  out[0] = static_cast<char>(std::toupper(static_cast<unsigned char>(out[0])));
-  return out;
-}
 
 std::vector<xbase::Symbol> InternAll(const std::vector<std::string>& components) {
   xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
@@ -68,11 +60,15 @@ void Toolkit::Bind(Object* object) const {
   for (const ResourcePath* part : {&prefix_, &tree_prefix, &path}) {
     key_scratch_.insert(key_scratch_.end(), part->classes.begin(), part->classes.end());
   }
+  object->search_path_ = &ScratchEntry();
+}
+
+SearchPath& Toolkit::ScratchEntry() const {
   auto [it, inserted] = search_paths_.try_emplace(key_scratch_);
   if (inserted) {
     it->second.key = &it->first;
   }
-  object->search_path_ = &it->second;
+  return it->second;
 }
 
 void Toolkit::BindTree(Object* object) const {
@@ -142,15 +138,35 @@ xbase::Symbol Toolkit::CapitalizedSymbol(xbase::Symbol attribute) const {
   }
   if (capitalized_[attribute] == xbase::kNoSymbol) {
     xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
-    capitalized_[attribute] = interner.Intern(Capitalized(interner.NameOf(attribute)));
+    capitalized_[attribute] = interner.Intern(xbase::Capitalized(interner.NameOf(attribute)));
   }
   return capitalized_[attribute];
 }
 
 std::optional<std::string> Toolkit::QueryAttribute(const Object& object,
                                                    const std::string& attribute) const {
+  return Probe(*object.search_path_, attribute);
+}
+
+std::optional<std::string> Toolkit::QueryAttribute(const std::vector<std::string>& names,
+                                                   const std::vector<std::string>& classes,
+                                                   const std::string& attribute) const {
+  XB_CHECK_EQ(names.size(), classes.size());
+  xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
+  key_scratch_.assign(prefix_.names.begin(), prefix_.names.end());
+  for (const std::string& name : names) {
+    key_scratch_.push_back(interner.Intern(name));
+  }
+  key_scratch_.insert(key_scratch_.end(), prefix_.classes.begin(), prefix_.classes.end());
+  for (const std::string& clazz : classes) {
+    key_scratch_.push_back(interner.Intern(clazz));
+  }
+  return Probe(ScratchEntry(), attribute);
+}
+
+std::optional<std::string> Toolkit::Probe(SearchPath& path,
+                                          const std::string& attribute) const {
   ++query_stats_.queries;
-  SearchPath& path = *object.search_path_;
   // Node pointers in a list stay valid until the database changes, and
   // every change moves the generation.
   if (path.generation != resources_->generation()) {

@@ -38,9 +38,10 @@ struct ActionContext {
 using ActionHandler = std::function<void(const xtb::FunctionCall&, const ActionContext&)>;
 
 // One distinct full resource path — session prefix + tree prefix + object
-// path, interned — and its Xrm search list.  Every object on that path is
-// bound to the same entry, so the second decoration of a WM_CLASS answers
-// its attribute queries from the list the first one built.
+// path, or session prefix + a lookup's own prefix, interned — and its Xrm
+// search list.  Every object on that path is bound to the same entry, so
+// the second decoration of a WM_CLASS answers its attribute queries from
+// the list the first one built.
 struct SearchPath {
   const std::vector<xbase::Symbol>* key = nullptr;  // Names, then classes.
   // Database generation `list` was built at; 0, which no database has,
@@ -120,6 +121,14 @@ class Toolkit {
   // attribute.  Objects on one path share one list.
   std::optional<std::string> QueryAttribute(const Object& object,
                                             const std::string& attribute) const;
+  // The same query for a path no object is bound to: session prefix +
+  // `names`/`classes` + attribute.  swm's own lookups (screen, client and
+  // panel-definition resources) come here.  The path gets an entry in the
+  // same table, rebuilt by the same generation rule and counted in the same
+  // query_stats(), so a second lookup under one prefix walks no trie.
+  std::optional<std::string> QueryAttribute(const std::vector<std::string>& names,
+                                            const std::vector<std::string>& classes,
+                                            const std::string& attribute) const;
 
   // Drops every search list and rebinds every object.  Called on
   // SetResources and SetResourcePrefix; exposed for cold-path measurements
@@ -145,7 +154,7 @@ class Toolkit {
 
   // Query-path instrumentation (benchmarks, tests).
   struct QueryStats {
-    uint64_t queries = 0;       // QueryAttribute calls.
+    uint64_t queries = 0;       // QueryAttribute calls, both forms.
     uint64_t cache_hits = 0;    // Answered from an already-built search list.
     uint64_t trie_lookups = 0;  // Search-list builds (walks from the trie root).
   };
@@ -166,6 +175,11 @@ class Toolkit {
   // if the path is new.  BindTree does so for a whole (sub)tree.
   void Bind(Object* object) const;
   void BindTree(Object* object) const;
+  // The entry keyed by key_scratch_, added if the path is new.
+  SearchPath& ScratchEntry() const;
+  // Answers `attribute` from the entry's search list, rebuilding the list
+  // first when the database has changed since it was built.
+  std::optional<std::string> Probe(SearchPath& path, const std::string& attribute) const;
   // Interned capitalized form of an attribute symbol ("bindings"→"Bindings").
   xbase::Symbol CapitalizedSymbol(xbase::Symbol attribute) const;
 

@@ -13,40 +13,25 @@
 
 namespace swm {
 
-namespace {
-
-std::string Capitalized(const std::string& s) {
-  if (s.empty()) {
-    return s;
-  }
-  std::string out = s;
-  out[0] = static_cast<char>(std::toupper(static_cast<unsigned char>(out[0])));
-  return out;
-}
-
-}  // namespace
-
-// Accumulated offset of an object's window within its tree root's window.
-static xbase::Point OffsetWithinTree(const oi::Object* object) {
-  xbase::Point offset{0, 0};
-  const oi::Object* cur = object;
-  while (cur != nullptr && cur->parent() != nullptr) {
-    offset.x += cur->geometry().x;
-    offset.y += cur->geometry().y;
-    cur = cur->parent();
-  }
-  return offset;
-}
-
 xbase::Rect ManagedClient::FrameGeometry() const {
   return frame != nullptr ? frame->geometry() : xbase::Rect{};
+}
+
+xbase::Point ManagedClient::ClientOffset() const {
+  xbase::Point offset{0, 0};
+  for (const oi::Object* cur = client_panel; cur != nullptr && cur->parent() != nullptr;
+       cur = cur->parent()) {
+    offset.x += cur->geometry().x;
+    offset.y += cur->geometry().y;
+  }
+  return offset;
 }
 
 xbase::Point ManagedClient::ClientDesktopPosition() const {
   if (frame == nullptr || client_panel == nullptr) {
     return {};
   }
-  xbase::Point offset = OffsetWithinTree(client_panel);
+  xbase::Point offset = ClientOffset();
   return {frame->geometry().x + offset.x, frame->geometry().y + offset.y};
 }
 
@@ -249,14 +234,17 @@ void WindowManager::InitScreen(int screen) {
   std::string screen_name = "screen" + std::to_string(screen);
   std::string visual_name = display_.IsMonochrome(screen) ? "monochrome" : "color";
   state.toolkit->SetResourcePrefix({"swm", visual_name, screen_name},
-                                   {"Swm", Capitalized(visual_name),
-                                    Capitalized(screen_name)});
+                                   {"Swm", xbase::Capitalized(visual_name),
+                                    xbase::Capitalized(screen_name)});
   state.toolkit->SetActionHandler(
       [this](const xtb::FunctionCall& function, const oi::ActionContext& context) {
         ExecuteFunction(function, context);
       });
   state.toolkit->frame_scheduler().SetLayoutObserver(
       [this](oi::Object* root) { OnTreeLaidOut(root); });
+  // Installed before the first ScreenResource: lookups go through its toolkit.
+  screens_.push_back(std::move(state));
+  ScreenState& installed = screens_.back();
 
   // Virtual Desktop (paper §6): resource value is "WIDTHxHEIGHT".
   std::optional<std::string> vdesk_spec = ScreenResource(screen, "virtualDesktop");
@@ -273,19 +261,16 @@ void WindowManager::InitScreen(int screen) {
       // The `virtualDesktops` count creates several desktops (the paper's
       // §6.3.1 multiple-desktops extension); only the active one is mapped.
       for (int i = 0; i < count; ++i) {
-        state.vdesks.push_back(std::make_unique<VirtualDesktop>(
+        installed.vdesks.push_back(std::make_unique<VirtualDesktop>(
             &display_, screen, xbase::Size{*parsed->width, *parsed->height}));
         if (i != 0) {
-          display_.UnmapWindow(state.vdesks.back()->window());
+          display_.UnmapWindow(installed.vdesks.back()->window());
         }
       }
     } else {
       XB_LOG(Warning) << "swm: bad virtualDesktop geometry '" << *vdesk_spec << "'";
     }
   }
-
-  screens_.push_back(std::move(state));
-  ScreenState& installed = screens_.back();
 
   // Session restart table (paper §7): read and clear the root property.
   RestartTable table = TakeRestartInfo(&display_, screen);
@@ -334,28 +319,11 @@ void WindowManager::ManageExistingWindows(int screen) {
   if (!tree.has_value()) {
     return;
   }
-  ScreenState& state = screens_[screen];
   for (xproto::WindowId child : tree->children) {
-    bool is_desktop_window = false;
-    for (const auto& desk : state.vdesks) {
-      if (child == desk->window()) {
-        is_desktop_window = true;
-      }
-    }
-    if (is_desktop_window) {
-      continue;
-    }
-    // Never manage swm's own windows (root icons, icon holders, frames).
-    const xserver::WindowRec* rec = server_->FindWindowForTest(child);
-    if (rec != nullptr && rec->owner == display_.client_id()) {
-      continue;
-    }
+    // ManageWindow refuses swm's own windows (desktops, root icons, frames)
+    // and override-redirect ones.
     std::optional<xserver::WindowAttributes> attrs = display_.GetWindowAttributes(child);
-    if (!attrs.has_value() || attrs->override_redirect ||
-        attrs->map_state == xproto::MapState::kUnmapped) {
-      continue;
-    }
-    if (FindClient(child) == nullptr) {
+    if (attrs.has_value() && attrs->map_state != xproto::MapState::kUnmapped) {
       ManageWindow(child, screen);
     }
   }
@@ -371,43 +339,17 @@ std::optional<std::string> WindowManager::ScreenResource(int screen,
 std::optional<std::string> WindowManager::ScreenResource(
     int screen, const std::vector<std::string>& extra_names,
     const std::vector<std::string>& extra_classes, const std::string& resource) const {
-  std::string screen_name = "screen" + std::to_string(screen);
-  std::string visual_name = display_.IsMonochrome(screen) ? "monochrome" : "color";
-  std::vector<std::string> names{"swm", visual_name, screen_name};
-  std::vector<std::string> classes{"Swm", Capitalized(visual_name), Capitalized(screen_name)};
-  names.insert(names.end(), extra_names.begin(), extra_names.end());
-  classes.insert(classes.end(), extra_classes.begin(), extra_classes.end());
-  names.push_back(resource);
-  classes.push_back(Capitalized(resource));
-  return db_.Get(names, classes);
-}
-
-std::optional<std::string> WindowManager::ClientResource(const ManagedClient& client,
-                                                         const std::string& resource) const {
-  // "swm recognizes if a client window is shaped and adds the string shaped
-  // to the beginning of the resource strings" (§5); likewise "sticky" (§6.2).
-  std::vector<std::string> extra_names;
-  std::vector<std::string> extra_classes;
-  if (client.sticky) {
-    extra_names.push_back("sticky");
-    extra_classes.push_back("Sticky");
-  }
-  if (client.shaped) {
-    extra_names.push_back("shaped");
-    extra_classes.push_back("Shaped");
-  }
-  if (!client.wm_class.clazz.empty() || !client.wm_class.instance.empty()) {
-    extra_names.push_back(client.wm_class.clazz);
-    extra_names.push_back(client.wm_class.instance);
-    extra_classes.push_back(client.wm_class.clazz);
-    extra_classes.push_back(client.wm_class.instance);
-  }
-  return ScreenResource(client.screen, extra_names, extra_classes, resource);
+  XB_CHECK_GE(screen, 0);
+  XB_CHECK_LT(screen, static_cast<int>(screens_.size()));
+  // The toolkit's session prefix is this screen's swm.<visual>.<screen>.
+  return screens_[screen].toolkit->QueryAttribute(extra_names, extra_classes, resource);
 }
 
 std::optional<std::string> WindowManager::PanelDefinition(int screen,
                                                           const std::string& name) const {
-  return ScreenResource(screen, {"panel"}, {"Panel"}, name);
+  static const std::vector<std::string> kNames{"panel"};
+  static const std::vector<std::string> kClasses{"Panel"};
+  return ScreenResource(screen, kNames, kClasses, name);
 }
 
 // ---- Introspection -----------------------------------------------------------------
@@ -642,12 +584,10 @@ void WindowManager::RestoreGeometry(ManagedClient* client) {
   xbase::Rect saved = *client->saved_frame_geometry;
   client->saved_frame_geometry.reset();
   // Restore the client size implied by the saved frame size.
-  xbase::Point client_offset = OffsetWithinTree(client->client_panel);
   xbase::Size frame_size = client->frame->geometry().size();
   xbase::Size client_size = client->client_panel->geometry().size();
   xbase::Size new_client{saved.width - (frame_size.width - client_size.width),
                          saved.height - (frame_size.height - client_size.height)};
-  (void)client_offset;
   MoveFrameTo(client, saved.origin());
   ResizeClient(client, new_client);
 }
@@ -828,7 +768,7 @@ void WindowManager::ApplyClientShapeToFrame(ManagedClient* client) {
   if (!client_shape.has_value()) {
     return;
   }
-  xbase::Point offset = OffsetWithinTree(client->client_panel);
+  xbase::Point offset = client->ClientOffset();
   xbase::Region shape = client_shape->Translated(offset.x, offset.y);
   for (const std::unique_ptr<oi::Object>& child : client->frame->children()) {
     if (child.get() == client->client_panel || child->floating()) {

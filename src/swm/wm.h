@@ -77,6 +77,8 @@ struct ManagedClient {
   // Frame geometry relative to its parent (vdesk for normal windows, real
   // root for sticky windows).
   xbase::Rect FrameGeometry() const;
+  // Offset of the client panel's window within the frame's.
+  xbase::Point ClientOffset() const;
   // Client window position in desktop coordinates (== viewport coordinates
   // for sticky windows).
   xbase::Point ClientDesktopPosition() const;
@@ -344,7 +346,12 @@ class WindowManager {
   // event loop defers it until the queue settles.
   void ReloadResources();
 
-  // Resource helpers (public: the panner and icon holders use them).
+  // Resource helpers (public: the panner and icon holders use them).  Each
+  // asks the screen's toolkit, whose session prefix is swm.<visual>.<screen>
+  // (docs/RESOURCES.md): `extra_names`/`extra_classes` follow it, then the
+  // resource.  So swm's lookups share the toolkit's search lists and count
+  // in its query_stats().  ClientResource's extra prefix is the client's
+  // sticky/shaped markers and WM_CLASS; PanelDefinition's is "panel".
   std::optional<std::string> ScreenResource(int screen, const std::string& resource) const;
   std::optional<std::string> ScreenResource(int screen,
                                             const std::vector<std::string>& extra_names,

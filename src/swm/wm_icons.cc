@@ -160,8 +160,8 @@ void WindowManager::Iconify(ManagedClient* client) {
   if (client->frame != nullptr) {
     display_.UnmapWindow(client->frame->window());
   }
-  const xserver::WindowRec* rec = server_->FindWindowForTest(client->window);
-  if (rec != nullptr && rec->mapped) {
+  std::optional<xserver::WindowAttributes> attrs = display_.GetWindowAttributes(client->window);
+  if (attrs.has_value() && attrs->map_state != xproto::MapState::kUnmapped) {
     ++client->ignore_unmaps;
     display_.UnmapWindow(client->window);
   }

@@ -23,15 +23,39 @@ std::string TransientCycleLogKey(xproto::WindowId window) {
   return "swm:transient-cycle:" + std::to_string(window);
 }
 
-xbase::Point OffsetWithinTree(const oi::Object* object) {
-  xbase::Point offset{0, 0};
-  const oi::Object* cur = object;
-  while (cur != nullptr && cur->parent() != nullptr) {
-    offset.x += cur->geometry().x;
-    offset.y += cur->geometry().y;
-    cur = cur->parent();
+// A client's specific-resource prefix (paper §3): the "sticky" (§6.2) and
+// "shaped" markers — "swm recognizes if a client window is shaped and adds
+// the string shaped to the beginning of the resource strings" (§5) — then
+// WM_CLASS class and instance.  The decoration
+// tree's prefix also carries "transient" after the other markers, so
+// "swm*transient*button.name.label" reaches a transient's frame objects.
+// ClientResource lookups (decoration, sticky, icon) leave it out, as they
+// always have: "swm*transient*decoration" does not choose a decoration.
+struct ResourcePrefix {
+  std::vector<std::string> names;
+  std::vector<std::string> classes;
+};
+
+ResourcePrefix ClientPrefix(const ManagedClient& client, bool with_transient) {
+  ResourcePrefix prefix;
+  auto add = [&prefix](const std::string& name, const std::string& clazz) {
+    prefix.names.push_back(name);
+    prefix.classes.push_back(clazz);
+  };
+  if (client.sticky) {
+    add("sticky", "Sticky");
   }
-  return offset;
+  if (client.shaped) {
+    add("shaped", "Shaped");
+  }
+  if (with_transient && client.transient_for != xproto::kNone) {
+    add("transient", "Transient");
+  }
+  if (!client.wm_class.clazz.empty() || !client.wm_class.instance.empty()) {
+    add(client.wm_class.clazz, client.wm_class.clazz);
+    add(client.wm_class.instance, client.wm_class.instance);
+  }
+  return prefix;
 }
 
 }  // namespace
@@ -64,6 +88,12 @@ xproto::WindowId WindowManager::BreakTransientCycle(xproto::WindowId window,
   return owner;
 }
 
+std::optional<std::string> WindowManager::ClientResource(const ManagedClient& client,
+                                                         const std::string& resource) const {
+  ResourcePrefix prefix = ClientPrefix(client, /*with_transient=*/false);
+  return ScreenResource(client.screen, prefix.names, prefix.classes, resource);
+}
+
 std::string WindowManager::ChooseDecoration(const ManagedClient& client) const {
   std::optional<std::string> decoration = ClientResource(client, "decoration");
   if (decoration.has_value()) {
@@ -80,40 +110,19 @@ std::unique_ptr<oi::Panel> WindowManager::BuildFrame(ManagedClient* client) {
     return PanelDefinition(screen, name);
   };
 
-  // Specific-resource prefix: sticky/shaped markers plus WM_CLASS.
-  std::vector<std::string> prefix_names;
-  std::vector<std::string> prefix_classes;
-  if (client->sticky) {
-    prefix_names.push_back("sticky");
-    prefix_classes.push_back("Sticky");
-  }
-  if (client->shaped) {
-    prefix_names.push_back("shaped");
-    prefix_classes.push_back("Shaped");
-  }
-  if (client->transient_for != xproto::kNone) {
-    prefix_names.push_back("transient");
-    prefix_classes.push_back("Transient");
-  }
-  if (!client->wm_class.clazz.empty() || !client->wm_class.instance.empty()) {
-    prefix_names.push_back(client->wm_class.clazz);
-    prefix_names.push_back(client->wm_class.instance);
-    prefix_classes.push_back(client->wm_class.clazz);
-    prefix_classes.push_back(client->wm_class.instance);
-  }
-
+  ResourcePrefix prefix = ClientPrefix(*client, /*with_transient=*/true);
   xproto::WindowId parent = FrameParent(client->screen, client->sticky);
   std::unique_ptr<oi::Panel> frame;
   if (PanelDefinition(client->screen, client->decoration_name).has_value()) {
-    frame = tk.BuildPanelTree(client->decoration_name, parent, lookup, prefix_names,
-                              prefix_classes);
+    frame = tk.BuildPanelTree(client->decoration_name, parent, lookup, prefix.names,
+                              prefix.classes);
   }
   if (frame == nullptr) {
     // Undecorated fallback: a bare container holding only the client panel.
     frame = tk.CreatePanel(nullptr, parent,
                            client->decoration_name.empty() ? "clientOnly"
                                                            : client->decoration_name);
-    tk.SetTreePrefix(frame.get(), prefix_names, prefix_classes);
+    tk.SetTreePrefix(frame.get(), prefix.names, prefix.classes);
     auto client_panel = tk.CreatePanel(frame.get(), frame->window(), "client");
     client_panel->SetPosition(oi::ObjectPosition{oi::HAlign::kLeft, 0, 0});
     frame->AddChild(std::move(client_panel));
@@ -183,9 +192,8 @@ ManagedClient* WindowManager::ManageWindow(xproto::WindowId window, int screen) 
       attrs->window_class == xproto::WindowClass::kInputOnly) {
     return nullptr;
   }
-  const xserver::WindowRec* owner_rec = server_->FindWindowForTest(window);
-  if (owner_rec != nullptr && owner_rec->owner == display_.client_id()) {
-    return nullptr;  // Never manage swm's own windows.
+  if (display_.OwnsId(window)) {
+    return nullptr;  // swm's own window: a desktop, root icon, icon holder or frame.
   }
   std::optional<xbase::Rect> geometry = display_.GetGeometry(window);
   if (!geometry.has_value()) {
@@ -209,10 +217,7 @@ ManagedClient* WindowManager::ManageWindow(xproto::WindowId window, int screen) 
   client->transient_for = BreakTransientCycle(
       window, xlib::GetTransientForHint(&display_, window).value_or(xproto::kNone));
   client->shaped = display_.IsShaped(window);
-  const xserver::WindowRec* window_rec = server_->FindWindowForTest(window);
-  client->is_internal = internal_windows_.count(window) != 0 ||
-                        (window_rec != nullptr &&
-                         window_rec->owner == aux_display_.client_id());
+  client->is_internal = internal_windows_.count(window) != 0 || aux_display_.OwnsId(window);
 
   // Session restore (paper §7): match by WM_COMMAND (+ machine).
   std::optional<SwmHintsRecord> session;
@@ -448,7 +453,7 @@ void WindowManager::ReDecorate(ManagedClient* client) {
 
   // New frame parent coordinates that keep the client at screen_pos.
   ScreenState& state = screens_[client->screen];
-  xbase::Point client_offset = OffsetWithinTree(client->client_panel);
+  xbase::Point client_offset = client->ClientOffset();
   xbase::Point parent_pos = screen_pos;
   if (!client->sticky && state.vdesk() != nullptr) {
     parent_pos = state.vdesk()->ScreenToDesktop(screen_pos);

@@ -24,7 +24,8 @@ constexpr int64_t kRemoteRoundTripMs = 5000;
 Display::Display(xserver::Server* server, std::string client_machine)
     : server_(server), machine_(std::move(client_machine)) {
   client_ = server_->Connect(machine_);
-  TakeIdRun(server_->IdBase(client_), uint64_t{server_->IdMask(client_)} + 1);
+  id_base_ = server_->IdBase(client_);
+  TakeIdRun(id_base_, uint64_t{server_->IdMask(client_)} + 1);
   server_->SetErrorCallback(client_, [this](const xproto::XError& error) {
     last_error_ = error;
     if (error_handler_) {
@@ -54,7 +55,8 @@ Display::Display(const std::string& socket_path, std::string client_machine)
   std::optional<xproto::Reply> reply = RemoteRoundTrip(xproto::QueryScreensRequest{});
   if (reply.has_value()) {
     if (const auto* r = std::get_if<xproto::ScreensReply>(&*reply)) {
-      TakeIdRun(r->id_base, uint64_t{r->id_mask} + 1);
+      id_base_ = r->id_base;
+      TakeIdRun(id_base_, uint64_t{r->id_mask} + 1);
       int number = 0;
       for (const auto& s : r->screens) {
         xserver::ScreenInfo info;

@@ -55,6 +55,13 @@ class Display {
   xserver::Server& server() { return *server_; }
   const xserver::Server& server() const { return *server_; }
   xproto::ClientId client_id() const { return client_; }
+  // True when `window` lies in this connection's id range: the server
+  // accepts a CreateWindow only with an id from the creator's range
+  // (docs/PROTOCOL.md "Window ids"), so such a window, while it exists, is
+  // one this Display made.
+  bool OwnsId(xproto::WindowId window) const {
+    return id_base_ != xproto::kNone && (window & ~xproto::kIdMask) == id_base_;
+  }
   const std::string& client_machine() const { return machine_; }
 
   // True for displays constructed over a socket (no in-process Server).
@@ -291,6 +298,7 @@ class Display {
   XErrorHandler error_handler_;
   std::optional<xproto::XError> last_error_;
   xproto::SanitizerStats sanitizer_stats_;
+  xproto::WindowId id_base_ = xproto::kNone;  // Start of the connection's id range.
   uint64_t next_id_ = xproto::kNone;
   uint64_t id_end_ = xproto::kNone;
 

@@ -121,12 +121,6 @@ struct ResourceDatabase::Node {
   std::optional<std::string> value;
   bool has_loose_child = false;  // Cached: any loose-bound edge here.
 
-  const Node* Find(uint64_t key) const {
-    auto it = std::lower_bound(keys.begin(), keys.end(), key);
-    return (it != keys.end() && *it == key) ? children[it - keys.begin()].get()
-                                            : nullptr;
-  }
-
   Node* FindOrAdd(uint64_t key) {
     auto it = std::lower_bound(keys.begin(), keys.end(), key);
     size_t index = it - keys.begin();
@@ -172,155 +166,28 @@ bool ResourceDatabase::Put(const std::string& specifier, const std::string& valu
   return true;
 }
 
-namespace {
-
-// Eager query: components already interned (the toolkit fast path).
-struct SymbolQuery {
-  std::span<const xbase::Symbol> names;
-  std::span<const xbase::Symbol> classes;
-
-  size_t size() const { return names.size(); }
-  xbase::Symbol name(size_t level) const { return names[level]; }
-  xbase::Symbol clazz(size_t level) const { return classes[level]; }
-};
-
-// String query: components are interner-Find'ed on first use and memoized
-// in a caller-provided buffer.  Class symbols are rarely needed (only when
-// the name probes of that level fail), so laziness halves the interning
-// work for fully specific lookups.
-struct LazyStringQuery {
-  static constexpr xbase::Symbol kUnresolved = 0xFFFFFFFEu;
-
-  const std::vector<std::string>* name_strings;
-  const std::vector<std::string>* class_strings;
-  xbase::Symbol* name_symbols;   // size() entries, preset to kUnresolved.
-  xbase::Symbol* class_symbols;  // size() entries, preset to kUnresolved.
-
-  size_t size() const { return name_strings->size(); }
-  xbase::Symbol name(size_t level) const {
-    if (name_symbols[level] == kUnresolved) {
-      name_symbols[level] = xbase::SymbolInterner::Global().Find((*name_strings)[level]);
-    }
-    return name_symbols[level];
-  }
-  xbase::Symbol clazz(size_t level) const {
-    if (class_symbols[level] == kUnresolved) {
-      class_symbols[level] =
-          xbase::SymbolInterner::Global().Find((*class_strings)[level]);
-    }
-    return class_symbols[level];
-  }
-};
-
-}  // namespace
-
-template <typename QueryT>
-const std::optional<std::string>* ResourceDatabase::TightNameHit(const QueryT& query) const {
-  const Node* node = root_.get();
-  const size_t depth = query.size();
-  for (size_t level = 0; level < depth; ++level) {
-    xbase::Symbol symbol = query.name(level);
-    if (symbol == xbase::kNoSymbol) {
-      return nullptr;
-    }
-    node = node->Find(EdgeKey(/*loose=*/false, symbol));
-    if (node == nullptr) {
-      return nullptr;
-    }
-  }
-  return node->value.has_value() ? &node->value : nullptr;
-}
-
-template <typename QueryT>
-std::optional<std::string> ResourceDatabase::Match(const Node& node, const QueryT& query,
-                                                   size_t level, bool loose_only) const {
-  if (level == query.size()) {
-    return node.value;
-  }
-  // Candidates in precedence order (see header).  After a skip, only
-  // loose-bound edges are eligible, because a tight binding means
-  // "immediately follows".  Candidates are generated lazily — a successful
-  // first probe (the common fully-specific case) pays for one edge lookup
-  // only — and duplicate keys (name == class, or either is "?") are
-  // dropped so the same subtree is never searched twice.
-  uint64_t tried[6];
-  int tried_count = 0;
-  std::optional<std::string> result;
-  auto probe = [&](bool loose, xbase::Symbol symbol) -> bool {
-    if (symbol == xbase::kNoSymbol) {
-      return false;  // A never-interned query component matches nothing.
-    }
-    if (loose_only && !loose) {
-      return false;
-    }
-    uint64_t key = EdgeKey(loose, symbol);
-    for (int i = 0; i < tried_count; ++i) {
-      if (tried[i] == key) {
-        return false;  // Same (binding, component): subtree already searched.
-      }
-    }
-    tried[tried_count++] = key;
-    const Node* child = node.Find(key);
-    if (child == nullptr) {
-      return false;
-    }
-    result = Match(*child, query, level + 1, /*loose_only=*/false);
-    return result.has_value();
-  };
-  if (probe(false, query.name(level)) || probe(true, query.name(level)) ||
-      probe(false, query.clazz(level)) || probe(true, query.clazz(level)) ||
-      probe(false, question_) || probe(true, question_)) {
-    return result;
-  }
-  // Lowest precedence: skip this component (requires a loose edge below).
-  // The final component can never be skipped: an entry must match the
-  // resource name itself, not just a prefix.
-  if (node.has_loose_child && level + 1 < query.size()) {
-    return Match(node, query, level + 1, /*loose_only=*/true);
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> ResourceDatabase::Get(
-    std::span<const xbase::Symbol> names, std::span<const xbase::Symbol> classes) const {
-  if (names.empty() || names.size() != classes.size()) {
-    return std::nullopt;
-  }
-  SymbolQuery query{names, classes};
-  if (const std::optional<std::string>* hit = TightNameHit(query)) {
-    return *hit;
-  }
-  return Match(*root_, query, 0, /*loose_only=*/false);
-}
-
 std::optional<std::string> ResourceDatabase::Get(const std::vector<std::string>& names,
                                                  const std::vector<std::string>& classes) const {
   if (names.empty() || names.size() != classes.size()) {
     return std::nullopt;
   }
-  // Interning happens lazily during the walk (see LazyStringQuery), into a
-  // stack buffer for realistic depths.  Find() (not Intern()) keeps
-  // arbitrary query strings from growing the global table.
-  constexpr size_t kInlineDepth = 16;
-  xbase::Symbol inline_buf[2 * kInlineDepth];
-  std::vector<xbase::Symbol> heap_buf;
-  xbase::Symbol* name_syms;
-  if (names.size() <= kInlineDepth) {
-    name_syms = inline_buf;
-  } else {
-    heap_buf.resize(2 * names.size());
-    name_syms = heap_buf.data();
+  // Find(), not Intern(), so a query never grows the symbol table: a
+  // component no entry mentions is kNoSymbol, which matches nothing.
+  const xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
+  const size_t depth = names.size();
+  std::vector<xbase::Symbol> symbols(2 * depth);
+  for (size_t i = 0; i < depth; ++i) {
+    symbols[i] = interner.Find(names[i]);
+    symbols[depth + i] = interner.Find(classes[i]);
   }
-  xbase::Symbol* class_syms = name_syms + names.size();
-  for (size_t i = 0; i < names.size(); ++i) {
-    name_syms[i] = LazyStringQuery::kUnresolved;
-    class_syms[i] = LazyStringQuery::kUnresolved;
+  std::span<const xbase::Symbol> all(symbols);
+  const std::string* value =
+      GetSearchResource(GetSearchList(all.first(depth - 1), all.subspan(depth, depth - 1)),
+                        all[depth - 1], all[2 * depth - 1]);
+  if (value == nullptr) {
+    return std::nullopt;
   }
-  LazyStringQuery query{&names, &classes, name_syms, class_syms};
-  if (const std::optional<std::string>* hit = TightNameHit(query)) {
-    return *hit;  // Name symbols it resolved stay memoized for Match below.
-  }
-  return Match(*root_, query, 0, /*loose_only=*/false);
+  return *value;
 }
 
 std::optional<std::string> ResourceDatabase::Get(const std::string& dotted_names,
@@ -357,7 +224,7 @@ void ResourceDatabase::CollectSearchLevels(const Node& node,
     return;
   }
   visited->push_back(state);
-  // Match's DFS, without its early exit: every candidate is followed.
+  // Every candidate is followed, in precedence order.
   VisitCandidates(node, names[level], classes[level], question_, loose_only,
                   [&](const Node& child) {
                     CollectSearchLevels(child, names, classes, level + 1,

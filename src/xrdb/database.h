@@ -14,11 +14,19 @@
 //
 // Rules apply per component, left to right, rule 1 strongest.
 //
-// Internally the trie is keyed on interned symbols (xbase::SymbolInterner),
-// so a Match probe is an integer binary search with zero allocations; the
-// string API interns at the boundary.  A monotonic generation() counter is
-// bumped by every mutation so callers (the OI toolkit) can keep search
-// lists (GetSearchList) and rebuild them when the database changes.
+// One algorithm answers every query, the XrmQGetSearchList /
+// XrmQGetSearchResource pair: GetSearchList walks a query's prefix (every
+// component but the last) once and lists the trie nodes it can reach, and
+// GetSearchResource probes those nodes for the final component.  Get is
+// that pair over a whole query.  Callers that ask many final components
+// under one prefix keep the list: the OI toolkit keeps one per distinct
+// resource path, and swm's own lookups go through the toolkit too.
+//
+// The trie is keyed on interned symbols (xbase::SymbolInterner), so a
+// probe is an integer binary search with zero allocations; the string API
+// resolves symbols at the boundary.  A monotonic generation() counter is
+// bumped by every mutation so a kept list can be rebuilt when the
+// database changes.
 #ifndef SRC_XRDB_DATABASE_H_
 #define SRC_XRDB_DATABASE_H_
 
@@ -64,14 +72,11 @@ class ResourceDatabase {
 
   // XrmGetResource: `names` and `classes` must be the same length (the fully
   // qualified name and class of the resource).  Returns the value of the
-  // most specific matching entry.
+  // most specific matching entry: GetSearchResource over the search list of
+  // every component but the last.  Builds a list per call; a caller that
+  // asks again under one prefix should keep the list instead.
   std::optional<std::string> Get(const std::vector<std::string>& names,
                                  const std::vector<std::string>& classes) const;
-
-  // Allocation-free variant for callers that keep interned query paths
-  // (symbols from xbase::SymbolInterner::Global()).
-  std::optional<std::string> Get(std::span<const xbase::Symbol> names,
-                                 std::span<const xbase::Symbol> classes) const;
 
   // Convenience for "name.name.name" / "Class.Class.Class" dotted strings.
   std::optional<std::string> Get(const std::string& dotted_names,
@@ -83,7 +88,7 @@ class ResourceDatabase {
   // from the root once.  A level is a trie node the prefix can reach, with
   // `loose_only` set when it was reached by skipping the last prefix
   // component (only loose edges may follow a skip).  Levels are listed in
-  // Match's precedence order, each once.  A list holds node pointers: it is
+  // precedence order, each once.  A list holds node pointers: it is
   // valid until the next mutation, i.e. while generation() is unchanged.
   struct SearchLevel {
     const Node* node;
@@ -125,13 +130,6 @@ class ResourceDatabase {
   uint64_t generation() const { return generation_; }
 
  private:
-  // Templated on the query representation: eager symbol spans (the toolkit
-  // fast path) or lazily-interned strings (the class symbol of a level is
-  // only resolved if its name probes fail — a fully specific hit interns
-  // half as much).
-  template <typename QueryT>
-  std::optional<std::string> Match(const Node& node, const QueryT& query, size_t level,
-                                   bool loose_only) const;
   // GetSearchList's DFS: appends every level reachable from (node, level,
   // loose_only).  `visited` holds the prefix states already expanded; a
   // second visit could only append levels already listed.
@@ -146,11 +144,6 @@ class ResourceDatabase {
                            std::span<const xbase::Symbol> classes, size_t level,
                            bool loose_only, std::vector<SearchState>* visited,
                            SearchList* list) const;
-  // Iterative walk of the all-tight-name path.  That path is the first leaf
-  // the Match DFS would explore, so when it ends on a value the value is the
-  // overall highest-precedence match and the backtracking search is skipped.
-  template <typename QueryT>
-  const std::optional<std::string>* TightNameHit(const QueryT& query) const;
   void MergeNode(Node* dst, const Node& src);
   void Touch();  // Bumps generation_ from the global counter.
 

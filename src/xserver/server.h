@@ -306,8 +306,6 @@ class Server {
 
   xproto::Timestamp CurrentTime() const { return time_; }
 
-  // Test-only introspection (const view of internal records).
-  const WindowRec* FindWindowForTest(xproto::WindowId window) const { return Find(window); }
   // Test-only: the deepest viewable window under the pointer, hit-tested
   // afresh rather than read from the cached QueryPointer().window.
   xproto::WindowId HitTestPointerForTest() const { return DeepestViewableAt(pointer_.root_pos); }
@@ -393,6 +391,7 @@ class Server {
     bool ok_;
   };
   friend class RequestGuard;
+  friend class ServerTestPeer;  // Tests read window records (tests/server_test_peer.h).
 
   // Raises `code` on `client`'s connection (invoking its error callback) and
   // returns false so call sites can `return RaiseError(...)`.

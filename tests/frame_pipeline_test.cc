@@ -7,6 +7,7 @@
 #include "src/oi/toolkit.h"
 #include "src/xlib/icccm.h"
 #include "src/xserver/server.h"
+#include "tests/server_test_peer.h"
 #include "tests/swm_test_util.h"
 
 namespace oi {
@@ -49,7 +50,7 @@ TEST_F(FrameSchedulerTest, RepeatedInvalidationPaintsOnce) {
   // The final label is what reached the server.
   bool found = false;
   for (const xserver::DrawOp& op :
-       server_.FindWindowForTest(b->window())->draw_ops) {
+       xserver::ServerTestPeer::FindWindow(server_, b->window())->draw_ops) {
     found = found || op.text == "label99";
   }
   EXPECT_TRUE(found);
@@ -132,7 +133,7 @@ TEST_F(SwmTest, IconBuiltWhileIconicIsPainted) {
   ASSERT_NE(name_obj, nullptr);
   auto label_drawn = [&](const std::string& text) {
     for (const xserver::DrawOp& op :
-         server_->FindWindowForTest(name_obj->window())->draw_ops) {
+         xserver::ServerTestPeer::FindWindow(*server_, name_obj->window())->draw_ops) {
       if (op.text == text) {
         return true;
       }

@@ -3,6 +3,7 @@
 #include "src/base/logging.h"
 #include "src/oi/toolkit.h"
 #include "src/xserver/server.h"
+#include "tests/server_test_peer.h"
 #include "tests/swm_test_util.h"
 
 namespace oi {
@@ -102,7 +103,7 @@ TEST_F(ToolkitTest, ButtonAttributesFromResources) {
   EXPECT_EQ(button->label(), "OK!");
   ASSERT_EQ(button->bindings().size(), 1u);
   EXPECT_EQ(button->bindings()[0].functions[0].name, "f.raise");
-  EXPECT_EQ(server_.FindWindowForTest(button->window())->background, '=');
+  EXPECT_EQ(xserver::ServerTestPeer::FindWindow(server_, button->window())->background, '=');
 }
 
 TEST_F(ToolkitTest, AttributeGenericAcrossTypes) {
@@ -472,7 +473,7 @@ TEST_F(ToolkitTest, ExposeTriggersRender) {
   // Expose damage is retained until the next frame flush.
   toolkit_->FlushFrame();
   // The render produced draw ops (border + label).
-  EXPECT_FALSE(server_.FindWindowForTest(button->window())->draw_ops.empty());
+  EXPECT_FALSE(xserver::ServerTestPeer::FindWindow(server_, button->window())->draw_ops.empty());
 }
 
 // ---- Search lists under the window manager ----------------------------------------
@@ -500,6 +501,50 @@ TEST_F(SearchListWmTest, RemanagingAClassReusesItsSearchLists) {
   EXPECT_GT(toolkit.query_stats().queries, queries);
   EXPECT_EQ(toolkit.search_path_count(), paths);
   EXPECT_EQ(toolkit.query_stats().trie_lookups, lookups);
+}
+
+TEST_F(SearchListWmTest, SwmLookupsOfOneClassShareSearchLists) {
+  // swm's own lookups (decoration, sticky, panel definitions) ask the
+  // toolkit under the client's prefix: the first manage of a class builds
+  // their lists, the second rebuilds none, and every lookup is a query.
+  StartWm();
+  const Toolkit& toolkit = wm_->toolkit(0);
+  auto first = Spawn("xterm", {"xterm", "XTerm"});
+  ASSERT_NE(Managed(*first), nullptr);
+  const size_t paths = toolkit.search_path_count();
+  const uint64_t lookups = toolkit.query_stats().trie_lookups;
+  const uint64_t queries = toolkit.query_stats().queries;
+  auto second = Spawn("xterm", {"xterm", "XTerm"});
+  swm::ManagedClient* client = Managed(*second);
+  ASSERT_NE(client, nullptr);
+  EXPECT_GT(toolkit.query_stats().queries, queries);
+  EXPECT_EQ(toolkit.search_path_count(), paths);
+  EXPECT_EQ(toolkit.query_stats().trie_lookups, lookups);
+
+  const uint64_t before = toolkit.query_stats().queries;
+  EXPECT_EQ(wm_->ClientResource(*client, "decoration"),
+            wm_->ClientResource(*Managed(*first), "decoration"));
+  EXPECT_FALSE(wm_->ClientResource(*client, "sticky").has_value());
+  EXPECT_TRUE(wm_->PanelDefinition(0, client->decoration_name).has_value());
+  EXPECT_EQ(toolkit.query_stats().queries, before + 4);
+  EXPECT_EQ(toolkit.query_stats().trie_lookups, lookups);
+  EXPECT_EQ(toolkit.search_path_count(), paths);
+}
+
+TEST_F(SearchListWmTest, RuntimePutReachesTheNextManageOfAClass) {
+  // A Put moves the database generation, so the next manage of a class
+  // rebuilds the list its decoration lookup keeps.
+  StartWm();
+  auto first = Spawn("probe", {"probe", "Probe"});
+  ASSERT_NE(Managed(*first), nullptr);
+  const std::string old_decoration = Managed(*first)->decoration_name;
+  ASSERT_NE(old_decoration, "probeDeco");
+  wm_->mutable_resources().Put("swm*panel.probeDeco", "button name +C+0 panel client +0+1");
+  wm_->mutable_resources().Put("swm*Probe*decoration", "probeDeco");
+  auto second = Spawn("probe", {"probe", "Probe"});
+  ASSERT_NE(Managed(*second), nullptr);
+  EXPECT_EQ(Managed(*second)->decoration_name, "probeDeco");
+  EXPECT_EQ(Managed(*first)->decoration_name, old_decoration);
 }
 
 TEST_F(SearchListWmTest, PutStickyToggleAndRestart) {

@@ -31,6 +31,13 @@ TEST(StartsEndsWithTest, Basic) {
   EXPECT_FALSE(EndsWith("cli", "client"));
 }
 
+TEST(CapitalizedTest, UppersFirstCharacterOnly) {
+  EXPECT_EQ(Capitalized("screen0"), "Screen0");
+  EXPECT_EQ(Capitalized("iconHolder"), "IconHolder");
+  EXPECT_EQ(Capitalized("Swm"), "Swm");
+  EXPECT_EQ(Capitalized(""), "");
+}
+
 TEST(ParseIntTest, Basic) {
   EXPECT_EQ(ParseInt("42"), 42);
   EXPECT_EQ(ParseInt("-50"), -50);

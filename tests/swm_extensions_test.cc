@@ -2,6 +2,7 @@
 // method), resizeCorners handles (§4.1.1), and multiple Virtual Desktops
 // (the §6.3.1 proposal).
 #include "src/swm/scrollbars.h"
+#include "tests/server_test_peer.h"
 #include "tests/swm_test_util.h"
 
 namespace swm_test {
@@ -47,7 +48,8 @@ TEST_F(ScrollbarTest, ThumbReflectsOffset) {
   wm_->ExecuteCommandString("f.panTo(400, 0)", 0);
   wm_->ProcessEvents();
   // Desktop 800 wide, track 199 cells: thumb at 199*400/800 = 99.
-  const xserver::WindowRec* rec = server_->FindWindowForTest(bars_->horizontal());
+  const xserver::WindowRec* rec =
+      xserver::ServerTestPeer::FindWindow(*server_, bars_->horizontal());
   ASSERT_FALSE(rec->draw_ops.empty());
   EXPECT_EQ(rec->draw_ops.back().rect.x, 199 * 400 / 800);
 }
@@ -341,7 +343,7 @@ TEST_F(SwmTest, BorderWidthAttribute) {
   StartWm("Swm*button.name.borderWidth: 2\n");
   auto app = Spawn("xterm", {"xterm", "XTerm"});
   const xserver::WindowRec* rec =
-      server_->FindWindowForTest(Managed(*app)->name_object->window());
+      xserver::ServerTestPeer::FindWindow(*server_, Managed(*app)->name_object->window());
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->border_width, 2);
 }

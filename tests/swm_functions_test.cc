@@ -2,6 +2,7 @@
 // (paper §4.4, §4.5).
 #include "src/swm/swmcmd.h"
 #include "src/xlib/icccm.h"
+#include "tests/server_test_peer.h"
 #include "tests/swm_test_util.h"
 
 namespace swm_test {
@@ -141,7 +142,7 @@ TEST_F(FunctionsTest, SwmcmdWithoutTargetPromptsLikeThePaper) {
   swm::SendSwmCommand(&shell, 0, "f.raise");
   wm_->ProcessEvents();
   EXPECT_TRUE(wm_->awaiting_target());
-  EXPECT_EQ(server_->FindWindowForTest(server_->RootWindow(0))->cursor_name,
+  EXPECT_EQ(xserver::ServerTestPeer::FindWindow(*server_, server_->RootWindow(0))->cursor_name,
             "question_arrow");
 
   // Click on alpha's frame: it gets raised, prompt ends.
@@ -391,8 +392,9 @@ TEST_F(FunctionsTest, RefreshRedrawsEverything) {
   StartWm("swm*rootPanels: RootPanel\n");
   auto app = Spawn("xterm", {"xterm", "XTerm"});
   Execute("f.refresh");  // Mostly: must not crash and keeps draw lists.
-  EXPECT_FALSE(server_->FindWindowForTest(Managed(*app)->name_object->window())
-                   ->draw_ops.empty());
+  EXPECT_FALSE(
+      xserver::ServerTestPeer::FindWindow(*server_, Managed(*app)->name_object->window())
+          ->draw_ops.empty());
 
   // A popped-up menu is on screen too.
   server_->SimulateMotion({120, 60});

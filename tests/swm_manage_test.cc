@@ -254,6 +254,42 @@ TEST_F(SwmTest, ExistingWindowsManagedAtStartup) {
   EXPECT_NE(server_->QueryTree(app->window())->parent, server_->RootWindow(0));
 }
 
+TEST_F(SwmTest, OwnWindowsAreNeverManaged) {
+  // swm knows its own windows by their ids: its connection's id range.  A
+  // root icon is a mapped child of the root when Start() adopts the
+  // windows already there; it must be skipped, and the early client taken.
+  server_ = std::make_unique<xserver::Server>(
+      std::vector<xserver::ScreenConfig>{xserver::ScreenConfig{200, 100, false}});
+  xlib::ClientAppConfig config;
+  config.name = "early";
+  config.wm_class = {"early", "Early"};
+  auto app = std::make_unique<xlib::ClientApp>(server_.get(), config);
+  app->Map();
+  swm::WindowManager::Options options;
+  options.template_name = "openlook";
+  options.resources =
+      "swm*rootIcons: trash\n"
+      "swm*panel.trash: button iconimage +C+0\n";
+  wm_ = std::make_unique<swm::WindowManager>(server_.get(), options);
+  ASSERT_TRUE(wm_->Start());
+  std::vector<xproto::WindowId> own_mapped;
+  std::optional<xserver::QueryTreeReply> tree = server_->QueryTree(server_->RootWindow(0));
+  ASSERT_TRUE(tree.has_value());
+  for (xproto::WindowId child : tree->children) {
+    if (server_->IsViewable(child)) {
+      own_mapped.push_back(child);
+    }
+  }
+  ASSERT_FALSE(own_mapped.empty());  // The root icon and the early client's frame.
+  for (xproto::WindowId window : own_mapped) {
+    EXPECT_EQ(wm_->FindClient(window), nullptr);
+    // Handing one to ManageWindow directly is refused as well.
+    EXPECT_EQ(wm_->ManageWindow(window, 0), nullptr);
+  }
+  ASSERT_NE(Managed(*app), nullptr);
+  EXPECT_EQ(wm_->ClientCount(), 1u);
+}
+
 TEST_F(SwmTest, SyntheticConfigureTellsClientItsDesktopPosition) {
   StartWm();
   auto app = Spawn("xterm", {"xterm", "XTerm"});

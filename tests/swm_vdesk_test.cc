@@ -4,6 +4,7 @@
 
 #include "src/xlib/icccm.h"
 #include "src/xproto/hints.h"
+#include "tests/server_test_peer.h"
 #include "tests/swm_test_util.h"
 
 namespace swm_test {
@@ -333,7 +334,7 @@ TEST_F(PannerTest, MiniatureReflectsWindows) {
   wm_->MoveFrameTo(Managed(*app), {100, 100});
   wm_->ProcessEvents();
   // The panner's draw list contains a box at (10,10) (scale 10).
-  const xserver::WindowRec* rec = server_->FindWindowForTest(panner_->window());
+  const xserver::WindowRec* rec = xserver::ServerTestPeer::FindWindow(*server_, panner_->window());
   ASSERT_NE(rec, nullptr);
   bool found = false;
   for (const xserver::DrawOp& op : rec->draw_ops) {
@@ -591,7 +592,8 @@ TEST_P(PannerReconcileTest, IncrementalScreenMatchesFullRedraw) {
     ASSERT_EQ(incremental.Screen(), full.Screen())
         << "step " << i << " kind " << step.kind << " seed " << GetParam();
     Panner* panner = incremental.panner();
-    const xserver::WindowRec* rec = incremental.server->FindWindowForTest(panner->window());
+    const xserver::WindowRec* rec =
+        xserver::ServerTestPeer::FindWindow(*incremental.server, panner->window());
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->draw_ops.size(), panner->list_ops());
     ASSERT_LE(panner->list_ops(), Panner::ListBound(panner->boxes().size()))

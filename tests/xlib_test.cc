@@ -32,6 +32,16 @@ TEST_F(XlibTest, ConnectionLifecycle) {
   EXPECT_EQ(server_.ClientMachine(3), "");
 }
 
+TEST_F(XlibTest, OwnsIdCoversOnlyTheConnectionsOwnRange) {
+  Display other(&server_, "other");
+  xproto::WindowId theirs = other.CreateWindow(other.RootWindow(0), {0, 0, 5, 5});
+  EXPECT_TRUE(dpy_.OwnsId(win_));
+  EXPECT_FALSE(dpy_.OwnsId(theirs));
+  EXPECT_TRUE(other.OwnsId(theirs));
+  EXPECT_FALSE(other.OwnsId(win_));
+  EXPECT_FALSE(dpy_.OwnsId(dpy_.RootWindow(0)));  // Slot 0 is the server's.
+}
+
 TEST_F(XlibTest, TypedStringProperty) {
   EXPECT_TRUE(dpy_.SetStringProperty(win_, "MY_PROP", "value"));
   EXPECT_EQ(dpy_.GetStringProperty(win_, "MY_PROP"), "value");

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <span>
 
 #include "src/base/interner.h"
 #include "src/xrdb/database.h"
@@ -191,30 +190,15 @@ TEST_P(XrdbDifferentialTest, MatchesBruteForceReference) {
     ASSERT_EQ(trie_result, reference)
         << "round " << round << "\ndb:\n"
         << db.Serialize() << "query names: " << names.size() << " deep";
-
-    // The pre-interned symbol overload (the toolkit fast path) must agree
-    // with the string overload on the same query.
-    xbase::SymbolInterner& interner = xbase::SymbolInterner::Global();
-    std::vector<xbase::Symbol> name_symbols;
-    std::vector<xbase::Symbol> class_symbols;
-    for (int d = 0; d < depth; ++d) {
-      name_symbols.push_back(interner.Intern(names[d]));
-      class_symbols.push_back(interner.Intern(classes[d]));
-    }
-    std::optional<std::string> symbol_result =
-        db.Get(std::span<const xbase::Symbol>(name_symbols),
-               std::span<const xbase::Symbol>(class_symbols));
-    ASSERT_EQ(symbol_result, trie_result) << "round " << round << "\ndb:\n"
-                                          << db.Serialize();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XrdbDifferentialTest, ::testing::Range(1, 21));
 
 // Collision-heavy variant: query name and class frequently coincide (and
-// may equal "?"), so the candidate deduplication in Match is constantly
-// exercised — a wrongly dropped probe or a double-searched subtree with a
-// precedence bug diverges from the reference immediately.  Queries run
+// may equal "?"), so the candidate deduplication in VisitCandidates is
+// constantly exercised — a wrongly dropped probe or a double-searched
+// subtree with a precedence bug diverges from the reference immediately.  Queries run
 // deeper (up to 6) to cover skip-chains through loose bindings.
 class XrdbCollisionDifferentialTest : public ::testing::TestWithParam<int> {};
 

@@ -13,6 +13,7 @@
 #include <set>
 
 #include "src/xserver/server.h"
+#include "tests/server_test_peer.h"
 
 namespace xserver {
 namespace {
@@ -299,7 +300,7 @@ class ClientIndexFuzzTest : public ::testing::TestWithParam<int> {
       std::vector<WindowId> held;
       std::multiset<WindowId> saved;
       for (WindowId window : live) {
-        const WindowRec* rec = server_.FindWindowForTest(window);
+        const WindowRec* rec = xserver::ServerTestPeer::FindWindow(server_, window);
         if (Holds(*rec, client)) {
           held.push_back(window);
         }
@@ -317,7 +318,7 @@ class ClientIndexFuzzTest : public ::testing::TestWithParam<int> {
   void CheckGone(ClientId departed) const {
     EXPECT_FALSE(server_.ClientIndexForTest(departed).has_value());
     for (WindowId window : LiveWindows()) {
-      const WindowRec* rec = server_.FindWindowForTest(window);
+      const WindowRec* rec = xserver::ServerTestPeer::FindWindow(server_, window);
       EXPECT_NE(rec->owner, departed);
       EXPECT_EQ(server_.SelectedInput(departed, window), 0u);
       EXPECT_FALSE(Holds(*rec, departed)) << "window " << window;

@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "tests/server_test_peer.h"
+
 namespace xserver {
 namespace {
 
@@ -526,7 +528,7 @@ TEST_F(ServerTest, DisconnectDropsStateOnOtherClientsWindows) {
   EXPECT_EQ(server_.SelectedInput(wm_, selected), 0u);
   // The departed client's passive grab no longer conflicts.
   EXPECT_TRUE(server_.GrabButton(other, grabbed, 1, 0, xproto::kButtonPressMask));
-  EXPECT_TRUE(server_.FindWindowForTest(shaped)->shape_selections.empty());
+  EXPECT_TRUE(xserver::ServerTestPeer::FindWindow(server_, shaped)->shape_selections.empty());
   EXPECT_EQ(server_.ClientIndexForTest(client_)->owned,
             (std::vector<WindowId>{selected, grabbed, shaped}));
 }
