@@ -49,7 +49,7 @@ void BM_ManageShapedClient(benchmark::State& state) {
     xlib::ClientApp app(server.get(), config);
     app.Map();
     wm->ProcessEvents();
-    benchmark::DoNotOptimize(server->IsShaped(app.window()));
+    benchmark::DoNotOptimize(app.display().IsShaped(app.window()));
     state.PauseTiming();
     app.display().DestroyWindow(app.window());
     wm->ProcessEvents();
@@ -100,7 +100,7 @@ void BM_ShapedHitTest(benchmark::State& state) {
                                               {0, 0, 128, 128}, 0,
                                               xproto::WindowClass::kInputOutput, false);
   server->MapWindow(client, win);
-  server->ShapeSetMask(client, win, xbase::CircleMask(128));
+  server->ShapeSetRegion(client, win, xbase::CircleMask(128).ToRegion());
   int toggle = 0;
   for (auto _ : state) {
     // Alternate inside/outside the circle.

@@ -13,6 +13,10 @@
 //                            one iteration is requests_per_iteration
 //                            requests, so ns per request is the time per
 //                            iteration divided by that.
+//   BM_Display_DirectQueries the queries swm asks most, through the same
+//                            in-process Display: answered by
+//                            Server::Answer, no bytes and no sequence slot;
+//                            queries_per_iteration per iteration.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -246,6 +250,44 @@ void BM_Display_DirectRequests(benchmark::State& state) {
   state.counters["requests_per_iteration"] = kRequestsPerIteration;
 }
 BENCHMARK(BM_Display_DirectRequests);
+
+// What swm asks while managing and moving a client: the frame's geometry,
+// attributes, title and children, the client's root position, the pointer.
+void BM_Display_DirectQueries(benchmark::State& state) {
+  xbase::SetMinLogSeverity(xbase::LogSeverity::kFatal);
+  xserver::Server server;
+  xlib::Display display(&server, "bench-direct");
+  xproto::AtomId name = display.InternAtom("WM_NAME");
+  constexpr int kWindows = 16;
+  std::vector<xproto::WindowId> frames;
+  std::vector<xproto::WindowId> clients;
+  for (int i = 0; i < kWindows; ++i) {
+    frames.push_back(display.CreateWindow(display.RootWindow(0), {i * 8, i * 6, 120, 80}));
+    clients.push_back(display.CreateWindow(frames.back(), {0, 1, 120, 79}));
+    display.SetStringProperty(frames.back(), "WM_NAME", "xterm: ~/src/swm");
+    display.MapWindow(clients.back());
+    display.MapWindow(frames.back());
+  }
+  xproto::WindowId root = display.RootWindow(0);
+  constexpr int kQueriesPerIteration = 6;
+  uint64_t requests_before = display.RequestCount();
+  int i = 0;
+  for (auto _ : state) {
+    xproto::WindowId frame = frames[i % kWindows];
+    benchmark::DoNotOptimize(display.GetGeometry(frame));
+    benchmark::DoNotOptimize(display.GetWindowAttributes(frame));
+    benchmark::DoNotOptimize(display.GetProperty(frame, name));
+    benchmark::DoNotOptimize(display.QueryTree(frame));
+    benchmark::DoNotOptimize(display.TranslateCoordinates(clients[i % kWindows], root, {0, 0}));
+    benchmark::DoNotOptimize(display.QueryPointer());
+    ++i;
+  }
+  if (display.ErrorCount() != 0 || display.RequestCount() != requests_before) {
+    state.SkipWithError("an in-process query took a sequence slot or raised an error");
+  }
+  state.counters["queries_per_iteration"] = kQueriesPerIteration;
+}
+BENCHMARK(BM_Display_DirectQueries);
 
 }  // namespace
 

@@ -29,7 +29,7 @@ DesktopScrollbars::DesktopScrollbars(WindowManager* wm, int screen)
 DesktopScrollbars::~DesktopScrollbars() {
   xlib::Display& dpy = wm_->display();
   for (xproto::WindowId window : {horizontal_, vertical_}) {
-    if (window != xproto::kNone && dpy.server().WindowExists(window)) {
+    if (window != xproto::kNone && dpy.GetGeometry(window).has_value()) {
       dpy.DestroyWindow(window);
     }
   }

@@ -25,7 +25,7 @@ VirtualDesktop::VirtualDesktop(xlib::Display* display, int screen, xbase::Size s
 }
 
 VirtualDesktop::~VirtualDesktop() {
-  if (display_->server().WindowExists(window_)) {
+  if (display_->GetGeometry(window_).has_value()) {
     display_->DestroyWindow(window_);
   }
 }

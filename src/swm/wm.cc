@@ -36,8 +36,7 @@ xbase::Point ManagedClient::ClientDesktopPosition() const {
 }
 
 WindowManager::WindowManager(xserver::Server* server, Options options)
-    : server_(server),
-      display_(server, "localhost"),
+    : display_(server, "localhost"),
       aux_display_(server, "localhost"),
       options_(std::move(options)) {
   display_.SetErrorHandler([this](const xproto::XError& error) { OnXError(error); });
@@ -71,7 +70,9 @@ void WindowManager::OnXError(const xproto::XError& error) {
   // the event loop runs once the stack has unwound.  Charging the ledger is
   // pure bookkeeping: a client whose windows keep raising errors drains its
   // misbehavior budget like any other flood.
-  if (error.resource_id != xproto::kNone) {
+  // A refused query says so itself (its answer is empty) and suspects
+  // nothing: the liveness probe HealSuspects runs is such a query.
+  if (error.resource_id != xproto::kNone && !xproto::RequestHasReply(error.request)) {
     if (clients_.count(error.resource_id) != 0) {
       ledger_.Charge(error.resource_id, ledger_.policy().error_cost);
     }
@@ -87,7 +88,7 @@ void WindowManager::HealSuspects() {
   suspects.swap(suspect_windows_);
   bool any_dead = false;
   for (xproto::WindowId window : suspects) {
-    if (server_->WindowExists(window)) {
+    if (WindowAlive(window)) {
       continue;  // Transient error (BadMatch on a live window, say).
     }
     any_dead = true;
@@ -105,7 +106,7 @@ void WindowManager::HealSuspects() {
   // client window itself: sweep every managed client for liveness.
   std::vector<xproto::WindowId> dead;
   for (const auto& [window, client] : clients_) {
-    if (!server_->WindowExists(window)) {
+    if (!WindowAlive(window)) {
       dead.push_back(window);
     }
   }
@@ -132,7 +133,7 @@ WindowManager::~WindowManager() {
     windows.push_back(window);
   }
   for (xproto::WindowId window : windows) {
-    bool exists = server_->WindowExists(window);
+    bool exists = WindowAlive(window);
     // Re-map iconified clients: a successor's ManageExistingWindows skips
     // unmapped windows, and the restart record carries their iconic state.
     if (exists) {
@@ -498,8 +499,13 @@ ManagedClient* WindowManager::FindClientByAnyWindow(xproto::WindowId window) {
 }
 
 int WindowManager::ScreenOf(xproto::WindowId window) const {
-  int screen = server_->ScreenOfWindow(window);
-  return screen < 0 ? 0 : screen;
+  std::optional<xserver::QueryTreeReply> tree = display_.QueryTree(window);
+  for (int screen = 0; tree.has_value() && screen < display_.ScreenCount(); ++screen) {
+    if (display_.RootWindow(screen) == tree->root) {
+      return screen;
+    }
+  }
+  return 0;
 }
 
 xproto::WindowId WindowManager::FrameParent(int screen, bool sticky) {
@@ -764,7 +770,7 @@ void WindowManager::ApplyClientShapeToFrame(ManagedClient* client) {
       !client->frame->Attribute("shapeMask").has_value()) {
     return;
   }
-  std::optional<xbase::Region> client_shape = server_->GetShape(client->window);
+  std::optional<xbase::Region> client_shape = display_.GetShape(client->window);
   if (!client_shape.has_value()) {
     return;
   }

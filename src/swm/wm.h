@@ -164,6 +164,7 @@ class WindowManager {
     int paint_threads = 1;
   };
 
+  // Opens swm's two connections to `server` and keeps no other hold on it.
   WindowManager(xserver::Server* server, Options options);
   ~WindowManager();
 
@@ -393,6 +394,20 @@ class WindowManager {
   void ManageExistingWindows(int screen);
 
   // ---- Manage helpers ----------------------------------------------------------
+  // A client's specific-resource prefix (paper §3; wm_manage.cc).
+  struct ResourcePrefix {
+    std::vector<std::string> names;
+    std::vector<std::string> classes;
+  };
+  static ResourcePrefix ClientPrefix(const ManagedClient& client, bool with_transient);
+  // Liveness probe: a query on a dead window has no answer.
+  bool WindowAlive(xproto::WindowId window) const {
+    return display_.GetGeometry(window).has_value();
+  }
+  // `window`'s top-left in `screen`'s root coordinates; nullopt when gone.
+  std::optional<xbase::Point> RootPosition(xproto::WindowId window, int screen) const {
+    return display_.TranslateCoordinates(window, display_.RootWindow(screen), {0, 0});
+  }
   std::string ChooseDecoration(const ManagedClient& client) const;
   std::unique_ptr<oi::Panel> BuildFrame(ManagedClient* client);
   // resizeCorners (paper §4.1.1): adds four floating corner handles bound
@@ -474,7 +489,6 @@ class WindowManager {
   // The screen a managed/related window lives on.
   int ScreenOf(xproto::WindowId window) const;
 
-  xserver::Server* server_;
   xlib::Display display_;      // The WM's own connection.
   xlib::Display aux_display_;  // "Client-like" connection owning root panels/panner
                                // toplevels so they are themselves reparented/managed.

@@ -543,19 +543,20 @@ bool WindowManager::HandleDrag(const xproto::Event& event) {
     if (p == nullptr || drag_.mode != DragState::Mode::kMove) {
       return std::nullopt;
     }
-    if (!server_->IsViewable(p->window())) {
+    std::optional<xserver::WindowAttributes> attrs = display_.GetWindowAttributes(p->window());
+    if (!attrs.has_value() || attrs->map_state != xproto::MapState::kViewable) {
       return std::nullopt;
     }
-    xbase::Point origin = server_->RootPosition(p->window());
+    std::optional<xbase::Point> origin = RootPosition(p->window(), client->screen);
     std::optional<xbase::Rect> geometry = display_.GetGeometry(p->window());
-    if (!geometry.has_value()) {
+    if (!origin.has_value() || !geometry.has_value()) {
       return std::nullopt;
     }
-    xbase::Rect on_screen{origin.x, origin.y, geometry->width, geometry->height};
+    xbase::Rect on_screen{origin->x, origin->y, geometry->width, geometry->height};
     if (!on_screen.Contains(root_pos)) {
       return std::nullopt;
     }
-    return p->PannerToDesktop({root_pos.x - origin.x, root_pos.y - origin.y});
+    return p->PannerToDesktop({root_pos.x - origin->x, root_pos.y - origin->y});
   };
   auto apply = [&](const xbase::Point& root_pos) {
     int dx = root_pos.x - drag_.start_pointer.x;

@@ -41,7 +41,7 @@ int WindowManager::ScreenOfContext(const oi::ActionContext& context) const {
   if (context.object != nullptr) {
     return ScreenOf(context.object->window());
   }
-  return server_->QueryPointer().screen;
+  return display_.QueryPointer().screen;
 }
 
 std::vector<ManagedClient*> WindowManager::ResolveTargets(
@@ -68,7 +68,7 @@ std::vector<ManagedClient*> WindowManager::ResolveTargets(
     }
     if (arg == "#$") {
       // The window under the mouse.
-      xserver::PointerState pointer = server_->QueryPointer();
+      xserver::PointerState pointer = display_.QueryPointer();
       if (ManagedClient* client = FindClientByAnyWindow(pointer.window)) {
         targets.push_back(client);
       }
@@ -229,7 +229,7 @@ void WindowManager::ExecuteFunction(const xtb::FunctionCall& function,
     int delta = function.args.empty()
                     ? 0
                     : xbase::ParseInt(function.args[0]).value_or(0);
-    xserver::PointerState pointer = server_->QueryPointer();
+    xserver::PointerState pointer = display_.QueryPointer();
     display_.WarpPointer(pointer.screen,
                          {pointer.root_pos.x, pointer.root_pos.y + delta});
     return;
@@ -238,7 +238,7 @@ void WindowManager::ExecuteFunction(const xtb::FunctionCall& function,
     int delta = function.args.empty()
                     ? 0
                     : xbase::ParseInt(function.args[0]).value_or(0);
-    xserver::PointerState pointer = server_->QueryPointer();
+    xserver::PointerState pointer = display_.QueryPointer();
     display_.WarpPointer(pointer.screen,
                          {pointer.root_pos.x + delta, pointer.root_pos.y});
     return;
@@ -409,7 +409,7 @@ bool WindowManager::ExecuteCommandString(const std::string& text, int screen) {
     return false;
   }
   oi::ActionContext context;
-  context.root_pos = server_->QueryPointer().root_pos;
+  context.root_pos = display_.QueryPointer().root_pos;
   for (const xtb::FunctionCall& function : *functions) {
     ExecuteFunction(function, context);
   }

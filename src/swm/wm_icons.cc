@@ -44,15 +44,9 @@ void WindowManager::BuildIcon(ManagedClient* client) {
   xproto::WindowId parent =
       holder != nullptr ? holder->window() : FrameParent(client->screen, client->sticky);
 
-  std::vector<std::string> prefix_names;
-  std::vector<std::string> prefix_classes;
-  if (!client->wm_class.clazz.empty()) {
-    prefix_names = {client->wm_class.clazz, client->wm_class.instance};
-    prefix_classes = prefix_names;
-  }
-  std::unique_ptr<oi::Panel> icon =
-      state.toolkit->BuildPanelTree(icon_panel_name, parent, lookup, prefix_names,
-                                    prefix_classes);
+  ResourcePrefix prefix = ClientPrefix(*client, /*with_transient=*/false);
+  std::unique_ptr<oi::Panel> icon = state.toolkit->BuildPanelTree(
+      icon_panel_name, parent, lookup, prefix.names, prefix.classes);
   if (icon == nullptr) {
     // Fallback: a bare one-button icon.
     icon = state.toolkit->CreatePanel(nullptr, parent, icon_panel_name);
@@ -66,11 +60,11 @@ void WindowManager::BuildIcon(ManagedClient* client) {
   // window" — that window is reparented into the slot; `iconname` shows
   // WM_ICON_NAME.
   if (oi::Object* image_obj = icon->FindDescendant("iconimage")) {
-    bool has_icon_window = (client->wm_hints.flags & xproto::kIconWindowHint) != 0 &&
-                           server_->WindowExists(client->wm_hints.icon_window);
-    if (has_icon_window) {
-      std::optional<xbase::Rect> icon_win_geometry =
-          display_.GetGeometry(client->wm_hints.icon_window);
+    std::optional<xbase::Rect> icon_win_geometry =
+        (client->wm_hints.flags & xproto::kIconWindowHint) != 0
+            ? display_.GetGeometry(client->wm_hints.icon_window)
+            : std::nullopt;
+    if (icon_win_geometry.has_value()) {
       image_obj->SetSizeOverride(icon_win_geometry->size());
       display_.ReparentWindow(client->wm_hints.icon_window, image_obj->window(),
                               {0, 0});
@@ -244,7 +238,7 @@ IconHolder::IconHolder(WindowManager* wm, int screen, std::string name)
 }
 
 IconHolder::~IconHolder() {
-  if (wm_->display().server().WindowExists(window_)) {
+  if (wm_->display().GetGeometry(window_).has_value()) {
     wm_->display().DestroyWindow(window_);
   }
 }

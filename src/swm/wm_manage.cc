@@ -23,6 +23,14 @@ std::string TransientCycleLogKey(xproto::WindowId window) {
   return "swm:transient-cycle:" + std::to_string(window);
 }
 
+// The event mask swm's own connection selected on `window` (0 when gone).
+uint32_t OwnSelection(const xlib::Display& display, xproto::WindowId window) {
+  std::optional<xserver::WindowAttributes> attrs = display.GetWindowAttributes(window);
+  return attrs.has_value() ? attrs->your_event_mask : 0;
+}
+
+}  // namespace
+
 // A client's specific-resource prefix (paper §3): the "sticky" (§6.2) and
 // "shaped" markers — "swm recognizes if a client window is shaped and adds
 // the string shaped to the beginning of the resource strings" (§5) — then
@@ -31,12 +39,9 @@ std::string TransientCycleLogKey(xproto::WindowId window) {
 // "swm*transient*button.name.label" reaches a transient's frame objects.
 // ClientResource lookups (decoration, sticky, icon) leave it out, as they
 // always have: "swm*transient*decoration" does not choose a decoration.
-struct ResourcePrefix {
-  std::vector<std::string> names;
-  std::vector<std::string> classes;
-};
-
-ResourcePrefix ClientPrefix(const ManagedClient& client, bool with_transient) {
+// Icon trees take the ClientResource prefix.
+WindowManager::ResourcePrefix WindowManager::ClientPrefix(const ManagedClient& client,
+                                                          bool with_transient) {
   ResourcePrefix prefix;
   auto add = [&prefix](const std::string& name, const std::string& clazz) {
     prefix.names.push_back(name);
@@ -57,8 +62,6 @@ ResourcePrefix ClientPrefix(const ManagedClient& client, bool with_transient) {
   }
   return prefix;
 }
-
-}  // namespace
 
 xproto::WindowId WindowManager::BreakTransientCycle(xproto::WindowId window,
                                                     xproto::WindowId owner) {
@@ -246,7 +249,7 @@ ManagedClient* WindowManager::ManageWindow(xproto::WindowId window, int screen) 
   tree_owner_[client->frame.get()] = window;
   clients_[window] = std::move(owned);
   auto died_mid_manage = [&]() {
-    if (!options_.self_heal || server_->WindowExists(window)) {
+    if (!options_.self_heal || WindowAlive(window)) {
       return false;
     }
     XB_LOG(Warning) << "swm: window " << window
@@ -300,8 +303,7 @@ ManagedClient* WindowManager::ManageWindow(xproto::WindowId window, int screen) 
   display_.AddToSaveSet(window);
   // Preserve any selection swm already holds on this window (the panner's
   // pointer-event selection, notably).
-  display_.SelectInput(window, server_->SelectedInput(display_.client_id(), window) |
-                                   xproto::kStructureNotifyMask |
+  display_.SelectInput(window, OwnSelection(display_, window) | xproto::kStructureNotifyMask |
                                    xproto::kPropertyChangeMask);
   display_.ShapeSelect(window, true);
   // The gap just crossed (reparent → SelectInput) is the one where a client
@@ -312,7 +314,7 @@ ManagedClient* WindowManager::ManageWindow(xproto::WindowId window, int screen) 
   // Hold SubstructureRedirect on the client's new parent, so its own
   // configure/map requests keep coming to swm now that it is off the root.
   uint32_t panel_mask =
-      server_->SelectedInput(display_.client_id(), client->client_panel->window());
+      OwnSelection(display_, client->client_panel->window());
   display_.SelectInput(client->client_panel->window(),
                        panel_mask | xproto::kSubstructureRedirectMask |
                            xproto::kSubstructureNotifyMask);
@@ -383,8 +385,7 @@ void WindowManager::UnmanageWindow(xproto::WindowId window, bool reparent_back) 
   }
   if (client->icon != nullptr) {
     // Give a client-supplied icon window back before its slot is destroyed.
-    if (client->uses_icon_window &&
-        server_->WindowExists(client->wm_hints.icon_window)) {
+    if (client->uses_icon_window && WindowAlive(client->wm_hints.icon_window)) {
       display_.UnmapWindow(client->wm_hints.icon_window);
       display_.ReparentWindow(client->wm_hints.icon_window,
                               display_.RootWindow(client->screen), {0, 0});
@@ -396,10 +397,11 @@ void WindowManager::UnmanageWindow(xproto::WindowId window, bool reparent_back) 
     tree_owner_.erase(client->frame.get());
   }
   int screen = client->screen;
-  if (reparent_back && server_->WindowExists(window)) {
-    xbase::Point root_pos = server_->RootPosition(window);
+  std::optional<xbase::Point> root_pos =
+      reparent_back ? RootPosition(window, client->screen) : std::nullopt;
+  if (root_pos.has_value()) {
     ++client->ignore_unmaps;
-    display_.ReparentWindow(window, display_.RootWindow(client->screen), root_pos);
+    display_.ReparentWindow(window, display_.RootWindow(client->screen), *root_pos);
     display_.RemoveFromSaveSet(window);
     xlib::SetWmState(&display_, window, xproto::WmState::kWithdrawn, xproto::kNone);
   }
@@ -426,9 +428,9 @@ void WindowManager::ReDecorate(ManagedClient* client) {
     return;
   }
   // Preserve the on-glass position of the *client* across the rebuild.
-  xbase::Point screen_pos = server_->RootPosition(client->window);
+  std::optional<xbase::Point> screen_pos = RootPosition(client->window, client->screen);
   std::optional<xbase::Rect> client_geometry = display_.GetGeometry(client->window);
-  if (!client_geometry.has_value()) {
+  if (!screen_pos.has_value() || !client_geometry.has_value()) {
     return;
   }
   bool was_mapped = client->state == xproto::WmState::kNormal;
@@ -436,7 +438,7 @@ void WindowManager::ReDecorate(ManagedClient* client) {
   tree_owner_.erase(client->frame.get());
   // Park the client on the root while the old tree is destroyed.
   ++client->ignore_unmaps;
-  display_.ReparentWindow(client->window, display_.RootWindow(client->screen), screen_pos);
+  display_.ReparentWindow(client->window, display_.RootWindow(client->screen), *screen_pos);
   client->frame.reset();
 
   client->decoration_name = ChooseDecoration(*client);
@@ -454,9 +456,9 @@ void WindowManager::ReDecorate(ManagedClient* client) {
   // New frame parent coordinates that keep the client at screen_pos.
   ScreenState& state = screens_[client->screen];
   xbase::Point client_offset = client->ClientOffset();
-  xbase::Point parent_pos = screen_pos;
+  xbase::Point parent_pos = *screen_pos;
   if (!client->sticky && state.vdesk() != nullptr) {
-    parent_pos = state.vdesk()->ScreenToDesktop(screen_pos);
+    parent_pos = state.vdesk()->ScreenToDesktop(*screen_pos);
   }
   client->frame->SetGeometry(xbase::Rect{parent_pos.x - client_offset.x,
                                          parent_pos.y - client_offset.y,
@@ -465,7 +467,7 @@ void WindowManager::ReDecorate(ManagedClient* client) {
   ++client->ignore_unmaps;
   display_.ReparentWindow(client->window, client->client_panel->window(), {0, 0});
   uint32_t panel_mask =
-      server_->SelectedInput(display_.client_id(), client->client_panel->window());
+      OwnSelection(display_, client->client_panel->window());
   display_.SelectInput(client->client_panel->window(),
                        panel_mask | xproto::kSubstructureRedirectMask |
                            xproto::kSubstructureNotifyMask);

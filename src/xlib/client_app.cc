@@ -93,7 +93,7 @@ void ClientApp::ProcessEvents() {
 
 xproto::WindowId ClientApp::EffectiveRootForPopups() {
   auto swm_root = display_.GetWindowIdProperty(window_, xproto::kAtomSwmRoot);
-  if (swm_root.has_value() && display_.server().WindowExists(*swm_root)) {
+  if (swm_root.has_value() && display_.GetGeometry(*swm_root).has_value()) {
     return *swm_root;
   }
   return display_.RootWindow(config_.screen);

@@ -24,22 +24,12 @@ constexpr int64_t kRemoteRoundTripMs = 5000;
 Display::Display(xserver::Server* server, std::string client_machine)
     : server_(server), machine_(std::move(client_machine)) {
   client_ = server_->Connect(machine_);
-  id_base_ = server_->IdBase(client_);
-  TakeIdRun(id_base_, uint64_t{server_->IdMask(client_)} + 1);
-  server_->SetErrorCallback(client_, [this](const xproto::XError& error) {
-    last_error_ = error;
-    if (error_handler_) {
-      error_handler_(error);
-    } else {
-      XB_LOG(Warning) << "X error: " << xproto::ErrorText(error);
-    }
-  });
+  Setup();
+  server_->SetErrorCallback(client_, [this](const xproto::XError& error) { ReportError(error); });
 }
 
 Display::Display(const std::string& socket_path, std::string client_machine)
     : server_(nullptr), client_(0), machine_(std::move(client_machine)) {
-  // Remote displays have no direct-call path: everything is wire.
-  wire_mode_ = true;
   std::unique_ptr<xproto::ByteChannel> channel = xproto::ConnectSocket(socket_path);
   if (channel == nullptr) {
     XB_LOG(Warning) << "display: cannot connect to " << socket_path;
@@ -50,27 +40,22 @@ Display::Display(const std::string& socket_path, std::string client_machine)
     return;
   }
   endpoint_ = std::make_unique<xproto::WireClientEndpoint>(std::move(channel));
-  // Connection setup: learn the screen table.  Failure (timeout, dead
-  // socket) leaves screens_ empty and Connected() false.
-  std::optional<xproto::Reply> reply = RemoteRoundTrip(xproto::QueryScreensRequest{});
-  if (reply.has_value()) {
-    if (const auto* r = std::get_if<xproto::ScreensReply>(&*reply)) {
-      id_base_ = r->id_base;
-      TakeIdRun(id_base_, uint64_t{r->id_mask} + 1);
-      int number = 0;
-      for (const auto& s : r->screens) {
-        xserver::ScreenInfo info;
-        info.number = number++;
-        info.root = s.root;
-        info.size = xbase::Size{s.width, s.height};
-        info.monochrome = s.monochrome;
-        screens_.push_back(info);
-      }
-    }
-  }
+  // A failed handshake (timeout, dead socket) leaves Connected() false.
+  Setup();
   if (screens_.empty()) {
     XB_LOG(Warning) << "display: QueryScreens handshake failed on " << socket_path;
   }
+}
+
+void Display::Setup() {
+  std::optional<xproto::ScreensReply> setup =
+      Query<xproto::ScreensReply>(xproto::QueryScreensRequest{});
+  if (!setup.has_value()) {
+    return;
+  }
+  id_base_ = setup->id_base;
+  TakeIdRun(id_base_, uint64_t{setup->id_mask} + 1);
+  screens_ = std::move(setup->screens);
 }
 
 std::unique_ptr<Display> Display::FromEnv(std::string client_machine) {
@@ -98,12 +83,7 @@ bool Display::HandleRemoteFrame(std::span<const uint8_t> frame, int want_sequenc
       return false;
     }
     ++remote_errors_;
-    last_error_ = error;
-    if (error_handler_) {
-      error_handler_(error);
-    } else {
-      XB_LOG(Warning) << "X error: " << xproto::ErrorText(error);
-    }
+    ReportError(error);
     return want_sequence >= 0 &&
            (error.sequence & 0xffff) == static_cast<uint64_t>(want_sequence);
   }
@@ -231,14 +211,8 @@ bool Display::Issue(xproto::Request request) {
 
 WindowId Display::MintId() {
   if (next_id_ == id_end_) {
-    xproto::IdRangeReply run;
-    if (!wire_mode_) {
-      run = server_->IdRange(client_);
-    } else if (std::optional<xproto::Reply> reply = RoundTrip(xproto::GetIdRangeRequest{})) {
-      if (const auto* r = std::get_if<xproto::IdRangeReply>(&*reply)) {
-        run = *r;
-      }
-    }
+    xproto::IdRangeReply run =
+        Query<xproto::IdRangeReply>(xproto::GetIdRangeRequest{}).value_or(xproto::IdRangeReply{});
     TakeIdRun(run.start_id, run.count);
   }
   return next_id_ == id_end_ ? xproto::kNone : static_cast<WindowId>(next_id_++);
@@ -249,9 +223,16 @@ xserver::Server::DispatchResult Display::DispatchWire(const xproto::Request& req
   return server_->DispatchBytes(client_, xproto::EncodeRequestBytes(request));
 }
 
-std::optional<xproto::Reply> Display::RoundTrip(xproto::Request request) const {
+std::optional<xproto::Reply> Display::Query(xproto::Request request) const {
   if (remote()) {
     return const_cast<Display*>(this)->RemoteRoundTrip(request);
+  }
+  if (!wire_mode_) {
+    xserver::Server::Answered answer = server_->Answer(client_, request);
+    if (auto* reply = std::get_if<xproto::Reply>(&answer)) {
+      return std::move(*reply);
+    }
+    return std::nullopt;
   }
   xserver::Server::DispatchResult result = DispatchWire(request);
   if (result.reply_bytes.empty()) {
@@ -268,13 +249,13 @@ std::optional<xproto::Reply> Display::RoundTrip(xproto::Request request) const {
   return reply;
 }
 
-void Display::WireFallback(const char* what) const {
-  if (!wire_mode_) {
-    return;
+void Display::ReportError(const xproto::XError& error) {
+  last_error_ = error;
+  if (error_handler_) {
+    error_handler_(error);
+  } else {
+    XB_LOG(Warning) << "X error: " << xproto::ErrorText(error);
   }
-  ++wire_stats_.wire_fallbacks;
-  XB_LOG_EVERY_N(Warning, std::string("wire-fallback-") + what, 64)
-      << "wire mode: " << what << " has no wire encoding; falling back to a direct call";
 }
 
 Display::XErrorHandler Display::SetErrorHandler(XErrorHandler handler) {
@@ -391,96 +372,33 @@ bool Display::RemoveFromSaveSet(WindowId window) {
 }
 
 std::optional<xserver::WindowAttributes> Display::GetWindowAttributes(WindowId window) const {
-  if (wire_mode_) {
-    std::optional<xproto::Reply> reply =
-        RoundTrip(xproto::GetWindowAttributesRequest{.window = window});
-    if (!reply.has_value()) {
-      return std::nullopt;
-    }
-    const auto* r = std::get_if<xproto::AttributesReply>(&*reply);
-    if (r == nullptr) {
-      return std::nullopt;
-    }
-    xserver::WindowAttributes attrs;
-    attrs.window_class = r->window_class;
-    attrs.map_state = r->map_state;
-    attrs.override_redirect = r->override_redirect;
-    attrs.all_event_masks = r->all_event_masks;
-    attrs.border_width = r->border_width;
-    return attrs;
-  }
-  return server_->GetWindowAttributes(window);
+  return Query<xproto::AttributesReply>(xproto::GetWindowAttributesRequest{.window = window});
 }
 
 std::optional<xbase::Rect> Display::GetGeometry(WindowId window) const {
-  if (wire_mode_) {
-    std::optional<xproto::Reply> reply =
-        RoundTrip(xproto::GetGeometryRequest{.window = window});
-    if (!reply.has_value()) {
-      return std::nullopt;
-    }
-    const auto* r = std::get_if<xproto::GeometryReply>(&*reply);
-    return r != nullptr ? std::optional<xbase::Rect>(r->geometry) : std::nullopt;
-  }
-  return server_->GetGeometry(window);
+  auto r = Query<xproto::GeometryReply>(xproto::GetGeometryRequest{.window = window});
+  return r.has_value() ? std::optional<xbase::Rect>(r->geometry) : std::nullopt;
 }
 
 std::optional<xserver::QueryTreeReply> Display::QueryTree(WindowId window) const {
-  if (wire_mode_) {
-    std::optional<xproto::Reply> reply = RoundTrip(xproto::QueryTreeRequest{.window = window});
-    if (!reply.has_value()) {
-      return std::nullopt;
-    }
-    auto* r = std::get_if<xproto::TreeReply>(&*reply);
-    if (r == nullptr) {
-      return std::nullopt;
-    }
-    xserver::QueryTreeReply tree;
-    tree.root = r->root;
-    tree.parent = r->parent;
-    tree.children = std::move(r->children);
-    return tree;
-  }
-  return server_->QueryTree(window);
+  return Query<xproto::TreeReply>(xproto::QueryTreeRequest{.window = window});
 }
 
 std::optional<xbase::Point> Display::TranslateCoordinates(WindowId src, WindowId dst,
                                                           const xbase::Point& point) const {
-  if (wire_mode_) {
-    std::optional<xproto::Reply> reply = RoundTrip(
-        xproto::TranslateCoordinatesRequest{.src = src, .dst = dst, .point = point});
-    if (!reply.has_value()) {
-      return std::nullopt;
-    }
-    const auto* r = std::get_if<xproto::CoordinatesReply>(&*reply);
-    return r != nullptr ? std::optional<xbase::Point>(r->position) : std::nullopt;
-  }
-  return server_->TranslateCoordinates(src, dst, point);
+  auto r = Query<xproto::CoordinatesReply>(
+      xproto::TranslateCoordinatesRequest{.src = src, .dst = dst, .point = point});
+  return r.has_value() ? std::optional<xbase::Point>(r->position) : std::nullopt;
 }
 
 AtomId Display::InternAtom(const std::string& name) {
-  if (wire_mode_) {
-    std::optional<xproto::Reply> reply = RoundTrip(xproto::InternAtomRequest{.name = name});
-    if (reply.has_value()) {
-      if (const auto* r = std::get_if<xproto::AtomReply>(&*reply)) {
-        return r->atom;
-      }
-    }
-    return xproto::kAtomNone;
-  }
-  return server_->InternAtom(name);
+  auto r = Query<xproto::AtomReply>(xproto::InternAtomRequest{.name = name});
+  return r.has_value() ? r->atom : xproto::kAtomNone;
 }
 
 std::optional<std::string> Display::GetAtomName(AtomId atom) const {
-  if (wire_mode_) {
-    std::optional<xproto::Reply> reply = RoundTrip(xproto::GetAtomNameRequest{.atom = atom});
-    if (!reply.has_value()) {
-      return std::nullopt;
-    }
-    auto* r = std::get_if<xproto::AtomNameReply>(&*reply);
-    return r != nullptr ? std::optional<std::string>(std::move(r->name)) : std::nullopt;
-  }
-  return server_->GetAtomName(atom);
+  auto r = Query<xproto::AtomNameReply>(xproto::GetAtomNameRequest{.atom = atom});
+  return r.has_value() ? std::optional<std::string>(std::move(r->name)) : std::nullopt;
 }
 
 bool Display::ChangeProperty(WindowId window, AtomId property, AtomId type, int format,
@@ -495,23 +413,12 @@ bool Display::ChangeProperty(WindowId window, AtomId property, AtomId type, int 
 
 std::optional<xserver::PropertyRec> Display::GetProperty(WindowId window,
                                                          AtomId property) const {
-  if (wire_mode_) {
-    std::optional<xproto::Reply> reply =
-        RoundTrip(xproto::GetPropertyRequest{.window = window, .property = property});
-    if (!reply.has_value()) {
-      return std::nullopt;
-    }
-    auto* r = std::get_if<xproto::PropertyReply>(&*reply);
-    if (r == nullptr || !r->found) {
-      return std::nullopt;
-    }
-    xserver::PropertyRec rec;
-    rec.type = r->type;
-    rec.format = r->format;
-    rec.data = std::move(r->data);
-    return rec;
+  auto r = Query<xproto::PropertyReply>(
+      xproto::GetPropertyRequest{.window = window, .property = property});
+  if (!r.has_value() || !r->found) {
+    return std::nullopt;
   }
-  return server_->GetProperty(window, property);
+  return xserver::PropertyRec{.type = r->type, .format = r->format, .data = std::move(r->data)};
 }
 
 bool Display::DeleteProperty(WindowId window, AtomId property) {
@@ -528,8 +435,6 @@ bool Display::SetStringProperty(WindowId window, const std::string& name,
 
 std::optional<std::string> Display::GetStringProperty(WindowId window,
                                                       const std::string& name) const {
-  // Routed through this->InternAtom / this->GetProperty so wire mode covers
-  // the typed helpers too.
   auto rec = GetProperty(window, const_cast<Display*>(this)->InternAtom(name));
   if (!rec.has_value()) {
     return std::nullopt;
@@ -653,30 +558,31 @@ bool Display::UngrabButton(WindowId window, int button, uint32_t modifiers) {
 }
 
 xproto::WindowId Display::GetInputFocus() const {
-  WireFallback("GetInputFocus");
-  return server_ != nullptr ? server_->GetInputFocus() : xproto::kNone;
+  auto r = Query<xproto::FocusReply>(xproto::GetInputFocusRequest{});
+  return r.has_value() ? r->window : xproto::kNone;
 }
 
 xserver::PointerState Display::QueryPointer() const {
-  WireFallback("QueryPointer");
-  return server_ != nullptr ? server_->QueryPointer() : xserver::PointerState{};
+  return Query<xproto::PointerReply>(xproto::QueryPointerRequest{}).value_or(
+      xproto::PointerReply{});
 }
 
-bool Display::IsShaped(WindowId window) const {
-  WireFallback("IsShaped");
-  return server_ != nullptr && server_->IsShaped(window);
+std::optional<xbase::Region> Display::GetShape(WindowId window) const {
+  auto r = Query<xproto::ShapeRectanglesReply>(xproto::ShapeGetRectanglesRequest{.window = window});
+  if (!r.has_value() || !r->shaped) {
+    return std::nullopt;
+  }
+  return xbase::Region(std::move(r->rects));
 }
+
+bool Display::IsShaped(WindowId window) const { return GetShape(window).has_value(); }
 
 bool Display::ShapeSetMask(WindowId window, const xbase::Bitmap& mask) {
-  WireFallback("ShapeSetMask");
-  return server_ != nullptr && server_->ShapeSetMask(client_, window, mask);
+  return ShapeSetRegion(window, mask.ToRegion());
 }
 
 void Display::WarpPointer(int screen, const xbase::Point& root_pos) {
-  WireFallback("WarpPointer");
-  if (server_ != nullptr) {
-    server_->WarpPointer(screen, root_pos);
-  }
+  Issue(xproto::WarpPointerRequest{.dst = RootWindow(screen), .position = root_pos});
 }
 
 bool Display::ShapeSetRegion(WindowId window, xbase::Region region) {

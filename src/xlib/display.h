@@ -2,11 +2,12 @@
 //
 // A Display is one client connection: it owns a client id, sends requests
 // to the server — in-process or over a socket — and drains its own event
-// queue.  Every void request is built once as an xproto::Request and goes
-// through one funnel (Issue), which picks the transport; see "Wire mode"
-// below.  The call surface intentionally mirrors Xlib (CreateSimpleWindow,
-// SelectInput, InternAtom, ChangeProperty, NextEvent, ...) so the
-// window-manager code above reads like real X client code.
+// queue.  Every request is built once as an xproto::Request and goes
+// through one of two funnels, Issue for void requests and Query for
+// replies, which pick the transport; see "Wire mode" below.  The call
+// surface intentionally mirrors Xlib (CreateSimpleWindow, SelectInput,
+// InternAtom, ChangeProperty, NextEvent, ...) so the window-manager code
+// above reads like real X client code.
 #ifndef SRC_XLIB_DISPLAY_H_
 #define SRC_XLIB_DISPLAY_H_
 
@@ -53,7 +54,6 @@ class Display {
   Display& operator=(const Display&) = delete;
 
   xserver::Server& server() { return *server_; }
-  const xserver::Server& server() const { return *server_; }
   xproto::ClientId client_id() const { return client_; }
   // True when `window` lies in this connection's id range: the server
   // accepts a CreateWindow only with an id from the creator's range
@@ -92,27 +92,23 @@ class Display {
   const std::optional<xproto::XError>& LastError() const { return last_error_; }
 
   // ---- Wire mode (docs/PROTOCOL.md) ----------------------------------------
-  // Every void request is built once as an xproto::Request and handed to
-  // Issue, whatever the mode.  An in-process Display applies it with
-  // Server::ApplyRequest, the typed dispatch DispatchBytes runs after
-  // decoding; no bytes are encoded.  Wire mode adds only the codec: the
-  // request is encoded to X11 wire bytes and routed through
-  // Server::DispatchBytes, and reply-bearing queries (GetGeometry,
-  // QueryTree, InternAtom, GetProperty, ...) decode their answer out of the
-  // reply frame the dispatch emitted — the full serialize → parse →
-  // dispatch → encode-reply → decode-reply round trip an out-of-process
-  // client exercises.  Outside wire mode queries read the server directly
-  // and take no sequence slot.  The handful of calls with no wire encoding
-  // (ShapeSetMask, WarpPointer, pointer/focus/shape introspection) always
-  // call the server directly and, in wire mode, are counted in
-  // wire_stats().wire_fallbacks.  Off by default.
+  // Every request is built once as an xproto::Request, whatever the mode:
+  // void requests go to Issue, queries to Query.  An in-process Display
+  // applies a void request with Server::ApplyRequest and asks a query with
+  // Server::Answer, the typed dispatch DispatchBytes runs after decoding; no
+  // bytes are encoded, and queries take no sequence slot and raise no error.
+  // Wire mode adds only the codec: the request is encoded to X11 wire bytes
+  // and routed through Server::DispatchBytes, and a query decodes its answer
+  // out of the reply frame the dispatch emitted — the full serialize →
+  // parse → dispatch → encode-reply → decode-reply round trip an
+  // out-of-process client exercises.  Every call has a wire encoding.  Off
+  // by default.
   void set_wire_mode(bool enable) { wire_mode_ = enable; }
-  bool wire_mode() const { return wire_mode_; }
 
   struct WireStats {
     uint64_t wire_requests = 0;      // Requests encoded and byte-routed.
     uint64_t wire_replies = 0;       // Reply frames decoded back.
-    uint64_t wire_fallbacks = 0;     // Wire-mode calls with no wire encoding.
+    uint64_t wire_fallbacks = 0;  // Inert: nothing writes it; goes once perfbench stops reading it.
     uint64_t reply_parse_errors = 0; // Reply frames that failed to decode.
   };
   const WireStats& wire_stats() const { return wire_stats_; }
@@ -124,28 +120,19 @@ class Display {
   xproto::SanitizerStats* mutable_sanitizer_stats() { return &sanitizer_stats_; }
 
   // ---- Screens -----------------------------------------------------------
-  // Remote displays answer from the screen table the QueryScreens handshake
-  // cached — screen geometry is immutable for the life of a connection.
-  int ScreenCount() const {
-    return remote() ? static_cast<int>(screens_.size()) : server_->ScreenCount();
-  }
+  // Answered from the screen table the QueryScreens handshake cached at
+  // connection setup — screen geometry is immutable for the life of a
+  // connection.
+  int ScreenCount() const { return static_cast<int>(screens_.size()); }
   xproto::WindowId RootWindow(int screen = 0) const {
-    if (remote()) {
-      return ScreenKnown(screen) ? screens_[screen].root : xproto::kNone;
-    }
-    return server_->RootWindow(screen);
+    return ScreenKnown(screen) ? screens_[screen].root : xproto::kNone;
   }
   xbase::Size DisplaySize(int screen = 0) const {
-    if (remote()) {
-      return ScreenKnown(screen) ? screens_[screen].size : xbase::Size{};
-    }
-    return server_->screen(screen).size;
+    return ScreenKnown(screen) ? xbase::Size{screens_[screen].width, screens_[screen].height}
+                               : xbase::Size{};
   }
   bool IsMonochrome(int screen = 0) const {
-    if (remote()) {
-      return ScreenKnown(screen) && screens_[screen].monochrome;
-    }
-    return server_->screen(screen).monochrome;
+    return ScreenKnown(screen) && screens_[screen].monochrome;
   }
 
   // ---- Windows -----------------------------------------------------------
@@ -223,6 +210,7 @@ class Display {
 
   // ---- Pointer -------------------------------------------------------------
   void WarpPointer(int screen, const xbase::Point& root_pos);
+  // A default PointerState when the query failed.
   xserver::PointerState QueryPointer() const;
   bool GrabButton(xproto::WindowId window, int button, uint32_t modifiers,
                   uint32_t event_mask);
@@ -234,6 +222,8 @@ class Display {
   bool ShapeClear(xproto::WindowId window);
   bool ShapeSelect(xproto::WindowId window, bool enable);
   bool IsShaped(xproto::WindowId window) const;
+  // The bounding shape; nullopt when the window is unshaped or gone.
+  std::optional<xbase::Region> GetShape(xproto::WindowId window) const;
 
   // ---- Drawing ---------------------------------------------------------------
   bool SetWindowBackground(xproto::WindowId window, char background);
@@ -258,14 +248,26 @@ class Display {
     next_id_ = start;
     id_end_ = start + count;
   }
+  // Connection setup: asks QueryScreens for the screen table and the id
+  // range.  Failure leaves screens_ empty.
+  void Setup();
+  // Records `error` as the last one and hands it to the error handler.
+  void ReportError(const xproto::XError& error);
   // In-process wire mode: encodes `request` and dispatches the bytes.
   xserver::Server::DispatchResult DispatchWire(const xproto::Request& request) const;
-  // Query funnel: dispatches the encoded request and decodes the reply frame
-  // it produced.  nullopt when the server raised an X error instead.
-  std::optional<xproto::Reply> RoundTrip(xproto::Request request) const;
-  // Accounting for wire-mode calls that have no wire encoding and must go
-  // direct (logged every 64th per call site, counted always).
-  void WireFallback(const char* what) const;
+  // The query funnel: asks the server over the socket (remote), encodes,
+  // dispatches and decodes the reply frame (wire mode), or reads
+  // Server::Answer (in-process).  nullopt when the server refused it.
+  std::optional<xproto::Reply> Query(xproto::Request request) const;
+  // Query, narrowed to the reply type the request earns.
+  template <typename ReplyT>
+  std::optional<ReplyT> Query(xproto::Request request) const {
+    std::optional<xproto::Reply> reply = Query(std::move(request));
+    if (ReplyT* r = reply.has_value() ? std::get_if<ReplyT>(&*reply) : nullptr) {
+      return std::move(*r);
+    }
+    return std::nullopt;
+  }
 
   bool ScreenKnown(int screen) const {
     return screen >= 0 && screen < static_cast<int>(screens_.size());
@@ -302,9 +304,9 @@ class Display {
   uint64_t next_id_ = xproto::kNone;
   uint64_t id_end_ = xproto::kNone;
 
+  std::vector<xproto::ScreensReply::Screen> screens_;
   // Remote-mode state (null/empty for in-process displays).
   std::unique_ptr<xproto::WireClientEndpoint> endpoint_;
-  std::vector<xserver::ScreenInfo> screens_;
   uint64_t remote_sequence_ = 0;  // Local mirror of the server's per-client count.
   uint64_t remote_errors_ = 0;
   std::deque<xproto::Event> remote_events_;

@@ -88,6 +88,14 @@ std::string RequestCodeName(RequestCode code) {
       return "QueryScreens";
     case RequestCode::kGetIdRange:
       return "GetIdRange";
+    case RequestCode::kQueryPointer:
+      return "QueryPointer";
+    case RequestCode::kGetInputFocus:
+      return "GetInputFocus";
+    case RequestCode::kShapeGetRectangles:
+      return "ShapeGetRectangles";
+    case RequestCode::kWarpPointer:
+      return "WarpPointer";
   }
   return "None";
 }

@@ -58,12 +58,18 @@ enum class RequestCode : uint8_t {
   // "Out-of-process operation").  Appended, same stability rule as above.
   kQueryScreens,
   kGetIdRange,
+  // Pointer, focus and shape introspection, and the pointer warp.
+  // Appended, same stability rule as above.
+  kQueryPointer,
+  kGetInputFocus,
+  kShapeGetRectangles,
+  kWarpPointer,
 };
 
 // Highest ErrorCode / RequestCode values (wire decoders validate against
 // these bounds).
 inline constexpr uint8_t kMaxErrorCode = static_cast<uint8_t>(ErrorCode::kBadIDChoice);
-inline constexpr uint8_t kMaxRequestCode = static_cast<uint8_t>(RequestCode::kGetIdRange);
+inline constexpr uint8_t kMaxRequestCode = static_cast<uint8_t>(RequestCode::kWarpPointer);
 
 // One error report, delivered to the issuing client's error handler.  The
 // sequence number is per-connection and counts requests, so a handler can

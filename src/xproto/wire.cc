@@ -679,6 +679,19 @@ WIRE_REQUEST(QueryScreensRequest, kQueryScreens, kQueryScreens) {}
 
 WIRE_REQUEST(GetIdRangeRequest, kGetIdRange, kGetIdRange) {}
 
+WIRE_REQUEST(QueryPointerRequest, kQueryPointer, kQueryPointer) {}
+
+WIRE_REQUEST(GetInputFocusRequest, kGetInputFocus, kGetInputFocus) {}
+
+WIRE_REQUEST(ShapeGetRectanglesRequest, kShapeGetRectangles, kShapeGetRectangles) {
+  io.U32(m.window);
+}
+
+WIRE_REQUEST(WarpPointerRequest, kWarpPointer, kWarpPointer) {
+  io.U32(m.dst);
+  Body(io, m.position);
+}
+
 // ---- Replies ----
 
 WIRE_REPLY(AttributesReply, kGetWindowAttributes) {
@@ -689,6 +702,7 @@ WIRE_REPLY(AttributesReply, kGetWindowAttributes) {
   io.Pad(1);
   io.U32(m.all_event_masks);
   io.U16(m.border_width);
+  io.U32(m.your_event_mask);  // Last, so a zero mask encodes as before it existed.
 }
 
 WIRE_REPLY(GeometryReply, kGetGeometry) {
@@ -743,6 +757,24 @@ WIRE_REPLY(ScreensReply, kQueryScreens) {
 WIRE_REPLY(IdRangeReply, kGetIdRange) {
   io.U32(m.start_id);
   io.U32(m.count);
+}
+
+WIRE_REPLY(PointerReply, kQueryPointer) {
+  io.U8(m.screen);
+  io.Pad(3);
+  io.I32(m.root_pos.x);
+  io.I32(m.root_pos.y);
+  io.U32(m.window);
+  io.U32(m.buttons_down);
+}
+
+WIRE_REPLY(FocusReply, kGetInputFocus) { io.U32(m.window); }
+
+WIRE_REPLY(ShapeRectanglesReply, kShapeGetRectangles) {
+  io.U32(m.window);
+  io.U8(m.shaped, Flag("shaped flag not 0/1"));
+  io.Pad(1);
+  io.List(io.Count16(m.rects, kMaxWireRects, "shape rects"), m.rects);
 }
 
 // ---- Events ----
@@ -993,6 +1025,14 @@ RequestCode RequestCodeOf(const Request& request) {
 }
 
 RequestCode RequestCodeForOpcode(uint8_t opcode) { return kRequestCodes[opcode]; }
+
+bool RequestHasReply(RequestCode code) {
+  bool answered = false;
+  ForEachAlternative<Reply>([&]<class T>(std::type_identity<T>) {
+    answered = answered || kRequestCodes[Meta<T>::kCodes[0]] == code;
+  });
+  return answered;
+}
 
 // ---- Request frames ---------------------------------------------------------
 

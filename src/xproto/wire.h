@@ -170,8 +170,11 @@ enum class WireOpcode : uint8_t {
   kSendEvent = 25,
   kGrabButton = 28,
   kUngrabButton = 29,
+  kQueryPointer = 38,
   kTranslateCoordinates = 40,
+  kWarpPointer = 41,
   kSetInputFocus = 42,
+  kGetInputFocus = 43,
   kClearWindow = 61,   // ClearArea in real X.
   // Simulator-specific (>= 128, the extension opcode range).
   kSetWindowBackground = 128,
@@ -189,6 +192,9 @@ enum class WireOpcode : uint8_t {
   // GetXIDRange; docs/PROTOCOL.md "Window ids").
   kQueryScreens = 135,
   kGetIdRange = 136,
+  // SHAPE's GetRectangles: the bounding shape, one query for IsShaped and
+  // GetShape.
+  kShapeGetRectangles = 137,
 };
 
 // `window` is the id the client chose for the new window (X's wid): it must
@@ -394,6 +400,29 @@ struct GetIdRangeRequest {
   friend bool operator==(const GetIdRangeRequest&, const GetIdRangeRequest&) = default;
 };
 
+// Payload-free, as the pointer and the focus are the server's.
+struct QueryPointerRequest {
+  friend bool operator==(const QueryPointerRequest&, const QueryPointerRequest&) = default;
+};
+
+struct GetInputFocusRequest {
+  friend bool operator==(const GetInputFocusRequest&, const GetInputFocusRequest&) = default;
+};
+
+struct ShapeGetRectanglesRequest {
+  WindowId window = kNone;
+  friend bool operator==(const ShapeGetRectanglesRequest&,
+                         const ShapeGetRectanglesRequest&) = default;
+};
+
+// Void: moves the pointer to `position` relative to `dst` (X's dst-window;
+// a root names a screen).
+struct WarpPointerRequest {
+  WindowId dst = kNone;
+  xbase::Point position;
+  friend bool operator==(const WarpPointerRequest&, const WarpPointerRequest&) = default;
+};
+
 using Request = std::variant<
     CreateWindowRequest, DestroyWindowRequest, MapWindowRequest, UnmapWindowRequest,
     ReparentWindowRequest, ConfigureWindowRequest, SelectInputRequest, ChangeSaveSetRequest,
@@ -402,7 +431,8 @@ using Request = std::variant<
     SetCursorRequest, DrawRequest, ShapeRegionRequest, ShapeClearRequest, ShapeSelectRequest,
     GetWindowAttributesRequest, GetGeometryRequest, QueryTreeRequest, InternAtomRequest,
     GetAtomNameRequest, GetPropertyRequest, TranslateCoordinatesRequest,
-    QueryScreensRequest, GetIdRangeRequest>;
+    QueryScreensRequest, GetIdRangeRequest, QueryPointerRequest, GetInputFocusRequest,
+    ShapeGetRectanglesRequest, WarpPointerRequest>;
 
 // Wire opcode / human-readable name / error-channel RequestCode of a request.
 WireOpcode RequestOpcode(const Request& request);
@@ -411,6 +441,8 @@ RequestCode RequestCodeOf(const Request& request);
 // RequestCode a raw opcode maps to (for error reports on frames that never
 // decoded into a Request).  kNone for unknown opcodes.
 RequestCode RequestCodeForOpcode(uint8_t opcode);
+// True for the requests a Reply answers (the queries).
+bool RequestHasReply(RequestCode code);
 
 // ---- Request encode/decode --------------------------------------------------
 
@@ -446,6 +478,7 @@ struct AttributesReply {
   bool override_redirect = false;
   uint32_t all_event_masks = 0;
   int border_width = 0;
+  uint32_t your_event_mask = 0;  // The asking client's own selection.
   friend bool operator==(const AttributesReply&, const AttributesReply&) = default;
 };
 
@@ -519,9 +552,36 @@ struct IdRangeReply {
   friend bool operator==(const IdRangeReply&, const IdRangeReply&) = default;
 };
 
+// QueryPointer: the pointer's screen and position, the deepest viewable
+// window under it, and the buttons held (bit i-1 for button i).
+struct PointerReply {
+  int screen = 0;
+  xbase::Point root_pos;
+  WindowId window = kNone;
+  uint32_t buttons_down = 0;
+  friend bool operator==(const PointerReply&, const PointerReply&) = default;
+};
+
+// GetInputFocus: kNone is pointer-root focus.
+struct FocusReply {
+  WindowId window = kNone;
+  friend bool operator==(const FocusReply&, const FocusReply&) = default;
+};
+
+// ShapeGetRectangles: the bounding shape's rectangles when `shaped`.  The
+// server refuses a shape of more than kMaxWireRects rectangles, so the list
+// always fits.
+struct ShapeRectanglesReply {
+  WindowId window = kNone;
+  bool shaped = false;
+  std::vector<xbase::Rect> rects;
+  friend bool operator==(const ShapeRectanglesReply&, const ShapeRectanglesReply&) = default;
+};
+
 using Reply = std::variant<AttributesReply, GeometryReply, TreeReply, AtomReply,
                            AtomNameReply, PropertyReply, CoordinatesReply,
-                           ScreensReply, IdRangeReply>;
+                           ScreensReply, IdRangeReply, PointerReply, FocusReply,
+                           ShapeRectanglesReply>;
 
 // Major opcode of the request a reply answers / human-readable name.
 WireOpcode ReplyOpcode(const Reply& reply);

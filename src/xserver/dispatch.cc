@@ -291,87 +291,67 @@ bool Server::ApplyRequest(ClientId client, Request&& request) {
           return ShapeClear(client, r.window);
         } else if constexpr (std::is_same_v<T, xproto::ShapeSelectRequest>) {
           return ShapeSelect(client, r.window, r.enable);
-        }
-        // ---- Reply-bearing queries (docs/PROTOCOL.md "Replies") -----------
-        // Byte-routed queries take a RequestGuard like any other wire request
-        // — they occupy a sequence slot (as in real X) and are visible to the
-        // fail-request-N fault hook — then answer through the connection's
-        // outbound reply encoder.  Direct-call queries stay const and free.
-        else if constexpr (std::is_same_v<T, xproto::GetWindowAttributesRequest>) {
-          RequestGuard guard(this, client, xproto::RequestCode::kGetWindowAttributes);
+        } else if constexpr (std::is_same_v<T, xproto::WarpPointerRequest>) {
+          return WarpPointer(client, r.dst, r.position);
+        } else {
+          // Every other request is a query (docs/PROTOCOL.md "Replies"): it
+          // takes a sequence slot and the fault hooks like any wire request,
+          // then the connection's reply encoder carries the answer.
+          RequestGuard guard(this, client, xproto::RequestCodeOf(request));
           if (!guard.ok()) {
             return false;
           }
+          Answered answer = Answer(client, request);
+          if (const auto* error = std::get_if<xproto::XError>(&answer)) {
+            return RaiseError(client, error->code, error->resource_id);
+          }
+          EmitReply(client, std::get<xproto::Reply>(answer));
+          return true;
+        }
+      },
+      request);
+}
+
+Server::Answered Server::Answer(ClientId client, const Request& request) {
+  auto refuse = [](xproto::ErrorCode code, uint32_t resource_id) -> Answered {
+    return xproto::XError{.code = code, .resource_id = resource_id};
+  };
+  return std::visit(
+      [&](const auto& r) -> Answered {
+        using T = std::decay_t<decltype(r)>;
+        if constexpr (std::is_same_v<T, xproto::GetWindowAttributesRequest>) {
           std::optional<WindowAttributes> attrs = GetWindowAttributes(r.window);
           if (!attrs.has_value()) {
-            return RaiseError(client, xproto::ErrorCode::kBadWindow, r.window);
+            return refuse(xproto::ErrorCode::kBadWindow, r.window);
           }
-          xproto::AttributesReply reply;
-          reply.window = r.window;
-          reply.window_class = attrs->window_class;
-          reply.map_state = attrs->map_state;
-          reply.override_redirect = attrs->override_redirect;
-          reply.all_event_masks = attrs->all_event_masks;
-          reply.border_width = attrs->border_width;
-          EmitReply(client, reply);
-          return true;
+          const auto& selections = Find(r.window)->selections;
+          auto selected = selections.find(client);
+          attrs->your_event_mask = selected == selections.end() ? 0 : selected->second;
+          return *attrs;
         } else if constexpr (std::is_same_v<T, xproto::GetGeometryRequest>) {
-          RequestGuard guard(this, client, xproto::RequestCode::kGetGeometry);
-          if (!guard.ok()) {
-            return false;
-          }
-          std::optional<xbase::Rect> geometry = GetGeometry(r.window);
-          if (!geometry.has_value()) {
-            return RaiseError(client, xproto::ErrorCode::kBadWindow, r.window);
-          }
           const WindowRec* win = Find(r.window);
-          xproto::GeometryReply reply;
-          reply.window = r.window;
-          reply.geometry = *geometry;
-          reply.border_width = win != nullptr ? win->border_width : 0;
-          EmitReply(client, reply);
-          return true;
-        } else if constexpr (std::is_same_v<T, xproto::QueryTreeRequest>) {
-          RequestGuard guard(this, client, xproto::RequestCode::kQueryTree);
-          if (!guard.ok()) {
-            return false;
+          if (win == nullptr) {
+            return refuse(xproto::ErrorCode::kBadWindow, r.window);
           }
+          return xproto::GeometryReply{
+              .window = r.window, .geometry = win->geometry, .border_width = win->border_width};
+        } else if constexpr (std::is_same_v<T, xproto::QueryTreeRequest>) {
           std::optional<QueryTreeReply> tree = QueryTree(r.window);
           if (!tree.has_value()) {
-            return RaiseError(client, xproto::ErrorCode::kBadWindow, r.window);
+            return refuse(xproto::ErrorCode::kBadWindow, r.window);
           }
-          xproto::TreeReply reply;
-          reply.window = r.window;
-          reply.root = tree->root;
-          reply.parent = tree->parent;
-          reply.children = std::move(tree->children);
-          EmitReply(client, reply);
-          return true;
+          return std::move(*tree);
         } else if constexpr (std::is_same_v<T, xproto::InternAtomRequest>) {
-          RequestGuard guard(this, client, xproto::RequestCode::kInternAtom);
-          if (!guard.ok()) {
-            return false;
-          }
-          EmitReply(client, xproto::AtomReply{InternAtom(r.name)});
-          return true;
+          return xproto::AtomReply{InternAtom(r.name)};
         } else if constexpr (std::is_same_v<T, xproto::GetAtomNameRequest>) {
-          RequestGuard guard(this, client, xproto::RequestCode::kGetAtomName);
-          if (!guard.ok()) {
-            return false;
-          }
           std::optional<std::string> name = GetAtomName(r.atom);
           if (!name.has_value()) {
-            return RaiseError(client, xproto::ErrorCode::kBadAtom, r.atom);
+            return refuse(xproto::ErrorCode::kBadAtom, r.atom);
           }
-          EmitReply(client, xproto::AtomNameReply{r.atom, std::move(*name)});
-          return true;
+          return xproto::AtomNameReply{r.atom, std::move(*name)};
         } else if constexpr (std::is_same_v<T, xproto::GetPropertyRequest>) {
-          RequestGuard guard(this, client, xproto::RequestCode::kGetProperty);
-          if (!guard.ok()) {
-            return false;
-          }
           if (!WindowExists(r.window)) {
-            return RaiseError(client, xproto::ErrorCode::kBadWindow, r.window);
+            return refuse(xproto::ErrorCode::kBadWindow, r.window);
           }
           xproto::PropertyReply reply;
           reply.window = r.window;
@@ -383,51 +363,46 @@ bool Server::ApplyRequest(ClientId client, Request&& request) {
             reply.format = prop->format;
             reply.data = std::move(prop->data);
           }
-          EmitReply(client, reply);
-          return true;
+          return reply;
         } else if constexpr (std::is_same_v<T, xproto::TranslateCoordinatesRequest>) {
-          RequestGuard guard(this, client, xproto::RequestCode::kTranslateCoordinates);
-          if (!guard.ok()) {
-            return false;
-          }
-          std::optional<xbase::Point> position =
-              TranslateCoordinates(r.src, r.dst, r.point);
+          std::optional<xbase::Point> position = TranslateCoordinates(r.src, r.dst, r.point);
           if (!position.has_value()) {
-            xproto::WindowId missing = WindowExists(r.src) ? r.dst : r.src;
-            return RaiseError(client, xproto::ErrorCode::kBadWindow, missing);
+            return refuse(xproto::ErrorCode::kBadWindow, WindowExists(r.src) ? r.dst : r.src);
           }
-          EmitReply(client, xproto::CoordinatesReply{*position});
-          return true;
-        }
-        // ---- Connection setup and id ranges (docs/PROTOCOL.md) -------------
-        // A remote Display has no direct Server pointer, so screen layout and
-        // its id range travel over the wire like everything else.
-        else if constexpr (std::is_same_v<T, xproto::QueryScreensRequest>) {
-          RequestGuard guard(this, client, xproto::RequestCode::kQueryScreens);
-          if (!guard.ok()) {
-            return false;
-          }
+          return xproto::CoordinatesReply{*position};
+        } else if constexpr (std::is_same_v<T, xproto::QueryScreensRequest>) {
+          // A remote Display has no Server pointer, so the screen layout and
+          // its id range travel over the wire like everything else.
           xproto::ScreensReply reply;
           reply.id_base = IdBase(client);
           reply.id_mask = IdMask(client);
-          for (int i = 0; i < ScreenCount(); ++i) {
-            const ScreenInfo& info = screen(i);
-            xproto::ScreensReply::Screen out;
-            out.root = info.root;
-            out.width = info.size.width;
-            out.height = info.size.height;
-            out.monochrome = info.monochrome;
-            reply.screens.push_back(out);
+          for (const ScreenInfo& info : screens_) {
+            reply.screens.push_back({.root = info.root,
+                                     .width = info.size.width,
+                                     .height = info.size.height,
+                                     .monochrome = info.monochrome});
           }
-          EmitReply(client, reply);
-          return true;
+          return reply;
         } else if constexpr (std::is_same_v<T, xproto::GetIdRangeRequest>) {
-          RequestGuard guard(this, client, xproto::RequestCode::kGetIdRange);
-          if (!guard.ok()) {
-            return false;
+          return IdRange(client);
+        } else if constexpr (std::is_same_v<T, xproto::QueryPointerRequest>) {
+          return pointer_;
+        } else if constexpr (std::is_same_v<T, xproto::GetInputFocusRequest>) {
+          return xproto::FocusReply{focus_window_};
+        } else if constexpr (std::is_same_v<T, xproto::ShapeGetRectanglesRequest>) {
+          const WindowRec* win = Find(r.window);
+          if (win == nullptr) {
+            return refuse(xproto::ErrorCode::kBadWindow, r.window);
           }
-          EmitReply(client, IdRange(client));
-          return true;
+          xproto::ShapeRectanglesReply reply;
+          reply.window = r.window;
+          if (win->shape.has_value()) {
+            reply.shaped = true;
+            reply.rects = win->shape->rects();
+          }
+          return reply;
+        } else {
+          return refuse(xproto::ErrorCode::kBadRequest, 0);  // A void request.
         }
       },
       request);

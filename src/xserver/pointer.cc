@@ -1,6 +1,7 @@
 // Pointer and keyboard simulation: propagation, Enter/Leave generation,
 // automatic (button-hold) grabs and passive button grabs.
 #include <algorithm>
+#include <utility>
 
 #include "src/base/logging.h"
 #include "src/xserver/server.h"
@@ -113,6 +114,24 @@ void Server::WarpPointer(int screen, const xbase::Point& root_pos) {
   trace_recorder_ = nullptr;
   SimulateMotion(root_pos);
   trace_recorder_ = recorder;
+}
+
+bool Server::WarpPointer(ClientId client, WindowId dst, const xbase::Point& position) {
+  RequestGuard req(this, client, xproto::RequestCode::kWarpPointer);
+  if (!req.ok()) {
+    return false;
+  }
+  const WindowRec* win = Find(dst);
+  if (win == nullptr) {
+    return RaiseError(client, xproto::ErrorCode::kBadWindow, dst);
+  }
+  // The request's bytes are the trace's record of it: the warp records
+  // nothing more.
+  xproto::TraceRecorder* recorder = std::exchange(trace_recorder_, nullptr);
+  xbase::Point origin = RootPosition(dst);
+  WarpPointer(ScreenOf(*win), {origin.x + position.x, origin.y + position.y});
+  trace_recorder_ = recorder;
+  return true;
 }
 
 void Server::SimulateMotion(const xbase::Point& root_pos) {

@@ -880,15 +880,6 @@ bool Server::SelectInput(ClientId client, WindowId window, uint32_t event_mask) 
   return true;
 }
 
-uint32_t Server::SelectedInput(ClientId client, WindowId window) const {
-  const WindowRec* win = Find(window);
-  if (win == nullptr) {
-    return 0;
-  }
-  auto it = win->selections.find(client);
-  return it == win->selections.end() ? 0 : it->second;
-}
-
 bool Server::ChangeSaveSet(ClientId client, WindowId window, bool add) {
   RequestGuard req(this, client, RequestCode::kChangeSaveSet);
   if (!req.ok()) {
@@ -924,6 +915,7 @@ std::optional<WindowAttributes> Server::GetWindowAttributes(WindowId window) con
     return std::nullopt;
   }
   WindowAttributes attrs;
+  attrs.window = window;
   attrs.window_class = win->window_class;
   attrs.override_redirect = win->override_redirect;
   attrs.all_event_masks = win->AllSelections();
@@ -952,6 +944,7 @@ std::optional<QueryTreeReply> Server::QueryTree(WindowId window) const {
     return std::nullopt;
   }
   QueryTreeReply reply;
+  reply.window = window;
   reply.parent = win->parent;
   reply.children = win->children;
   reply.root = screens_[ScreenOf(*win)].root;

@@ -22,6 +22,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "src/base/canvas.h"
@@ -55,26 +56,11 @@ struct ConfigureValues {
   xproto::StackMode stack_mode = xproto::StackMode::kAbove;
 };
 
-struct WindowAttributes {
-  xproto::WindowClass window_class = xproto::WindowClass::kInputOutput;
-  xproto::MapState map_state = xproto::MapState::kUnmapped;
-  bool override_redirect = false;
-  uint32_t all_event_masks = 0;
-  int border_width = 0;
-};
-
-struct QueryTreeReply {
-  xproto::WindowId root = xproto::kNone;
-  xproto::WindowId parent = xproto::kNone;
-  std::vector<xproto::WindowId> children;  // Bottom-most first.
-};
-
-struct PointerState {
-  int screen = 0;
-  xbase::Point root_pos;
-  xproto::WindowId window = xproto::kNone;  // Deepest viewable window under pointer.
-  uint32_t buttons_down = 0;                // Bit i-1 set for button i.
-};
+// The introspection results are the replies that carry them on the wire
+// (src/xproto/wire.h), so every transport hands back the same value.
+using WindowAttributes = xproto::AttributesReply;
+using QueryTreeReply = xproto::TreeReply;
+using PointerState = xproto::PointerReply;
 
 enum class PropMode {
   kReplace,
@@ -144,6 +130,13 @@ class Server {
   // strings, lists and event move into the server.  Returns false if the
   // request failed.
   bool ApplyRequest(xproto::ClientId client, xproto::Request&& request);
+  // The answer to a query (docs/PROTOCOL.md "Replies"): its reply, or the
+  // error a dispatch raises instead (only code and resource_id are set).
+  // Takes no sequence slot and raises nothing itself, so an in-process
+  // Display asks here for free; ApplyRequest runs it under a RequestGuard
+  // and emits the reply or raises the error.
+  using Answered = std::variant<xproto::Reply, xproto::XError>;
+  Answered Answer(xproto::ClientId client, const xproto::Request& request);
   // Wire frames rejected across all connections (parser health metric).
   uint64_t wire_parse_errors() const { return wire_parse_errors_; }
 
@@ -233,11 +226,12 @@ class Server {
   // Fails (returns false) when another client already holds
   // SubstructureRedirect on the window — "another WM is running".
   bool SelectInput(xproto::ClientId client, xproto::WindowId window, uint32_t event_mask);
-  uint32_t SelectedInput(xproto::ClientId client, xproto::WindowId window) const;
 
   bool ChangeSaveSet(xproto::ClientId client, xproto::WindowId window, bool add);
 
   // ---- Introspection -----------------------------------------------------
+  // The answers carry no per-client field: your_event_mask stays 0 here, and
+  // Answer fills it for the asking client.
   std::optional<WindowAttributes> GetWindowAttributes(xproto::WindowId window) const;
   std::optional<xbase::Rect> GetGeometry(xproto::WindowId window) const;
   std::optional<QueryTreeReply> QueryTree(xproto::WindowId window) const;
@@ -277,7 +271,10 @@ class Server {
   xproto::WindowId GetInputFocus() const { return focus_window_; }
 
   // ---- Pointer / keyboard ------------------------------------------------
+  // Input simulation (recorded as a trace warp, like the motion calls).
   void WarpPointer(int screen, const xbase::Point& root_pos);
+  // The WarpPointer request: `position` is relative to `dst`.
+  bool WarpPointer(xproto::ClientId client, xproto::WindowId dst, const xbase::Point& position);
   PointerState QueryPointer() const { return pointer_; }
   // Moves the pointer, generating Enter/Leave and MotionNotify events.
   void SimulateMotion(const xbase::Point& root_pos);
@@ -289,13 +286,11 @@ class Server {
                     uint32_t modifiers);
 
   // ---- SHAPE extension ---------------------------------------------------
-  bool ShapeSetMask(xproto::ClientId client, xproto::WindowId window,
-                    const xbase::Bitmap& mask);
+  // Refuses (BadLength) a region of more than xproto::kMaxWireRects
+  // rectangles, as the wire decoder does, so every shape fits its reply.
   bool ShapeSetRegion(xproto::ClientId client, xproto::WindowId window, xbase::Region region);
   bool ShapeClear(xproto::ClientId client, xproto::WindowId window);
   bool ShapeSelect(xproto::ClientId client, xproto::WindowId window, bool enable);
-  std::optional<xbase::Region> GetShape(xproto::WindowId window) const;
-  bool IsShaped(xproto::WindowId window) const;
 
   // ---- Drawing / rendering ----------------------------------------------
   bool SetWindowBackground(xproto::ClientId client, xproto::WindowId window, char background);

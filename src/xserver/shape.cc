@@ -30,23 +30,13 @@ void Server::SetShapeInternal(ClientId client, WindowRec* win,
   }
 }
 
-bool Server::ShapeSetMask(ClientId client, WindowId window, const xbase::Bitmap& mask) {
-  RequestGuard req(this, client, xproto::RequestCode::kShapeOp);
-  if (!req.ok()) {
-    return false;
-  }
-  WindowRec* win = Find(window);
-  if (win == nullptr) {
-    return RaiseError(client, xproto::ErrorCode::kBadWindow, window);
-  }
-  SetShapeInternal(client, win, mask.ToRegion());
-  return true;
-}
-
 bool Server::ShapeSetRegion(ClientId client, WindowId window, xbase::Region region) {
   RequestGuard req(this, client, xproto::RequestCode::kShapeOp);
   if (!req.ok()) {
     return false;
+  }
+  if (region.rects().size() > xproto::kMaxWireRects) {
+    return RaiseError(client, xproto::ErrorCode::kBadLength, window);
   }
   WindowRec* win = Find(window);
   if (win == nullptr) {
@@ -86,19 +76,6 @@ bool Server::ShapeSelect(ClientId client, WindowId window, bool enable) {
     Unreference(client, *win);
   }
   return true;
-}
-
-std::optional<xbase::Region> Server::GetShape(WindowId window) const {
-  const WindowRec* win = Find(window);
-  if (win == nullptr) {
-    return std::nullopt;
-  }
-  return win->shape;
-}
-
-bool Server::IsShaped(WindowId window) const {
-  const WindowRec* win = Find(window);
-  return win != nullptr && win->shape.has_value();
 }
 
 }  // namespace xserver

@@ -4,7 +4,9 @@
 #include "src/swm/swmcmd.h"
 #include "src/swm/templates.h"
 #include "src/xlib/icccm.h"
+#include "src/xserver/replay.h"
 #include "tests/swm_test_util.h"
+#include "tests/transcript.h"
 
 namespace swm_test {
 namespace {
@@ -211,6 +213,119 @@ TEST_F(SwmTest, WmCrashRecoveryViaSaveSet) {
   // Intentionally leak the WM object's state by resetting with the
   // connection already gone; the destructor must tolerate it.
   wm_.reset();
+}
+
+// ---- swm over the codec (docs/PROTOCOL.md "Wire mode") ----------------------
+
+class SwmWireTest : public SwmTest {
+ protected:
+  // Puts both of swm's connections in wire mode before it starts: every
+  // request it sends is encoded and dispatched from bytes, and every query
+  // decodes its reply frame.
+  void UseWire() {
+    on_wm_created_ = [](swm::WindowManager* wm) {
+      wm->display().set_wire_mode(true);
+      wm->display_aux().set_wire_mode(true);
+    };
+  }
+
+  struct Session {
+    xserver::ServerFingerprint fp;
+    uint64_t transcript_hash = 0;
+    size_t events = 0;
+    xbase::Point pointer;
+    uint64_t wm_wire_requests = 0;
+    uint64_t x_errors = 0;
+  };
+
+  // Manage, move, resize, iconify, deiconify, a shaped client, f.stick and
+  // f.warpVertical, with a transcript of every event every client took.
+  Session RunScript() {
+    Transcript transcript;
+    on_server_created_ = [&transcript](xserver::Server* server) { transcript.Tap(server); };
+    StartWm("swm*virtualDesktop: 400x300\n");
+    auto term = Spawn("xterm", {"xterm", "XTerm"}, {0, 0, 30, 10});
+    xlib::ClientAppConfig config;
+    config.name = "oclock";
+    config.wm_class = {"oclock", "Clock"};
+    config.command = {"oclock"};
+    config.geometry = {0, 0, 16, 16};
+    config.shaped = true;
+    auto clock = std::make_unique<xlib::ClientApp>(server_.get(), config);
+    clock->Map();
+    wm_->ProcessEvents();
+
+    term->RequestMoveResize({40, 20, 36, 12});
+    wm_->ProcessEvents();
+    term->RequestIconify();
+    wm_->ProcessEvents();
+    term->Map();
+    wm_->ProcessEvents();
+    wm_->ExecuteCommandString("f.stick(XTerm)", 0);
+    server_->SimulateMotion({50, 50});
+    wm_->ProcessEvents();
+    wm_->ExecuteCommandString("f.warpVertical(10)", 0);
+    for (xlib::ClientApp* app : {term.get(), clock.get()}) {
+      app->ProcessEvents();
+    }
+    wm_->ProcessEvents();
+
+    server_->SetEventTapForTest({});
+    Session session;
+    session.fp = xserver::FingerprintServer(*server_);
+    session.transcript_hash = transcript.hash();
+    session.events = transcript.events();
+    session.pointer = server_->QueryPointer().root_pos;
+    session.wm_wire_requests = wm_->display().wire_stats().wire_requests;
+    session.x_errors = wm_->x_error_count();
+    EXPECT_NE(Managed(*clock), nullptr);
+    EXPECT_TRUE(Managed(*clock)->shaped);
+    EXPECT_TRUE(Managed(*term)->sticky);
+    EXPECT_EQ(Managed(*term)->state, xproto::WmState::kNormal);
+    return session;
+  }
+};
+
+TEST_F(SwmWireTest, SessionOverTheCodecMatchesTheInProcessOne) {
+  Session direct = RunScript();
+  UseWire();
+  Session wire = RunScript();
+  EXPECT_EQ(wire.fp.screen_hash, direct.fp.screen_hash);
+  EXPECT_EQ(wire.fp.draw_ops, direct.fp.draw_ops);
+  EXPECT_EQ(wire.fp.pixels_drawn, direct.fp.pixels_drawn);
+  EXPECT_EQ(wire.events, direct.events);
+  EXPECT_EQ(wire.transcript_hash, direct.transcript_hash);
+  EXPECT_EQ(wire.pointer, direct.pointer);
+  EXPECT_EQ(direct.pointer, (xbase::Point{50, 60}));  // The warp moved it.
+  EXPECT_EQ(direct.wm_wire_requests, 0u);
+  EXPECT_GT(wire.wm_wire_requests, 0u);
+  // In process a query on a dead window (a destroyed frame object's, say)
+  // is just empty; over the codec it also raises BadWindow.
+  EXPECT_EQ(direct.x_errors, 0u);
+}
+
+// Over the codec a query on a dead window raises BadWindow, which must not
+// make the window a suspect again: HealSuspects' own liveness probe is such
+// a query, and the event loop would never settle.
+TEST_F(SwmWireTest, ClientDyingBehindSwmsBackIsUnmanaged) {
+  UseWire();
+  StartWm();
+  auto app = Spawn("xterm", {"xterm", "XTerm"});
+  ManagedClient* client = Managed(*app);
+  ASSERT_NE(client, nullptr);
+
+  // The client's window dies the moment swm configures it.
+  xserver::FaultPlan plan;
+  plan.destroy_on_configure_permille = 1000;
+  server_->InstallFaultPlan(plan);
+  wm_->ResizeClient(client, {50, 40});
+  server_->ClearFaultPlan();
+  wm_->ProcessEvents();
+
+  EXPECT_FALSE(server_->WindowExists(app->window()));
+  EXPECT_EQ(Managed(*app), nullptr);
+  EXPECT_EQ(wm_->ClientCount(), 0u);
+  EXPECT_GT(wm_->x_error_count(), 0u);
 }
 
 }  // namespace

@@ -309,8 +309,8 @@ TEST_F(ToolkitTest, PanelShapeToChildren) {
   client->SetSizeOverride(xbase::Size{30, 20});
   tree->DoLayout();
   tree->ApplyShape();
-  EXPECT_TRUE(server_.IsShaped(tree->window()));
-  auto shape = server_.GetShape(tree->window());
+  EXPECT_TRUE(dpy_.IsShaped(tree->window()));
+  auto shape = dpy_.GetShape(tree->window());
   ASSERT_TRUE(shape.has_value());
   EXPECT_EQ(shape->Bounds(), client->geometry());
 }

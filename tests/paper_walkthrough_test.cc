@@ -98,7 +98,7 @@ TEST_F(SwmTest, PaperWalkthrough) {
   wm_->ProcessEvents();
   ManagedClient* shaped = wm_->FindClient(oclock.window());
   EXPECT_EQ(shaped->decoration_name, "shapeit");
-  EXPECT_TRUE(server_->IsShaped(shaped->frame->window()));
+  EXPECT_TRUE(wm_->display().IsShaped(shaped->frame->window()));
 
   // ---- §6 The Virtual Desktop: pan; the sticky clock stays, others move.
   xbase::Point clock_screen = server_->RootPosition(xclock->window());

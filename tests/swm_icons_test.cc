@@ -329,5 +329,29 @@ TEST_F(SwmTest, RootPanelIsReparentedAndFunctional) {
   EXPECT_EQ(Managed(*app)->state, xproto::WmState::kIconic);
 }
 
+// The icon tree takes the client's resource prefix, sticky and shaped
+// markers included, the same prefix that chose its icon panel.
+TEST_F(SwmTest, IconObjectsSeeTheStickyPrefix) {
+  StartWm(
+      "swm*XTerm*sticky: True\n"
+      "swm*sticky*XTerm*icon: stuckIcon\n"
+      "swm*panel.stuckIcon: button iconimage +C+0\n"
+      "swm*sticky*XTerm*myMarker: stuck\n"
+      "swm*XTerm*myMarker: plain\n");
+  auto app = Spawn("xterm", {"xterm", "XTerm"});
+  ManagedClient* client = Managed(*app);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->sticky);
+  wm_->Iconify(client);
+  wm_->ProcessEvents();
+  ASSERT_NE(client->icon, nullptr);
+  EXPECT_EQ(client->icon->name(), "stuckIcon");
+  EXPECT_EQ(client->frame->Attribute("myMarker"), "stuck");
+  EXPECT_EQ(client->icon->Attribute("myMarker"), "stuck");
+  oi::Object* image = client->icon->FindDescendant("iconimage");
+  ASSERT_NE(image, nullptr);
+  EXPECT_EQ(image->Attribute("myMarker"), "stuck");
+}
+
 }  // namespace
 }  // namespace swm_test

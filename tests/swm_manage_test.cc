@@ -109,7 +109,7 @@ TEST_F(SwmTest, ShapedClientGetsShapedDecoration) {
   EXPECT_TRUE(client->shaped);
   EXPECT_EQ(client->decoration_name, "shapeit");
   // The frame is shaped to its children (just the client panel).
-  EXPECT_TRUE(server_->IsShaped(client->frame->window()));
+  EXPECT_TRUE(wm_->display().IsShaped(client->frame->window()));
 }
 
 TEST_F(SwmTest, BecomingShapedAtRuntimeRedecorates) {

@@ -43,6 +43,9 @@ class SwmTest : public ::testing::Test {
       on_server_created_(server_.get());
     }
     wm_ = std::make_unique<swm::WindowManager>(server_.get(), options);
+    if (on_wm_created_) {
+      on_wm_created_(wm_.get());
+    }
     ASSERT_TRUE(wm_->Start());
   }
 
@@ -101,6 +104,9 @@ class SwmTest : public ::testing::Test {
   std::unique_ptr<swm::WindowManager> wm_;
   // Runs on each new server before the WM connects (a test can tap it).
   std::function<void(xserver::Server*)> on_server_created_;
+  // Runs on each new WM before Start (a test can switch its displays to
+  // wire mode).
+  std::function<void(swm::WindowManager*)> on_wm_created_;
 };
 
 }  // namespace swm_test

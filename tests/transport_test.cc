@@ -8,13 +8,17 @@
 
 #include <signal.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/bitmap.h"
@@ -26,6 +30,7 @@
 #include "src/xserver/connection.h"
 #include "src/xserver/replay.h"
 #include "src/xserver/server.h"
+#include "src/xserver/wire_host.h"
 
 namespace xserver {
 namespace {
@@ -612,8 +617,84 @@ TEST(Connection, EpipeThenEofOnEstablishedPeerIsMidFrameDeath) {
 
 // ---- Display duplex equivalence --------------------------------------------
 
-// Every query a wire-mode Display answers over the reply codec must agree
-// with the direct-call answer, with zero wire fallbacks along the way.
+// The answers one Display gets to every query, compared across modes.
+struct QueryAnswers {
+  std::optional<xbase::Rect> parent_geometry, child_geometry;
+  std::optional<xserver::WindowAttributes> parent_attrs, child_attrs;
+  std::optional<xserver::QueryTreeReply> tree;
+  std::optional<xbase::Point> translated;
+  xproto::AtomId wm_name = xproto::kAtomNone;
+  std::optional<std::string> atom_name, title, missing;
+  std::optional<xbase::Rect> bad_geometry;
+  xserver::PointerState pointer;
+  WindowId focus = xproto::kNone;
+  bool parent_shaped = true, child_shaped = false;
+  std::optional<xbase::Region> parent_shape, child_shape;
+};
+
+void ExpectSameAnswers(const QueryAnswers& a, const QueryAnswers& b, const char* mode) {
+  EXPECT_EQ(a.parent_geometry, b.parent_geometry) << mode;
+  EXPECT_EQ(a.child_geometry, b.child_geometry) << mode;
+  for (auto [x, y] : {std::pair{&a.parent_attrs, &b.parent_attrs},
+                      std::pair{&a.child_attrs, &b.child_attrs}}) {
+    ASSERT_TRUE(x->has_value() && y->has_value()) << mode;
+    EXPECT_EQ((*x)->window_class, (*y)->window_class) << mode;
+    EXPECT_EQ((*x)->map_state, (*y)->map_state) << mode;
+    EXPECT_EQ((*x)->override_redirect, (*y)->override_redirect) << mode;
+    EXPECT_EQ((*x)->all_event_masks, (*y)->all_event_masks) << mode;
+    EXPECT_EQ((*x)->border_width, (*y)->border_width) << mode;
+    EXPECT_EQ((*x)->your_event_mask, (*y)->your_event_mask) << mode;
+  }
+  ASSERT_TRUE(a.tree.has_value() && b.tree.has_value()) << mode;
+  EXPECT_EQ(a.tree->root, b.tree->root) << mode;
+  EXPECT_EQ(a.tree->parent, b.tree->parent) << mode;
+  EXPECT_EQ(a.tree->children, b.tree->children) << mode;
+  EXPECT_EQ(a.translated, b.translated) << mode;
+  EXPECT_EQ(a.wm_name, b.wm_name) << mode;
+  EXPECT_EQ(a.atom_name, b.atom_name) << mode;
+  EXPECT_EQ(a.title, b.title) << mode;
+  EXPECT_EQ(a.missing, b.missing) << mode;
+  EXPECT_EQ(a.bad_geometry, b.bad_geometry) << mode;
+  EXPECT_EQ(a.pointer.screen, b.pointer.screen) << mode;
+  EXPECT_EQ(a.pointer.root_pos, b.pointer.root_pos) << mode;
+  EXPECT_EQ(a.pointer.window, b.pointer.window) << mode;
+  EXPECT_EQ(a.pointer.buttons_down, b.pointer.buttons_down) << mode;
+  EXPECT_EQ(a.focus, b.focus) << mode;
+  EXPECT_EQ(a.parent_shaped, b.parent_shaped) << mode;
+  EXPECT_EQ(a.child_shaped, b.child_shaped) << mode;
+  EXPECT_EQ(a.parent_shape.has_value(), b.parent_shape.has_value()) << mode;
+  ASSERT_TRUE(a.child_shape.has_value() && b.child_shape.has_value()) << mode;
+  EXPECT_EQ(a.child_shape->rects(), b.child_shape->rects()) << mode;
+}
+
+// Selects `mask` on `parent` (each connection holds its own selection),
+// then asks every query.
+QueryAnswers AskEverything(xlib::Display& d, WindowId parent, WindowId child, uint32_t mask) {
+  EXPECT_TRUE(d.SelectInput(parent, mask));
+  QueryAnswers out;
+  out.parent_geometry = d.GetGeometry(parent);
+  out.child_geometry = d.GetGeometry(child);
+  out.parent_attrs = d.GetWindowAttributes(parent);
+  out.child_attrs = d.GetWindowAttributes(child);
+  out.tree = d.QueryTree(parent);
+  out.translated = d.TranslateCoordinates(child, d.RootWindow(0), {0, 0});
+  out.wm_name = d.InternAtom("WM_NAME");
+  out.atom_name = d.GetAtomName(out.wm_name);
+  out.title = d.GetStringProperty(parent, "WM_NAME");
+  out.missing = d.GetStringProperty(parent, "MISSING");
+  out.bad_geometry = d.GetGeometry(0xBAD);
+  out.pointer = d.QueryPointer();
+  out.focus = d.GetInputFocus();
+  out.parent_shaped = d.IsShaped(parent);
+  out.child_shaped = d.IsShaped(child);
+  out.parent_shape = d.GetShape(parent);
+  out.child_shape = d.GetShape(child);
+  return out;
+}
+
+// Every query answers the same in process, over the in-process codec and
+// from a remote Display over a unix socket (served on a second thread while
+// the main thread touches only the remote Display).
 TEST(DisplayDuplex, WireModeQueriesMatchDirectCalls) {
   Server server;
   xlib::Display direct(&server, "direct");
@@ -627,58 +708,91 @@ TEST(DisplayDuplex, WireModeQueriesMatchDirectCalls) {
   ASSERT_TRUE(wired.MapWindow(parent));
   ASSERT_TRUE(wired.MapWindow(child));
   ASSERT_TRUE(wired.SetStringProperty(parent, "WM_NAME", "duplex"));
+  ASSERT_TRUE(wired.ShapeSetMask(child, xbase::CircleMask(16)));
+  ASSERT_TRUE(wired.SetInputFocus(child));
+  wired.WarpPointer(0, {38, 48});  // The middle of the child's circle.
+  constexpr uint32_t kMask = xproto::kPropertyChangeMask | xproto::kStructureNotifyMask;
 
-  EXPECT_EQ(wired.GetGeometry(parent), direct.GetGeometry(parent));
-  EXPECT_EQ(wired.GetGeometry(child), direct.GetGeometry(child));
+  QueryAnswers direct_answers = AskEverything(direct, parent, child, kMask);
+  QueryAnswers wired_answers = AskEverything(wired, parent, child, kMask);
+  WireHost host(&server, "@swm-duplex-" + std::to_string(::getpid()));
+  ASSERT_TRUE(host.ok());
+  std::atomic<bool> done{false};
+  std::thread serve([&] { host.RunUntil([&] { return done.load(); }, 10000); });
+  std::optional<QueryAnswers> remote_answers;
+  {
+    xlib::Display remote(host.socket_path());
+    if (remote.Connected()) {
+      remote_answers = AskEverything(remote, parent, child, kMask);
+    }
+  }
+  done = true;
+  serve.join();
 
-  auto wired_attrs = wired.GetWindowAttributes(parent);
-  auto direct_attrs = direct.GetWindowAttributes(parent);
-  ASSERT_TRUE(wired_attrs.has_value());
-  ASSERT_TRUE(direct_attrs.has_value());
-  EXPECT_EQ(wired_attrs->map_state, direct_attrs->map_state);
-  EXPECT_EQ(wired_attrs->border_width, direct_attrs->border_width);
-  EXPECT_EQ(wired_attrs->all_event_masks, direct_attrs->all_event_masks);
+  EXPECT_EQ(direct_answers.pointer.window, child);
+  EXPECT_EQ(direct_answers.focus, child);
+  EXPECT_TRUE(direct_answers.child_shaped);
+  EXPECT_FALSE(direct_answers.parent_shaped);
+  EXPECT_EQ(direct_answers.parent_attrs->your_event_mask, kMask);
+  EXPECT_EQ(direct_answers.child_attrs->your_event_mask, 0u);
+  EXPECT_EQ(direct_answers.bad_geometry, std::nullopt);
+  EXPECT_EQ(direct_answers.missing, std::nullopt);
+  ExpectSameAnswers(direct_answers, wired_answers, "wire");
+  ASSERT_TRUE(remote_answers.has_value());
+  ExpectSameAnswers(direct_answers, *remote_answers, "remote");
 
-  auto wired_tree = wired.QueryTree(parent);
-  auto direct_tree = direct.QueryTree(parent);
-  ASSERT_TRUE(wired_tree.has_value());
-  ASSERT_TRUE(direct_tree.has_value());
-  EXPECT_EQ(wired_tree->root, direct_tree->root);
-  EXPECT_EQ(wired_tree->parent, direct_tree->parent);
-  EXPECT_EQ(wired_tree->children, direct_tree->children);
-
-  EXPECT_EQ(wired.TranslateCoordinates(child, server.RootWindow(0), {0, 0}),
-            direct.TranslateCoordinates(child, server.RootWindow(0), {0, 0}));
-
-  EXPECT_EQ(wired.InternAtom("WM_NAME"), direct.InternAtom("WM_NAME"));
-  EXPECT_EQ(wired.GetAtomName(wired.InternAtom("WM_NAME")),
-            direct.GetAtomName(direct.InternAtom("WM_NAME")));
-  EXPECT_EQ(wired.GetStringProperty(parent, "WM_NAME"),
-            direct.GetStringProperty(parent, "WM_NAME"));
-  EXPECT_EQ(wired.GetStringProperty(parent, "MISSING"), std::nullopt);
-
-  // Missing-resource queries agree too (and raise the same error kind).
-  EXPECT_EQ(wired.GetGeometry(0xBAD), std::nullopt);
-  EXPECT_EQ(direct.GetGeometry(0xBAD), std::nullopt);
-
-  // The whole suite ran on the wire: replies decoded, nothing fell back.
+  // The whole suite ran on the wire, and only the wire-mode queries took
+  // sequence slots.
   const xlib::Display::WireStats& stats = wired.wire_stats();
   EXPECT_GT(stats.wire_replies, 0u);
-  EXPECT_EQ(stats.wire_fallbacks, 0u) << "a duplex query fell back to a direct call";
   EXPECT_EQ(stats.reply_parse_errors, 0u);
+  EXPECT_EQ(direct.wire_stats().wire_requests, 0u);
+  EXPECT_EQ(direct.RequestCount(), 1u);  // Its SelectInput.
 }
 
-TEST(DisplayDuplex, FallbacksAreCountedForUnwiredCalls) {
+// The five calls that once had no wire encoding each send exactly one
+// request in wire mode.
+TEST(DisplayDuplex, FormerlyUnwiredCallsEachSendOneRequest) {
   Server server;
   xlib::Display wired(&server, "wired");
   wired.set_wire_mode(true);
   WindowId window = wired.CreateWindow(server.RootWindow(0), {0, 0, 8, 8});
-  (void)wired.GetInputFocus();
-  (void)wired.QueryPointer();
-  (void)wired.IsShaped(window);
-  wired.ShapeSetMask(window, xbase::Bitmap(8, 8));
-  wired.WarpPointer(0, {4, 4});
-  EXPECT_EQ(wired.wire_stats().wire_fallbacks, 5u);
+  ASSERT_NE(window, xproto::kNone);
+  std::vector<std::function<void()>> calls = {
+      [&] { (void)wired.GetInputFocus(); },
+      [&] { (void)wired.QueryPointer(); },
+      [&] { (void)wired.IsShaped(window); },
+      [&] { wired.ShapeSetMask(window, xbase::Bitmap(8, 8)); },
+      [&] { wired.WarpPointer(0, {4, 4}); }};
+  for (size_t i = 0; i < calls.size(); ++i) {
+    uint64_t before = wired.wire_stats().wire_requests;
+    calls[i]();
+    EXPECT_EQ(wired.wire_stats().wire_requests, before + 1) << "call " << i;
+  }
+  EXPECT_EQ(wired.ErrorCount(), 0u);
+  EXPECT_EQ(wired.wire_stats().wire_fallbacks, 0u);
+}
+
+// A mask whose region needs more rectangles than a shape request carries is
+// refused (BadLength) in every mode; it is never truncated.
+TEST(DisplayDuplex, OversizedShapeMaskFailsInEveryMode) {
+  xbase::Bitmap checkerboard(64, 64);
+  for (int y = 0; y < 64; ++y) {
+    for (int x = 0; x < 64; ++x) {
+      checkerboard.Set(x, y, (x + y) % 2 == 0);
+    }
+  }
+  ASSERT_GT(checkerboard.ToRegion().rects().size(), xproto::kMaxWireRects);
+  for (bool wire : {false, true}) {
+    Server server;
+    xlib::Display d(&server, "shaper");
+    d.set_wire_mode(wire);
+    WindowId window = d.CreateWindow(server.RootWindow(0), {0, 0, 64, 64});
+    EXPECT_FALSE(d.ShapeSetMask(window, checkerboard)) << "wire " << wire;
+    ASSERT_TRUE(d.LastError().has_value()) << "wire " << wire;
+    EXPECT_EQ(d.LastError()->code, xproto::ErrorCode::kBadLength) << "wire " << wire;
+    EXPECT_FALSE(d.IsShaped(window)) << "wire " << wire;
+  }
 }
 
 // Calls every void wrapper at least once — successes, mode variants and

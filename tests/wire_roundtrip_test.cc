@@ -133,6 +133,12 @@ std::vector<Request> AllRequestExemplars() {
       .src = 24, .dst = 25, .point = {-kMaxCoordinate, kMaxCoordinate}});
   all.push_back(QueryScreensRequest{});
   all.push_back(GetIdRangeRequest{});
+  all.push_back(QueryPointerRequest{});
+  all.push_back(GetInputFocusRequest{});
+  all.push_back(ShapeGetRectanglesRequest{.window = 0xFFFFFFFFu});
+  // The one void request among the pointer calls.
+  all.push_back(
+      WarpPointerRequest{.dst = 26, .position = {-kMaxCoordinate, kMaxCoordinate}});
   return all;
 }
 
@@ -517,7 +523,8 @@ std::vector<Reply> AllReplyExemplars() {
                                 .map_state = MapState::kViewable,
                                 .override_redirect = true,
                                 .all_event_masks = 0xFFFFFFFFu,
-                                .border_width = 65535});
+                                .border_width = 65535,
+                                .your_event_mask = 0xFFFFFFFFu});
   all.push_back(AttributesReply{});  // All defaults.
   all.push_back(GeometryReply{
       .window = 2, .geometry = {-kMaxCoordinate, kMaxCoordinate, 65535, 1}, .border_width = 7});
@@ -548,6 +555,17 @@ std::vector<Reply> AllReplyExemplars() {
                                          {.root = 2, .width = 65535, .height = 1}}});
   all.push_back(IdRangeReply{});
   all.push_back(IdRangeReply{.start_id = 0x00200005u, .count = kIdMask - 4});
+  all.push_back(PointerReply{.screen = 255,
+                             .root_pos = {-kMaxCoordinate, kMaxCoordinate},
+                             .window = 0xFFFFFFFFu,
+                             .buttons_down = 0x1F});
+  all.push_back(FocusReply{});  // Pointer-root focus.
+  all.push_back(FocusReply{.window = 0xFFFFFFFFu});
+  all.push_back(ShapeRectanglesReply{.window = 4});  // Unshaped.
+  all.push_back(ShapeRectanglesReply{
+      .window = 4,
+      .shaped = true,
+      .rects = {{0, 0, 10, 10}, {-kMaxCoordinate, kMaxCoordinate, 65535, 65535}}});
   return all;
 }
 
@@ -675,7 +693,10 @@ TEST(WireReplyRejects, ChildCountLie) {
 // were re-recorded when clients began choosing window ids: CreateWindow
 // gained its window field, ScreensReply the id base and mask, opcode 136
 // became GetIdRange with its IdRangeReply, and BadIDChoice joined the error
-// codes.)
+// codes.  They were re-recorded again when QueryPointer, GetInputFocus,
+// WarpPointer and ShapeGetRectangles got encodings: new exemplars, the
+// AttributesReply's your_event_mask, and error exemplars whose request
+// codes follow kMaxRequestCode; every other frame encodes as before.)
 
 std::vector<XError> AllErrorExemplars() {
   std::vector<XError> all;
@@ -749,8 +770,8 @@ TEST(WireCodecPin, EncodeGolden) {
       ++frames;
     }
   }
-  EXPECT_EQ(frames, 41u + 128u + 17u + 23u + 10u);
-  EXPECT_EQ(fnv.h, 0xc94f5448af04cdb2ull) << std::hex << "0x" << fnv.h;
+  EXPECT_EQ(frames, 45u + 128u + 22u + 23u + 10u);
+  EXPECT_EQ(fnv.h, 0x48804c78fc304a1eull) << std::hex << "0x" << fnv.h;
 }
 
 // Decodes `input` as `kind`, folding the verdict into `fnv`: the return value,
@@ -884,7 +905,7 @@ TEST(WireCodecPin, DecodeGolden) {
     EXPECT_GT(accepted[k], 100u) << "kind " << k;
     EXPECT_GT(rejected[k], 100u) << "kind " << k;
   }
-  EXPECT_EQ(fnv.h, 0x5953eae2b5a9247bull) << std::hex << "0x" << fnv.h;
+  EXPECT_EQ(fnv.h, 0xad88c4312a242c00ull) << std::hex << "0x" << fnv.h;
 }
 
 // Reply encoders clamp every list to its decode cap, so any reply the server
@@ -959,6 +980,12 @@ TEST(WireCodecPin, WindowIdFieldsSitWhereXPutsThem) {
             (std::vector<uint8_t>{0x00, 0x00, 0xA0, 0x00, 0xFF, 0xFF, 0x1F, 0x00}));
   EXPECT_EQ(RequestOpcode(GetIdRangeRequest{}), WireOpcode::kGetIdRange);
   EXPECT_EQ(static_cast<int>(WireOpcode::kGetIdRange), 136);
+  // Core X11's numbers for the pointer and focus calls; the shape query
+  // takes the next simulator opcode.
+  EXPECT_EQ(RequestOpcode(QueryPointerRequest{}), static_cast<WireOpcode>(38));
+  EXPECT_EQ(RequestOpcode(WarpPointerRequest{}), static_cast<WireOpcode>(41));
+  EXPECT_EQ(RequestOpcode(GetInputFocusRequest{}), static_cast<WireOpcode>(43));
+  EXPECT_EQ(RequestOpcode(ShapeGetRectanglesRequest{}), static_cast<WireOpcode>(137));
   EXPECT_EQ(ReplyOpcode(IdRangeReply{}), WireOpcode::kGetIdRange);
 }
 

@@ -196,7 +196,7 @@ TEST_F(XlibTest, ShapedClientAppIsShaped) {
   config.geometry = {0, 0, 30, 30};
   config.shaped = true;
   ClientApp app(&server_, config);
-  EXPECT_TRUE(server_.IsShaped(app.window()));
+  EXPECT_TRUE(app.display().IsShaped(app.window()));
 }
 
 TEST_F(XlibTest, ClientAppTracksSyntheticConfigure) {

@@ -320,7 +320,7 @@ class ClientIndexFuzzTest : public ::testing::TestWithParam<int> {
     for (WindowId window : LiveWindows()) {
       const WindowRec* rec = xserver::ServerTestPeer::FindWindow(server_, window);
       EXPECT_NE(rec->owner, departed);
-      EXPECT_EQ(server_.SelectedInput(departed, window), 0u);
+      EXPECT_EQ(rec->selections.count(departed), 0u);
       EXPECT_FALSE(Holds(*rec, departed)) << "window " << window;
     }
   }

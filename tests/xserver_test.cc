@@ -52,6 +52,11 @@ class ServerTest : public ::testing::Test {
     return out;
   }
 
+  // A window's bounding shape, as its record holds it.
+  std::optional<xbase::Region> Shape(WindowId window) const {
+    return ServerTestPeer::FindWindow(server_, window)->shape;
+  }
+
   Server server_;
   xproto::ClientId client_ = 0;
   xproto::ClientId wm_ = 0;
@@ -525,7 +530,7 @@ TEST_F(ServerTest, DisconnectDropsStateOnOtherClientsWindows) {
   EXPECT_FALSE(server_.GrabButton(other, grabbed, 1, 0, xproto::kButtonPressMask));  // Held.
 
   server_.Disconnect(wm_);
-  EXPECT_EQ(server_.SelectedInput(wm_, selected), 0u);
+  EXPECT_EQ(ServerTestPeer::FindWindow(server_, selected)->selections.count(wm_), 0u);
   // The departed client's passive grab no longer conflicts.
   EXPECT_TRUE(server_.GrabButton(other, grabbed, 1, 0, xproto::kButtonPressMask));
   EXPECT_TRUE(xserver::ServerTestPeer::FindWindow(server_, shaped)->shape_selections.empty());
@@ -891,11 +896,11 @@ TEST_F(ServerTest, ShapeSetQueryClearNotify) {
   WindowId win = server_.CreateWindow(client_, NewId(server_, client_), server_.RootWindow(0), {0, 0, 16, 16}, 0,
                                       xproto::WindowClass::kInputOutput, false);
   server_.ShapeSelect(wm_, win, true);
-  EXPECT_FALSE(server_.IsShaped(win));
+  EXPECT_FALSE(Shape(win).has_value());
 
-  server_.ShapeSetMask(client_, win, xbase::CircleMask(16));
-  EXPECT_TRUE(server_.IsShaped(win));
-  auto shape = server_.GetShape(win);
+  server_.ShapeSetRegion(client_, win, xbase::CircleMask(16).ToRegion());
+  EXPECT_TRUE(Shape(win).has_value());
+  auto shape = Shape(win);
   ASSERT_TRUE(shape.has_value());
   EXPECT_EQ(shape->Area(), xbase::CircleMask(16).PopCount());
 
@@ -904,7 +909,7 @@ TEST_F(ServerTest, ShapeSetQueryClearNotify) {
   EXPECT_TRUE(notifies[0].shaped);
 
   server_.ShapeClear(client_, win);
-  EXPECT_FALSE(server_.IsShaped(win));
+  EXPECT_FALSE(Shape(win).has_value());
   notifies = DrainOf<xproto::ShapeNotifyEvent>(wm_);
   ASSERT_EQ(notifies.size(), 1u);
   EXPECT_FALSE(notifies[0].shaped);
