@@ -22,6 +22,7 @@
 #   BENCH_20.json  window hash + hit guard    (bench_eval_toolkit_overhead)
 #   BENCH_21.json  panner draws the diff      (bench_eval_toolkit_overhead)
 #   BENCH_23.json  one Xrm lookup algorithm   (bench_eval_resource_db)
+#   BENCH_24.json  one query funnel           (bench_wire)
 #
 # Usage: tools/run_benches.sh <bench_binary_name> <BENCH_n.json>
 #   e.g. tools/run_benches.sh bench_policy BENCH_14.json
