@@ -81,6 +81,18 @@ xbase::Point Panner::DesktopToPanner(const xbase::Point& p) const {
   return {p.x / scale_, p.y / scale_};
 }
 
+void Panner::Update(xproto::WindowId window) {
+  dirty_.push_back(window);
+  Update();
+}
+
+void Panner::NoteLaidOut(xproto::WindowId window) {
+  // No reconcile may follow for a while, so keep one entry per client.
+  if (std::find(dirty_.begin(), dirty_.end(), window) == dirty_.end()) {
+    dirty_.push_back(window);
+  }
+}
+
 void Panner::Update() {
   stale_ = true;
   if (wm_->frame_hold_depth_ == 0) {
@@ -128,20 +140,15 @@ void Panner::Reconcile() {
   stale_ = false;
   VirtualDesktop* desk = wm_->vdesk(screen_);
   if (desk == nullptr) {
+    dirty_.clear();
     return;
-  }
-  target_.clear();
-  for (const auto& [window, client] : wm_->clients_) {
-    if (std::optional<xbase::Rect> box = BoxOf(*client, *desk)) {
-      target_.push_back(Box{window, *box});
-    }
   }
   xbase::Rect outline = OutlineOf(*desk);
   bool full = full_redraw_ || outline != shown_outline_ || desk->window() != shown_desktop_;
   if (!full) {
-    bool redraw_outline = Diff(outline);
+    bool redraw_outline = Diff(*desk, outline);
     size_t ops = erases_.size() + draws_.size() + (redraw_outline ? 1 : 0);
-    full = list_ops_ + ops > ListBound(target_.size());
+    full = list_ops_ + ops > ListBound(shown_.size());
     if (!full) {
       xlib::Display& dpy = wm_->display();
       for (const xbase::Rect& rect : erases_) {
@@ -157,24 +164,52 @@ void Panner::Reconcile() {
     }
   }
   if (full) {
-    SendFullRedraw(outline);
+    SendFullRedraw(*desk, outline);
     shown_outline_ = outline;
     shown_desktop_ = desk->window();
     full_redraw_ = false;
   }
-  shown_.swap(target_);
+  dirty_.clear();
 }
 
-bool Panner::Diff(const xbase::Rect& outline) {
+bool Panner::Diff(const VirtualDesktop& desk, const xbase::Rect& outline) {
   erases_.clear();
   draws_.clear();
+  removed_.clear();
   bool touches_ring = false;
+  // Window order, as a walk over clients_ would visit them.
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+  for (xproto::WindowId window : dirty_) {
+    const ManagedClient* client = wm_->FindClient(window);
+    std::optional<xbase::Rect> box = client != nullptr ? BoxOf(*client, desk) : std::nullopt;
+    auto it = std::lower_bound(
+        shown_.begin(), shown_.end(), window,
+        [](const Box& shown, xproto::WindowId w) { return shown.window < w; });
+    if (it != shown_.end() && it->window == window) {
+      if (box == it->rect) {
+        continue;
+      }
+      removed_.push_back(it->rect);
+      if (!box.has_value()) {
+        shown_.erase(it);
+        continue;
+      }
+      it->rect = *box;
+    } else if (box.has_value()) {
+      shown_.insert(it, Box{window, *box});
+    } else {
+      continue;
+    }
+    draws_.push_back(*box);
+    touches_ring = touches_ring || TouchesRing(*box, outline);
+  }
   // Erasing is X11 ClearArea done on the client side: fill with the window
   // background the part of the old rect that no box still shown covers.
   // Cells a remaining box covers already show 'o'.
-  auto erase = [&](const xbase::Rect& old_rect) {
+  for (const xbase::Rect& old_rect : removed_) {
     cover_.Clear();
-    for (const Box& box : target_) {
+    for (const Box& box : shown_) {
       if (box.rect.Intersects(old_rect)) {
         cover_.UnionRect(box.rect.Intersection(old_rect));
       }
@@ -185,38 +220,25 @@ bool Panner::Diff(const xbase::Rect& outline) {
       erases_.push_back(rect);
       touches_ring = touches_ring || TouchesRing(rect, outline);
     }
-  };
-  // Both lists are in client window order (clients_ is a std::map), so one
-  // merge walk pairs each box with what it showed before.
-  auto old_it = shown_.begin();
-  for (const Box& box : target_) {
-    for (; old_it != shown_.end() && old_it->window < box.window; ++old_it) {
-      erase(old_it->rect);
-    }
-    if (old_it != shown_.end() && old_it->window == box.window) {
-      if (old_it->rect == box.rect) {
-        ++old_it;
-        continue;
-      }
-      erase((old_it++)->rect);
-    }
-    draws_.push_back(box.rect);
-    touches_ring = touches_ring || TouchesRing(box.rect, outline);
-  }
-  for (; old_it != shown_.end(); ++old_it) {
-    erase(old_it->rect);
   }
   return touches_ring;
 }
 
-void Panner::SendFullRedraw(const xbase::Rect& outline) {
+void Panner::SendFullRedraw(const VirtualDesktop& desk, const xbase::Rect& outline) {
+  // The one walk over every client.
+  shown_.clear();
+  for (const auto& [window, client] : wm_->clients_) {
+    if (std::optional<xbase::Rect> box = BoxOf(*client, desk)) {
+      shown_.push_back(Box{window, *box});
+    }
+  }
   xlib::Display& dpy = wm_->display();
   dpy.ClearWindow(app_->window());
-  for (const Box& box : target_) {
+  for (const Box& box : shown_) {
     dpy.Draw(app_->window(), Fill(box.rect, 'o'));
   }
   dpy.Draw(app_->window(), Border(outline));
-  list_ops_ = target_.size() + 1;
+  list_ops_ = shown_.size() + 1;
 }
 
 bool Panner::HandleButton(const xproto::ButtonEvent& event) {

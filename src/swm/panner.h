@@ -38,6 +38,7 @@ class Panner {
   struct Box {
     xproto::WindowId window = xproto::kNone;
     xbase::Rect rect;
+    friend bool operator==(const Box&, const Box&) = default;
   };
 
   // The panner's client window (owned by the WM's aux connection and
@@ -49,20 +50,28 @@ class Panner {
   // Maps the client window (kicks off normal management).
   void Map();
 
-  // Marks the miniature stale.  Inside ProcessEvents' frame hold it is
-  // brought up to date once per batch, by WindowManager::FlushFrames;
-  // outside it, at once.
+  // Marks the miniature of client `window` stale: its frame was placed,
+  // resized, rebuilt, mapped, iconified or unmanaged.  Inside
+  // ProcessEvents' frame hold it is brought up to date once per batch, by
+  // WindowManager::FlushFrames; outside it, at once.
+  void Update(xproto::WindowId window);
+  // Client `window`'s frame was laid out, which may have resized it: the
+  // next reconcile compares its box too, but none is scheduled for it.
+  void NoteLaidOut(xproto::WindowId window);
+  // Marks the view stale (a pan or a desktop switch); a changed outline or
+  // desktop redraws every box.
   void Update();
   // Like Update(), but the next reconcile clears the window and draws every
-  // box and the outline from scratch (f.refresh).
+  // box and the outline from scratch (f.refresh, a panner resize).
   void Redraw();
-  // Brings the window up to date if Update() or Redraw() marked it stale.
-  // Sends only the difference from what it shows: each removed or moved box
-  // is erased in the window background except where a remaining box covers
+  // Brings the window up to date if an Update() or Redraw() marked it
+  // stale.  Looks up only the clients marked since the last reconcile and
+  // sends the difference from what it shows: each removed or moved box is
+  // erased in the window background except where a remaining box covers
   // it, new and moved boxes are drawn, and the outline is redrawn only if an
   // erase or a draw touched its ring.  A pan, a desktop switch, a panner
   // resize, or a diff that would grow the window's display list past
-  // ListBound() redraws from scratch instead.
+  // ListBound() redraws every client's box from scratch instead.
   void Reconcile();
 
   // What the window shows, by client window id, and the viewport outline.
@@ -95,11 +104,13 @@ class Panner {
   std::optional<xbase::Rect> BoxOf(const ManagedClient& client,
                                    const VirtualDesktop& desk) const;
   xbase::Rect OutlineOf(const VirtualDesktop& desk) const;
-  // Fills `erases_` and `draws_` with what turns `shown_` into `target_`;
-  // true when one of them touches the outline's ring.  The erases are sent
-  // first, so they never clear a box drawn in the same pass.
-  bool Diff(const xbase::Rect& outline);
-  void SendFullRedraw(const xbase::Rect& outline);
+  // Brings the box of each window in `dirty_` up to date in `shown_` and
+  // fills `erases_` and `draws_` with the difference; true when one of them
+  // touches the outline's ring.  The erases are sent first, so they never
+  // clear a box drawn in the same pass.
+  bool Diff(const VirtualDesktop& desk, const xbase::Rect& outline);
+  // Rebuilds `shown_` from every client and draws it from scratch.
+  void SendFullRedraw(const VirtualDesktop& desk, const xbase::Rect& outline);
 
   WindowManager* wm_;
   int screen_;
@@ -117,8 +128,9 @@ class Panner {
   xbase::Rect shown_outline_;
   xproto::WindowId shown_desktop_ = xproto::kNone;
   size_t list_ops_ = 0;
+  std::vector<xproto::WindowId> dirty_;  // Clients marked since the last reconcile.
   // Scratch reused across reconciles.
-  std::vector<Box> target_;
+  std::vector<xbase::Rect> removed_;  // Old rects of removed and moved boxes.
   std::vector<xbase::Rect> erases_;  // Filled with the window background.
   std::vector<xbase::Rect> draws_;   // Filled with 'o'.
   xbase::Region cover_;

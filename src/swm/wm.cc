@@ -482,6 +482,11 @@ ManagedClient* WindowManager::FindClientByAnyWindow(xproto::WindowId window) {
       return nullptr;
     }
   }
+  // Any other window swm made (a virtual desktop, or a decoration object
+  // already destroyed) never sits inside a client.
+  if (display_.OwnsId(window)) {
+    return nullptr;
+  }
   // A frame window or descendant of one (e.g. the client's own subwindows):
   // walk up the tree looking for a client window.
   xproto::WindowId cur = window;
@@ -528,7 +533,7 @@ void WindowManager::MoveFrameTo(ManagedClient* client, const xbase::Point& paren
   client->frame->SetGeometry(geometry);
   SendSyntheticConfigure(client);
   if (Panner* p = panner(client->screen)) {
-    p->Update();
+    p->Update(client->window);
   }
 }
 
@@ -554,7 +559,7 @@ void WindowManager::ResizeClient(ManagedClient* client, xbase::Size client_size)
     }
   }
   if (Panner* p = panner(client->screen)) {
-    p->Update();
+    p->Update(client->window);
   }
 }
 
@@ -739,6 +744,11 @@ void WindowManager::OnTreeLaidOut(oi::Object* root) {
   ManagedClient* client = FindClient(it->second);
   if (client != nullptr && client->frame.get() == root) {
     PositionResizeCorners(client);
+    // Laying out may have resized the frame; the panner compares its box
+    // at its next reconcile.
+    if (Panner* p = panner(client->screen)) {
+      p->NoteLaidOut(client->window);
+    }
   }
 }
 

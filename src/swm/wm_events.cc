@@ -490,6 +490,10 @@ void WindowManager::HandlePropertyNotify(const xproto::PropertyNotifyEvent& even
       } else if (client->name_object->type() == oi::ObjectType::kText) {
         static_cast<oi::TextObject*>(client->name_object)->SetText(client->name);
       }
+      // The title's relayout may widen the frame.
+      if (Panner* p = panner(client->screen)) {
+        p->Update(client->window);
+      }
     }
   } else if (*atom_name == xproto::kAtomWmIconName) {
     client->icon_name =

@@ -164,7 +164,7 @@ void WindowManager::Iconify(ManagedClient* client) {
   xlib::SetWmState(&display_, client->window, xproto::WmState::kIconic,
                    client->icon != nullptr ? client->icon->window() : xproto::kNone);
   if (Panner* p = panner(client->screen)) {
-    p->Update();
+    p->Update(client->window);
   }
   if (!in_teardown_ && policy_ != nullptr && !client->is_internal) {
     policy_->OnIconicChange(client);
@@ -193,7 +193,7 @@ void WindowManager::Deiconify(ManagedClient* client) {
   display_.MapWindow(client->window);
   xlib::SetWmState(&display_, client->window, xproto::WmState::kNormal, xproto::kNone);
   if (Panner* p = panner(client->screen)) {
-    p->Update();
+    p->Update(client->window);
   }
   if (!in_teardown_ && policy_ != nullptr && !client->is_internal) {
     policy_->OnIconicChange(client);

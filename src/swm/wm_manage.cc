@@ -360,7 +360,7 @@ ManagedClient* WindowManager::ManageWindow(xproto::WindowId window, int screen) 
     return nullptr;
   }
   if (Panner* p = panner(screen)) {
-    p->Update();
+    p->Update(window);
   }
   if (!client->is_internal) {
     // The policy sees the fully built client last: slot policies reflow the
@@ -414,7 +414,7 @@ void WindowManager::UnmanageWindow(xproto::WindowId window, bool reparent_back) 
   xbase::ForgetLogThrottle(TransientCycleLogKey(window));
   xlib::ForgetSanitizerLog(window);
   if (Panner* p = panner(screen)) {
-    p->Update();
+    p->Update(window);
   }
   if (!was_internal && !in_teardown_ && policy_ != nullptr) {
     // Survivors reflow into the vacated space (slot policies); the client
@@ -480,6 +480,9 @@ void WindowManager::ReDecorate(ManagedClient* client) {
   }
   SendSyntheticConfigure(client);
   MaybeFlushFrames();
+  if (Panner* p = panner(client->screen)) {
+    p->Update(client->window);
+  }
 }
 
 void WindowManager::SetSticky(ManagedClient* client, bool sticky) {
@@ -490,9 +493,6 @@ void WindowManager::SetSticky(ManagedClient* client, bool sticky) {
   // The resource prefix changed ("sticky" marker), so the decoration may
   // change too — rebuild it, reparenting between root and virtual desktop.
   ReDecorate(client);
-  if (Panner* p = panner(client->screen)) {
-    p->Update();
-  }
 }
 
 // ---- Root panels, root icons, icon holders ------------------------------------

@@ -575,7 +575,10 @@ std::optional<xbase::Region> Display::GetShape(WindowId window) const {
   return xbase::Region(std::move(r->rects));
 }
 
-bool Display::IsShaped(WindowId window) const { return GetShape(window).has_value(); }
+bool Display::IsShaped(WindowId window) const {
+  auto r = Query<xproto::ShapeRectanglesReply>(xproto::ShapeGetRectanglesRequest{.window = window});
+  return r.has_value() && r->shaped;
+}
 
 bool Display::ShapeSetMask(WindowId window, const xbase::Bitmap& mask) {
   return ShapeSetRegion(window, mask.ToRegion());

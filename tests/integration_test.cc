@@ -299,9 +299,11 @@ TEST_F(SwmWireTest, SessionOverTheCodecMatchesTheInProcessOne) {
   EXPECT_EQ(direct.pointer, (xbase::Point{50, 60}));  // The warp moved it.
   EXPECT_EQ(direct.wm_wire_requests, 0u);
   EXPECT_GT(wire.wm_wire_requests, 0u);
-  // In process a query on a dead window (a destroyed frame object's, say)
-  // is just empty; over the codec it also raises BadWindow.
+  // Events for swm's own dead windows (a destroyed frame object's, say) are
+  // never traced up the tree: over the codec such a query would raise
+  // BadWindow.
   EXPECT_EQ(direct.x_errors, 0u);
+  EXPECT_EQ(wire.x_errors, 0u);
 }
 
 // Over the codec a query on a dead window raises BadWindow, which must not

@@ -2,6 +2,7 @@
 // (paper §6).
 #include <random>
 
+#include "src/swm/policy/layout_policy.h"
 #include "src/xlib/icccm.h"
 #include "src/xproto/hints.h"
 #include "tests/server_test_peer.h"
@@ -346,6 +347,32 @@ TEST_F(PannerTest, MiniatureReflectsWindows) {
   EXPECT_TRUE(found);
 }
 
+// A client that becomes shaped is re-decorated; the rebuilt frame keeps the
+// client where it was on glass, so the frame itself moves, and its miniature
+// must follow.
+TEST_F(PannerTest, RuntimeShapeMovesTheMiniature) {
+  StartWithPanner();
+  auto app = Spawn("xeyes", {"xeyes", "XEyes"}, {0, 0, 60, 60});
+  ManagedClient* client = Managed(*app);
+  wm_->MoveFrameTo(client, {8, 8});
+  wm_->ProcessEvents();
+  xbase::Rect before = client->FrameGeometry();
+
+  app->display().ShapeSetMask(app->window(), xbase::CircleMask(60));
+  wm_->ProcessEvents();
+  client = Managed(*app);
+  ASSERT_TRUE(client->shaped);
+  xbase::Rect after = client->FrameGeometry();
+  ASSERT_NE(after, before);
+  std::vector<Panner::Box> expected{
+      {app->window(), {after.x / 10, after.y / 10, after.width / 10, after.height / 10}}};
+  EXPECT_EQ(panner_->boxes(), expected);
+  std::string incremental = server_->RenderScreen(0).ToString();
+  panner_->Redraw();
+  EXPECT_EQ(panner_->boxes(), expected);
+  EXPECT_EQ(server_->RenderScreen(0).ToString(), incremental);
+}
+
 // One box per normal, non-sticky client on the active desktop, plus the
 // viewport outline: nothing for sticky windows (the panner included),
 // icons, or clients on the other desktop.
@@ -444,8 +471,8 @@ TEST_F(PannerLaunchTest, DrawOpsPerLaunchDoNotGrowWithStandingClients) {
 //
 // Two identical WM stacks run the same seeded steps.  The second forces a
 // full redraw of the panner after every step; the first keeps only what the
-// reconcile sent.  Their screens must match after every step, and the first
-// panner's display list must stay within Panner::ListBound.
+// reconcile sent.  Their screens and boxes must match after every step, and
+// the first panner's display list must stay within Panner::ListBound.
 
 struct PannerStack {
   PannerStack() {
@@ -493,6 +520,10 @@ struct PannerStep {
     kPan,
     kSwitchDesktop,
     kPannerResize,
+    kShapeToggle,
+    kRetitle,
+    kDestroy,
+    kPolicySwitch,
   };
   Kind kind = kManage;
   size_t target = 0;
@@ -559,6 +590,39 @@ void ApplyStep(const PannerStep& step, PannerStack* stack) {
       wm.ResizeClient(stack->PannerClient(),
                       {20 + step.geometry.width % 80, 10 + step.geometry.height % 40});
       break;
+    case PannerStep::kShapeToggle:
+      // The runtime ShapeNotify re-decorates, which moves the frame.
+      if (client != nullptr) {
+        xlib::ClientApp& app = *apps[step.target % apps.size()];
+        if (client->shaped) {
+          app.display().ShapeClear(app.window());
+        } else {
+          app.display().ShapeSetMask(app.window(), xbase::CircleMask(step.geometry.width));
+        }
+      }
+      break;
+    case PannerStep::kRetitle:
+      // A title wider than the client widens the frame in its relayout.
+      if (client != nullptr) {
+        xlib::ClientApp& app = *apps[step.target % apps.size()];
+        xlib::SetWmName(&app.display(), app.window(),
+                        std::string(static_cast<size_t>(step.geometry.width % 60), 'w'));
+      }
+      break;
+    case PannerStep::kDestroy:
+      // The client destroys its window without unmapping it first.
+      if (!apps.empty()) {
+        size_t index = step.target % apps.size();
+        apps[index]->display().DestroyWindow(apps[index]->window());
+        wm.ProcessEvents();
+        apps.erase(apps.begin() + static_cast<std::ptrdiff_t>(index));
+      }
+      break;
+    case PannerStep::kPolicySwitch:
+      // One relayout moves and resizes many frames in one batch.
+      wm.SetLayoutPolicy(std::string(wm.layout_policy().name()) == "tiling" ? "floating"
+                                                                            : "tiling");
+      break;
   }
   wm.ProcessEvents();
 }
@@ -571,7 +635,7 @@ TEST_P(PannerReconcileTest, IncrementalScreenMatchesFullRedraw) {
   PannerStack full;
   ASSERT_EQ(incremental.Screen(), full.Screen());
   // Placement and window mutations weigh most; views change now and then.
-  std::discrete_distribution<int> kind({8, 4, 6, 4, 4, 2, 2, 1, 1, 1});
+  std::discrete_distribution<int> kind({8, 4, 6, 4, 4, 2, 2, 1, 1, 1, 2, 2, 1, 1});
   std::uniform_int_distribution<int> x(-100, 1600);
   std::uniform_int_distribution<int> y(-60, 800);
   std::uniform_int_distribution<int> width(20, 300);
@@ -592,6 +656,8 @@ TEST_P(PannerReconcileTest, IncrementalScreenMatchesFullRedraw) {
     ASSERT_EQ(incremental.Screen(), full.Screen())
         << "step " << i << " kind " << step.kind << " seed " << GetParam();
     Panner* panner = incremental.panner();
+    ASSERT_EQ(panner->boxes(), full.panner()->boxes())
+        << "step " << i << " kind " << step.kind << " seed " << GetParam();
     const xserver::WindowRec* rec =
         xserver::ServerTestPeer::FindWindow(*incremental.server, panner->window());
     ASSERT_NE(rec, nullptr);
