@@ -41,10 +41,11 @@ BENCHMARK(BM_Swm_ManageUnmanage)->Arg(1)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 // virtual desktop: connect a fresh client, map it, let swm manage it, then
 // destroy the app (its Display disconnects) and let swm unmanage it.  The
 // server's per-client indexes keep connect/disconnect independent of the
-// population, and the panner draws only the launched window's box and its
-// erase, so `draw_ops_per_launch` stays flat.  What still grows is O(n) by
-// design: the panner's reconcile walks every client once per batch, and
-// the pointer-window search and sibling erase walk their lists.
+// population, and the panner looks up and draws only the launched window's
+// box and its erase, so `draw_ops_per_launch` stays flat.  Each batch paints
+// one frame, so `frames_per_launch` counts the batches of a launch and an
+// exit.  What still grows is O(n) by design: the pointer-window search and
+// the sibling erase walk their lists.
 void BM_Swm_LaunchWithStanding(benchmark::State& state) {
   const int standing = static_cast<int>(state.range(0));
   const bool panner = state.range(1) != 0;
@@ -54,6 +55,7 @@ void BM_Swm_LaunchWithStanding(benchmark::State& state) {
                                     (panner ? "True\n" : "False\n"));
   auto apps = bench_util::SpawnClients(server.get(), standing, [&] { wm->ProcessEvents(); });
   const uint64_t draw_ops_before = server->render_stats().draw_ops;
+  const uint64_t frames_before = wm->toolkit(0).frame_stats().frames;
   for (auto _ : state) {
     auto app =
         std::make_unique<xlib::ClientApp>(server.get(), bench_util::ClientConfig(standing));
@@ -65,6 +67,9 @@ void BM_Swm_LaunchWithStanding(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.counters["draw_ops_per_launch"] = benchmark::Counter(
       static_cast<double>(server->render_stats().draw_ops - draw_ops_before),
+      benchmark::Counter::kAvgIterations);
+  state.counters["frames_per_launch"] = benchmark::Counter(
+      static_cast<double>(wm->toolkit(0).frame_stats().frames - frames_before),
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_Swm_LaunchWithStanding)

@@ -75,15 +75,15 @@ xbase::Region& FrameScheduler::DamageFor(Object* root) {
   return slot.damage;
 }
 
-void FrameScheduler::FlushFrame() {
-  if (in_flush_ || !HasPendingWork()) {
+void FrameScheduler::LayOut() {
+  // A nested call (from the layout observer) would swap layout_roots_ under
+  // the loop below, which drains whatever that call would have laid out.
+  if (in_flush_) {
     return;
   }
   in_flush_ = true;
-  // Layout phase.  Laying out resizes child windows, which marks them
-  // paint-dirty (and occasionally marks further layout, e.g. a nested
-  // size-override change); everything lands in this same frame, so the
-  // paint snapshot below is taken only once the layout queue is drained.
+  // Laying out resizes child windows, which marks them paint-dirty (and
+  // occasionally marks further layout, e.g. a nested size-override change).
   while (!layout_roots_.empty()) {
     layout_scratch_.clear();
     layout_scratch_.swap(layout_roots_);
@@ -96,6 +96,15 @@ void FrameScheduler::FlushFrame() {
       }
     }
   }
+  in_flush_ = false;
+}
+
+void FrameScheduler::FlushFrame() {
+  if (in_flush_ || !HasPendingWork()) {
+    return;
+  }
+  LayOut();  // First, so everything a layout pass invalidates joins this frame.
+  in_flush_ = true;
   // Damage + paint phase.  Per tree, the union of every damaged object's
   // bounds plus any Expose rectangles accumulates into a pooled banded
   // Region, each contribution clipped to the tree root's bounds before any
@@ -127,12 +136,6 @@ void FrameScheduler::FlushFrame() {
     }
     object->dirty_kinds_ &= static_cast<uint8_t>(~kPaintDirty);
     DamageFor(root).UnionRect(damage);
-    if (object->parent() != nullptr) {
-      // Containers used to Show children as part of rendering; preserve
-      // that for freshly built trees.  Tree roots stay under their owner's
-      // explicit Show/Hide (icons and menus pop up on their own schedule).
-      object->Show();
-    }
     object->Paint();
   }
   for (const auto& [object, rect] : expose_rects_) {

@@ -5,7 +5,8 @@
 // dirty object here; FlushFrame() then runs one layout pass over the dirty
 // roots, folds the damaged rectangles into an xbase::Region per tree, and
 // reissues each damaged object's draw list exactly once, however many
-// invalidations hit it since the previous flush.
+// invalidations hit it since the previous flush.  LayOut() runs the layout
+// pass alone, for callers that read geometry before the batch's FlushFrame.
 //
 // The flush path is allocation-free in steady state: the pending queues are
 // flat vectors whose buffers are recycled across frames, and the per-root
@@ -56,9 +57,11 @@ class FrameScheduler {
   void ForgetObject(Object* object);
 
   // ---- Frame flush ---------------------------------------------------------
-  // Lays out every dirty subtree root (a layout pass may invalidate further
-  // paint or layout; it joins the same frame), then paints each damaged
-  // object exactly once.  No-op with nothing pending or while flushing.
+  // Lays out every dirty subtree root, calling the layout observer after
+  // each; the paint dirt it adds waits for the next FlushFrame.
+  void LayOut();
+  // LayOut(), then paints each damaged object exactly once.  Both are no-ops
+  // while flushing; FlushFrame also with nothing pending.
   void FlushFrame();
   bool HasPendingWork() const {
     return !layout_roots_.empty() || !paint_objects_.empty() || !expose_rects_.empty();

@@ -22,6 +22,10 @@ Object::Object(Toolkit* toolkit, Panel* parent, xproto::WindowId parent_window,
 
   geometry_ = xbase::Rect{0, 0, 1, 1};
   window_ = toolkit_->display().CreateWindow(parent_window, geometry_);
+  if (parent != nullptr) {
+    // Mapped now, under its still-unmapped tree root; roots map on their own.
+    toolkit_->display().MapWindow(window_);
+  }
   toolkit_->display().SelectInput(
       window_, xproto::kButtonPressMask | xproto::kButtonReleaseMask |
                    xproto::kKeyPressMask | xproto::kEnterWindowMask |

@@ -146,7 +146,8 @@ class Toolkit {
   // invalidations to (docs/RENDERING.md).
   FrameScheduler& frame_scheduler() { return frame_scheduler_; }
   const FrameScheduler& frame_scheduler() const { return frame_scheduler_; }
-  // Lays out dirty subtrees and paints accumulated damage: one frame.
+  // Lays out dirty subtrees; FlushFrame also paints accumulated damage: one frame.
+  void LayOut() { frame_scheduler_.LayOut(); }
   void FlushFrame() { frame_scheduler_.FlushFrame(); }
   // Per-frame instrumentation, alongside the query-cache stats below.
   const FrameScheduler::Stats& frame_stats() const { return frame_scheduler_.stats(); }

@@ -86,13 +86,6 @@ void Panner::Update(xproto::WindowId window) {
   Update();
 }
 
-void Panner::NoteLaidOut(xproto::WindowId window) {
-  // No reconcile may follow for a while, so keep one entry per client.
-  if (std::find(dirty_.begin(), dirty_.end(), window) == dirty_.end()) {
-    dirty_.push_back(window);
-  }
-}
-
 void Panner::Update() {
   stale_ = true;
   if (wm_->frame_hold_depth_ == 0) {

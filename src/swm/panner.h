@@ -51,13 +51,10 @@ class Panner {
   void Map();
 
   // Marks the miniature of client `window` stale: its frame was placed,
-  // resized, rebuilt, mapped, iconified or unmanaged.  Inside
+  // laid out, resized, rebuilt, mapped, iconified or unmanaged.  Inside
   // ProcessEvents' frame hold it is brought up to date once per batch, by
   // WindowManager::FlushFrames; outside it, at once.
   void Update(xproto::WindowId window);
-  // Client `window`'s frame was laid out, which may have resized it: the
-  // next reconcile compares its box too, but none is scheduled for it.
-  void NoteLaidOut(xproto::WindowId window);
   // Marks the view stale (a pan or a desktop switch); a changed outline or
   // desktop redraws every box.
   void Update();

@@ -460,31 +460,27 @@ std::vector<IconHolder*> WindowManager::icon_holders(int screen) {
   return out;
 }
 
-ManagedClient* WindowManager::FindClientByAnyWindow(xproto::WindowId window) {
-  if (window == xproto::kNone) {
-    return nullptr;
-  }
+ManagedClient* WindowManager::FindClientByKnownWindow(xproto::WindowId window) {
   if (ManagedClient* direct = FindClient(window)) {
     return direct;
   }
   // A decoration/icon object window?
   for (ScreenState& state : screens_) {
-    oi::Object* object = state.toolkit->FindObject(window);
-    if (object != nullptr) {
-      const oi::Object* root = object;
-      while (root->parent() != nullptr) {
-        root = root->parent();
-      }
-      auto it = tree_owner_.find(root);
-      if (it != tree_owner_.end()) {
-        return FindClient(it->second);
-      }
-      return nullptr;
+    if (oi::Object* object = state.toolkit->FindObject(window)) {
+      auto it = tree_owner_.find(object->TreeRoot());
+      return it != tree_owner_.end() ? FindClient(it->second) : nullptr;
     }
+  }
+  return nullptr;
+}
+
+ManagedClient* WindowManager::FindClientByAnyWindow(xproto::WindowId window) {
+  if (ManagedClient* known = FindClientByKnownWindow(window)) {
+    return known;
   }
   // Any other window swm made (a virtual desktop, or a decoration object
   // already destroyed) never sits inside a client.
-  if (display_.OwnsId(window)) {
+  if (window == xproto::kNone || display_.OwnsId(window)) {
     return nullptr;
   }
   // A frame window or descendant of one (e.g. the client's own subwindows):
@@ -544,11 +540,10 @@ void WindowManager::ResizeClient(ManagedClient* client, xbase::Size client_size)
   client_size = client->size_hints.Constrain(client_size);
   display_.ResizeWindow(client->window, client_size);
   client->client_panel->SetSizeOverride(client_size);
-  // Shapes and the synthetic configure below read laid-out geometry, so
-  // this flush is synchronous even mid-batch.  Only objects the layout
-  // actually resized repaint; title buttons that merely moved keep their
-  // display lists.  Corner handles are re-pinned by the layout observer.
-  FlushFrames();
+  // Shapes and the synthetic configure below read laid-out geometry, so the
+  // layout is synchronous even mid-batch; the paint waits for the batch's
+  // frame.  The layout observer re-pins the corners and marks the panner.
+  screens_[client->screen].toolkit->LayOut();
   client->frame->ApplyShape();
   ApplyClientShapeToFrame(client);
   SendSyntheticConfigure(client);
@@ -557,9 +552,6 @@ void WindowManager::ResizeClient(ManagedClient* client, xbase::Size client_size)
     if (p != nullptr && client->window == p->window()) {
       p->OnResized(client_size);
     }
-  }
-  if (Panner* p = panner(client->screen)) {
-    p->Update(client->window);
   }
 }
 
@@ -744,10 +736,9 @@ void WindowManager::OnTreeLaidOut(oi::Object* root) {
   ManagedClient* client = FindClient(it->second);
   if (client != nullptr && client->frame.get() == root) {
     PositionResizeCorners(client);
-    // Laying out may have resized the frame; the panner compares its box
-    // at its next reconcile.
+    // Laying out may have resized the frame (a new size, a longer title).
     if (Panner* p = panner(client->screen)) {
-      p->NoteLaidOut(client->window);
+      p->Update(client->window);
     }
   }
 }

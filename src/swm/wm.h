@@ -262,10 +262,12 @@ class WindowManager {
     return it == events_dispatched_by_client_.end() ? 0 : it->second;
   }
   // ---- Frame-pipeline counters (docs/RENDERING.md) -------------------------
-  // Events handled and events dropped by per-batch coalescing (redundant
-  // ConfigureNotify snapshots, merged Expose rectangles).
+  // Events handled, events dropped by per-batch coalescing (redundant
+  // ConfigureNotify snapshots, merged Expose rectangles, unmaps of windows
+  // the batch destroys), and settle iterations (one FlushFrames each).
   uint64_t events_dispatched() const { return events_dispatched_; }
   uint64_t events_coalesced() const { return events_coalesced_; }
+  uint64_t settle_iterations() const { return settle_iterations_; }
   bool quit_requested() const { return quit_requested_; }
   bool restart_requested() const { return restart_requested_; }
   bool awaiting_target() const { return pending_.active; }
@@ -456,12 +458,15 @@ class WindowManager {
     ~FrameHold() { --wm_->frame_hold_depth_; }
     WindowManager* wm_;
   };
-  // Drops redundant ConfigureNotify snapshots (keep last per window) and
-  // merges same-window Expose rectangles within one drained batch.
+  // Per drained batch: keeps the last ConfigureNotify per window, merges
+  // Expose rectangles, and drops unmaps of windows the batch destroys.
   void CoalesceEventBatch(std::vector<xproto::Event>* batch);
   // Layout observer installed on every toolkit's FrameScheduler: re-pins
-  // floating resize corners after a client frame's layout pass.
+  // resize corners and marks the panner after a client frame's layout.
   void OnTreeLaidOut(oi::Object* root);
+  // FindClientByAnyWindow without its server queries: a client window, or
+  // an object window in a client's frame or icon tree.
+  ManagedClient* FindClientByKnownWindow(xproto::WindowId window);
 
   // ---- Event handling ----------------------------------------------------------------
   void HandleEvent(const xproto::Event& event);
@@ -523,6 +528,7 @@ class WindowManager {
   int frame_hold_depth_ = 0;  // >0 while ProcessEvents batches invalidations.
   std::set<int> relayout_pending_;  // Screens awaiting a batch-end reflow.
   uint64_t events_dispatched_ = 0;
+  uint64_t settle_iterations_ = 0;
   uint64_t events_coalesced_ = 0;
 
   // Quarantine state (docs/ROBUSTNESS.md).

@@ -99,6 +99,7 @@ void WindowManager::ProcessEvents() {
   bool progressed = true;
   while (progressed) {
     progressed = false;
+    ++settle_iterations_;
     // Drain the whole pending batch before dispatching anything: coalescing
     // can only spot redundant ConfigureNotify/Expose pairs across the batch.
     std::vector<xproto::Event> batch;
@@ -109,7 +110,7 @@ void WindowManager::ProcessEvents() {
     for (const xproto::Event& event : batch) {
       progressed = true;
       ++events_dispatched_;
-      if (ManagedClient* culprit = FindClientByAnyWindow(CulpritWindow(event))) {
+      if (ManagedClient* culprit = FindClientByKnownWindow(CulpritWindow(event))) {
         ++events_dispatched_by_client_[culprit->window];
       }
       Guarded(options_.self_heal, &dispatch_errors_, "event dispatch",
@@ -160,7 +161,9 @@ void WindowManager::RunRequestedRelayouts() {
 // ConfigureNotify per (event_window, window, synthetic) key matters — each
 // carries the complete current geometry — and Expose rectangles for one
 // window merge into a single event covering their bounding box.  The damage
-// region keeps paints tight; coalescing keeps dispatch count low.
+// region keeps paints tight; coalescing keeps dispatch count low.  An
+// UnmapNotify that its window's DestroyNotify follows is dropped, so the
+// destroy unmanages without reparenting a dead window back.
 void WindowManager::CoalesceEventBatch(std::vector<xproto::Event>* batch) {
   struct ConfigureKey {
     xproto::WindowId event_window;
@@ -173,6 +176,7 @@ void WindowManager::CoalesceEventBatch(std::vector<xproto::Event>* batch) {
   };
   std::map<ConfigureKey, size_t> last_configure;
   std::map<xproto::WindowId, size_t> last_expose;
+  std::map<xproto::WindowId, size_t> last_destroy;
   for (size_t i = 0; i < batch->size(); ++i) {
     if (const auto* configure =
             std::get_if<xproto::ConfigureNotifyEvent>(&(*batch)[i])) {
@@ -180,6 +184,8 @@ void WindowManager::CoalesceEventBatch(std::vector<xproto::Event>* batch) {
                       configure->synthetic}] = i;
     } else if (const auto* expose = std::get_if<xproto::ExposeEvent>(&(*batch)[i])) {
       last_expose[expose->window] = i;
+    } else if (const auto* destroy = std::get_if<xproto::DestroyNotifyEvent>(&(*batch)[i])) {
+      last_destroy[destroy->window] = i;
     }
   }
 
@@ -192,6 +198,11 @@ void WindowManager::CoalesceEventBatch(std::vector<xproto::Event>* batch) {
       ConfigureKey key{configure->event_window, configure->window,
                        configure->synthetic};
       if (last_configure[key] != i) {
+        ++events_coalesced_;
+        continue;
+      }
+    } else if (const auto* unmap = std::get_if<xproto::UnmapNotifyEvent>(&event)) {
+      if (auto d = last_destroy.find(unmap->window); d != last_destroy.end() && d->second > i) {
         ++events_coalesced_;
         continue;
       }
@@ -489,10 +500,6 @@ void WindowManager::HandlePropertyNotify(const xproto::PropertyNotifyEvent& even
         static_cast<oi::Button*>(client->name_object)->SetLabel(client->name);
       } else if (client->name_object->type() == oi::ObjectType::kText) {
         static_cast<oi::TextObject*>(client->name_object)->SetText(client->name);
-      }
-      // The title's relayout may widen the frame.
-      if (Panner* p = panner(client->screen)) {
-        p->Update(client->window);
       }
     }
   } else if (*atom_name == xproto::kAtomWmIconName) {

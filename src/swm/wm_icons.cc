@@ -82,11 +82,9 @@ void WindowManager::BuildIcon(ManagedClient* client) {
       static_cast<oi::TextObject*>(name_obj)->SetText(client->icon_name);
     }
   }
-  // Flush the freshly built (all-dirty) icon tree: PlaceIcon's slot math
-  // reads the laid-out geometry, and the flush also paints the icon — the
-  // old DoLayout()-only path left icons built while already iconic laid out
-  // but never rendered.
-  state.toolkit->FlushFrame();
+  // Lay out the freshly built (all-dirty) icon tree: PlaceIcon's slot math
+  // reads the laid-out geometry.
+  state.toolkit->LayOut();
   tree_owner_[icon.get()] = client->window;
   client->icon = std::move(icon);
   client->icon_holder = holder;
@@ -142,7 +140,6 @@ void WindowManager::PlaceIcon(ManagedClient* client) {
   client->icon->SetGeometry(xbase::Rect{client->icon_position.x, client->icon_position.y,
                                         client->icon->geometry().width,
                                         client->icon->geometry().height});
-  display_.MapWindow(client->icon->window());
   client->icon->Show();
 }
 
@@ -299,7 +296,6 @@ void IconHolder::Relayout() {
     }
     client->icon->SetGeometry(
         xbase::Rect{x, y - scroll_offset_, size.width, size.height});
-    dpy.MapWindow(client->icon->window());
     client->icon->Show();
     x += size.width + 1;
     row_height = std::max(row_height, size.height);

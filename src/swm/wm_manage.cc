@@ -276,9 +276,9 @@ ManagedClient* WindowManager::ManageWindow(xproto::WindowId window, int screen) 
   }
   client->client_panel->SetSizeOverride(client_size);
   // PlaceNew reads the laid-out frame geometry, so the freshly built
-  // (all-dirty) tree flushes synchronously here; the layout observer pins
+  // (all-dirty) tree lays out synchronously here; the layout observer pins
   // the resize corners.
-  screens_[screen].toolkit->FlushFrame();
+  screens_[screen].toolkit->LayOut();
 
   // Placement is a policy decision (docs/POLICIES.md): floating runs the
   // classic session/hints/cascade logic; slot policies claim their slot.
@@ -296,7 +296,7 @@ ManagedClient* WindowManager::ManageWindow(xproto::WindowId window, int screen) 
       static_cast<oi::TextObject*>(client->name_object)->SetText(client->name);
     }
     // The label change relayouts the title row; shapes below read geometry.
-    screens_[screen].toolkit->FlushFrame();
+    screens_[screen].toolkit->LayOut();
   }
 
   display_.ReparentWindow(window, client->client_panel->window(), {0, 0});
@@ -451,7 +451,7 @@ void WindowManager::ReDecorate(ManagedClient* client) {
     static_cast<oi::Button*>(client->name_object)->SetLabel(client->name);
   }
   // The repositioning below reads the laid-out frame geometry.
-  screens_[client->screen].toolkit->FlushFrame();
+  screens_[client->screen].toolkit->LayOut();
 
   // New frame parent coordinates that keep the client at screen_pos.
   ScreenState& state = screens_[client->screen];
@@ -526,9 +526,9 @@ void WindowManager::CreateRootPanels(int screen) {
       aux_display_.DestroyWindow(toplevel);
       continue;
     }
-    // Flush the freshly built (all-dirty) tree: the toplevel is sized from
-    // the laid-out geometry before it maps.
-    state.toolkit->FlushFrame();
+    // Lay out the freshly built (all-dirty) tree: the toplevel is sized
+    // from the laid-out geometry before it maps.
+    state.toolkit->LayOut();
     xbase::Size size = tree->geometry().size();
     aux_display_.ResizeWindow(toplevel, size);
     tree->Show();
@@ -564,7 +564,7 @@ void WindowManager::CreateRootIcons(int screen) {
         static_cast<oi::Button*>(image_obj)->SetImage(xbase::XLogo32());
       }
     }
-    state.toolkit->FlushFrame();
+    state.toolkit->LayOut();
     xbase::Point pos{cascade_x, 4};
     if (std::optional<std::string> geo = ScreenResource(
             screen, {"rootIcon", name}, {"RootIcon", name}, "geometry")) {
@@ -576,8 +576,6 @@ void WindowManager::CreateRootIcons(int screen) {
                                   tree->geometry().height});
     cascade_x += tree->geometry().width + 4;
     tree->Show();
-    state.toolkit->FlushFrame();
-    display_.MapWindow(tree->window());
     state.root_icons.push_back(std::move(tree));
   }
 }

@@ -306,6 +306,22 @@ TEST_F(SwmWireTest, SessionOverTheCodecMatchesTheInProcessOne) {
   EXPECT_EQ(wire.x_errors, 0u);
 }
 
+// A client that exits with its window mapped leaves an UnmapNotify and a
+// DestroyNotify in one batch.  swm unmanages without reparenting the dead
+// window back and attributes the events without walking the tree, so over
+// the codec it asks the server nothing about the dead window.
+TEST_F(SwmWireTest, ClientExitingWithItsWindowMappedRaisesNoError) {
+  UseWire();
+  StartWm("swm*virtualDesktop: 400x300\n");
+  auto app = Spawn("xterm", {"xterm", "XTerm"});
+  ASSERT_NE(Managed(*app), nullptr);
+  xproto::WindowId window = app->window();
+  app.reset();  // Disconnects, which destroys the mapped window.
+  wm_->ProcessEvents();
+  EXPECT_EQ(wm_->FindClient(window), nullptr);
+  EXPECT_EQ(wm_->x_error_count(), 0u);
+}
+
 // Over the codec a query on a dead window raises BadWindow, which must not
 // make the window a suspect again: HealSuspects' own liveness probe is such
 // a query, and the event loop would never settle.
