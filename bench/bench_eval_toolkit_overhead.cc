@@ -145,6 +145,9 @@ void BM_Swm_ResizeWindow(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     wm->ResizeClient(client, {100 + (i % 40), 60 + (i % 30)});
+    // ResizeClient only lays out; the frame paints at the next FlushFrames,
+    // as it would at the end of an event batch.
+    wm->FlushFrames();
     ++i;
   }
   state.SetItemsProcessed(state.iterations());

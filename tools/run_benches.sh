@@ -24,6 +24,7 @@
 #   BENCH_23.json  one Xrm lookup algorithm   (bench_eval_resource_db)
 #   BENCH_24.json  one query funnel           (bench_wire)
 #   BENCH_25.json  per-window panner marks    (bench_eval_toolkit_overhead)
+#   BENCH_26.json  one paint point per batch  (bench_eval_toolkit_overhead)
 #
 # Usage: tools/run_benches.sh <bench_binary_name> <BENCH_n.json>
 #   e.g. tools/run_benches.sh bench_policy BENCH_14.json
